@@ -1,10 +1,18 @@
 """Exact linear algebra over a prime field and relative simplicial homology.
 
-Matrices are dense numpy int64 arrays with entries reduced mod p; all
-elimination is exact (p fits comfortably below the int64 overflow bound at
-the sizes this package handles).  Homology is computed by rank counting on
-boundary matrices; relative homology of a closed pair (P, E) uses the
-quotient chain complex spanned by the simplices of P \\ E.
+One kernel does all elimination: `reduce_columns` reduces sparse columns
+({row: coeff} dicts of Python ints, so exact for every prime) by their
+lowest nonzero row, and can record V with R = D·V.  Boundary columns are
+built directly from simplices.  Homology reduces one dimension at a time
+from the top down and clears the columns that are already pivots of the
+dimension above (Chen & Kerber, "Persistent homology computation with a
+twist"): such a simplex is the low of a boundary, so its column would reduce
+to zero anyway.  Relative homology of a closed pair (P, E) uses the
+quotient chain complex spanned by the simplices of P \\ E; reduced homology
+adds the empty simplex as the one (-1)-simplex.
+
+The zigzag layer works on int64 arrays; `rank` and `nullspace` convert them
+to sparse columns, which is why primes are capped below 2**63.
 
 The cone construction realizes a closed pair as an absolute complex whose
 reduced homology equals the relative homology of the pair.  Reusing one
@@ -14,104 +22,187 @@ which is what the zigzag layer needs.
 
 from __future__ import annotations
 
-from typing import Collection, Sequence
+from typing import Collection, Iterator, Sequence
 
 import numpy as np
 
 from .complexes import Complex, Simplex, simplex
 
 BettiVector = tuple
+Column = dict  # {row index: nonzero coefficient mod p}
+
+# Deterministic Miller-Rabin bases: correct for every n below 3.3e24.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME = 2 ** 63  # exclusive; zigzag arrows are int64 arrays
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def check_prime(p: int) -> int:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if p >= MAX_PRIME:
+        raise ValueError(f"field characteristic must be below 2**63, got {p}")
+    if not _is_prime(p):
         raise ValueError(f"field characteristic must be prime, got {p}")
     return p
 
 
-def _inv_mod(a: int, p: int) -> int:
-    return pow(a, p - 2, p)
+def _axpy(col: Column, f: int, other: Column, p: int) -> None:
+    """col += f * other, in place, mod p."""
+    for r, x in other.items():
+        y = (col.get(r, 0) + f * x) % p
+        if y:
+            col[r] = y
+        else:
+            del col[r]
 
 
-def row_reduce(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p; returns (rref, pivot column list)."""
-    a = np.array(mat, dtype=np.int64) % p
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * _inv_mod(int(a[r, c]), p)) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
+def reduce_columns(cols: list[Column], p: int, clear: Collection[int] = (),
+                   record: bool = False) -> tuple[dict[int, int], list[Column] | None]:
+    """Reduce `cols` in place, left to right, by their lowest (largest) row.
+
+    Returns the pivot table {low row: column index} and, if `record`, the
+    columns of V with R = D·V.  Every pivot column is scaled so its low entry
+    is 1.  Columns whose index is in `clear` are zeroed without reduction (their
+    V entry is left empty); the caller must know they reduce to zero.
+    """
+    pivots: dict[int, int] = {}
+    vs: list[Column] | None = [] if record else None
+    for j, col in enumerate(cols):
+        v: Column = {}
+        if j in clear:
+            col.clear()
+        else:
+            v[j] = 1
+            while col:
+                low = max(col)
+                i = pivots.get(low)
+                if i is None:
+                    inv = pow(col[low], -1, p)
+                    if inv != 1:
+                        for r in col:
+                            col[r] = col[r] * inv % p
+                        for r in v:
+                            v[r] = v[r] * inv % p
+                    pivots[low] = j
+                    break
+                f = p - col[low]
+                _axpy(col, f, cols[i], p)
+                if record:
+                    _axpy(v, f, vs[i], p)
+        if record:
+            vs.append(v)
+    return pivots, vs
+
+
+def row_reduce(mat: np.ndarray, p: int,
+               record: bool = True) -> tuple[dict[int, int], list[Column] | None]:
+    """Reduce the columns of an integer array mod p: (pivot table, V or None).
+
+    The one adapter from the array interface to `reduce_columns`; `rank` and
+    `nullspace` share it, and the benchmark's tracer counts it by this name.
+    """
+    at = np.asarray(mat, dtype=np.int64).T % p
+    cols: list[Column] = [{} for _ in range(at.shape[0])]
+    js, rows = np.nonzero(at)
+    for j, i, x in zip(js.tolist(), rows.tolist(), at[js, rows].tolist()):
+        cols[j][i] = x
+    return reduce_columns(cols, p, record=record)
 
 
 def rank(mat: np.ndarray, p: int = 2) -> int:
-    """Rank over the prime field via elimination."""
+    """Rank over the prime field."""
     a = np.asarray(mat)
     if a.size == 0:
         return 0
-    return len(row_reduce(a, p)[1])
+    return len(row_reduce(a, p, record=False)[0])
 
 
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     """Columns form a basis of the kernel of mat over GF(p)."""
     a = np.asarray(mat, dtype=np.int64)
-    rows, cols = a.shape
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    if rows == 0:
-        return np.eye(cols, dtype=np.int64)
-    rref, pivots = row_reduce(a, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, j] = (-int(rref[i, fc])) % p
-    return basis
+    pivots, vs = row_reduce(a, p)
+    paired = set(pivots.values())
+    return _dense([v for j, v in enumerate(vs) if j not in paired], a.shape[1])
 
 
-def solve(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution of mat @ x = rhs over GF(p), or None if inconsistent."""
-    a = np.asarray(mat, dtype=np.int64)
-    b = np.asarray(rhs, dtype=np.int64).reshape(-1, 1)
-    if a.shape[1] == 0:
-        return None if np.any(b % p) else np.zeros((0,), dtype=np.int64)
-    aug, pivots = row_reduce(np.hstack([a, b]), p)
-    if a.shape[1] in pivots:
-        return None
-    x = np.zeros(a.shape[1], dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = aug[i, a.shape[1]]
-    return x
+def _dense(columns: Sequence[Column], rows: int) -> np.ndarray:
+    out = np.zeros((rows, len(columns)), dtype=np.int64)
+    for j, col in enumerate(columns):
+        for r, x in col.items():
+            out[r, j] = x
+    return out
 
 
-def boundary_matrix(chain: Sequence[Simplex], lower: Sequence[Simplex], p: int) -> np.ndarray:
-    """Boundary operator from span(chain) to span(lower), faces outside `lower` dropped.
+def _levels(simplices, dim: int) -> list[list[Simplex]]:
+    """Simplices grouped by dimension 0..dim, each level in sorted order."""
+    out: list[list[Simplex]] = [[] for _ in range(dim + 1)]
+    for s in sorted(simplices):
+        out[len(s) - 1].append(s)
+    return out
+
+
+def _boundary(chain: Sequence[Simplex], lower: dict[Simplex, int], p: int) -> list[Column]:
+    """Sparse boundary columns of `chain`, faces outside `lower` dropped.
 
     Sign convention: removing the vertex at position i contributes (-1)^i.
     """
-    index = {s: i for i, s in enumerate(lower)}
-    mat = np.zeros((len(lower), len(chain)), dtype=np.int64)
-    for j, s in enumerate(chain):
+    cols = []
+    for s in chain:
+        col: Column = {}
         for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            row = index.get(face)
+            row = lower.get(s[:i] + s[i + 1:])
             if row is not None:
-                mat[row, j] = (mat[row, j] + (-1) ** i) % p
-    return mat
+                col[row] = p - 1 if i % 2 else 1
+        cols.append(col)
+    return cols
+
+
+def _reduce_levels(levels: list[list[Simplex]], p: int, augmented: bool,
+                   record: bool = False) -> Iterator[tuple]:
+    """Reduce each boundary map from the top dimension down, with clearing.
+
+    Yields (k, reduced columns, pivot table, V) for k = dim..0.  With
+    `augmented`, vertices have the empty simplex as their one face, which
+    gives reduced homology.
+    """
+    above: dict[int, int] = {}
+    for k in reversed(range(len(levels))):
+        if k:
+            lower = {s: i for i, s in enumerate(levels[k - 1])}
+        else:
+            lower = {(): 0} if augmented else {}
+        cols = _boundary(levels[k], lower, p)
+        pivots, vs = reduce_columns(cols, p, clear=above, record=record)
+        yield k, cols, pivots, vs
+        above = pivots
+
+
+def _betti(levels: list[list[Simplex]], p: int, augmented: bool) -> BettiVector:
+    ranks = [0] * (len(levels) + 1)
+    for k, _, pivots, _ in _reduce_levels(levels, p, augmented):
+        ranks[k] = len(pivots)
+    return tuple(len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(len(levels)))
 
 
 def _validate_pair(cx: Complex, pset: Collection[Simplex], eset: Collection[Simplex]):
@@ -131,15 +222,7 @@ def relative_homology(cx: Complex, pset: Collection[Simplex],
     """Betti numbers of the pair (P, E) over GF(p), indexed 0..dim(K)."""
     check_prime(p)
     pset, eset = _validate_pair(cx, pset, eset)
-    rel = sorted(pset - eset)
-    by_dim: list[list[Simplex]] = [[] for _ in range(cx.dim + 1)]
-    for s in rel:
-        by_dim[len(s) - 1].append(s)
-    ranks = [0] * (cx.dim + 2)
-    for k in range(1, cx.dim + 1):
-        if by_dim[k] and by_dim[k - 1]:
-            ranks[k] = rank(boundary_matrix(by_dim[k], by_dim[k - 1], p), p)
-    return tuple(len(by_dim[k]) - ranks[k] - ranks[k + 1] for k in range(cx.dim + 1))
+    return _betti(_levels(pset - eset, cx.dim), p, augmented=False)
 
 
 def cone_pair(cx: Complex, pset: Collection[Simplex], eset: Collection[Simplex],
@@ -165,76 +248,70 @@ def cone_pair(cx: Complex, pset: Collection[Simplex], eset: Collection[Simplex],
 def reduced_betti(cx: Complex, p: int = 2) -> BettiVector:
     """Reduced Betti numbers of a complex over GF(p), indexed 0..dim."""
     check_prime(p)
-    if not cx.simplices:
-        return ()
-    by_dim: list[list[Simplex]] = [[] for _ in range(cx.dim + 1)]
-    for s in cx.sorted_simplices():
-        by_dim[len(s) - 1].append(s)
-    ranks = [0] * (cx.dim + 2)
-    ranks[0] = 1 if by_dim[0] else 0
-    for k in range(1, cx.dim + 1):
-        if by_dim[k] and by_dim[k - 1]:
-            ranks[k] = rank(boundary_matrix(by_dim[k], by_dim[k - 1], p), p)
-    return tuple(len(by_dim[k]) - ranks[k] - ranks[k + 1] for k in range(cx.dim + 1))
+    return _betti(_levels(cx.simplices, cx.dim), p, augmented=True)
 
 
 class HomologyBasis:
     """Reduced homology of a complex with explicit cycle representatives.
 
-    For each dimension k we keep the k-simplices in canonical order, a basis
-    of boundaries, and chosen cycle representatives extending it, so that an
-    arbitrary cycle can be expressed in homology coordinates.  Used by the
-    zigzag layer to turn inclusions into matrices.
+    For each dimension k we keep the k-simplices in canonical order and a
+    pivot table {low row: column} holding the reduced boundaries of the
+    dimension above and one representative cycle per homology class (the V
+    column of each zero column that no boundary clears).  All these columns
+    have distinct lows, so a cycle reduces to zero against the table in one
+    pass, and the multiples of the representatives it used are its homology
+    coordinates.  Used by the zigzag layer to turn inclusions into matrices.
     """
 
     def __init__(self, cx: Complex, p: int = 2):
         check_prime(p)
         self.cx = cx
         self.p = p
-        self.by_dim: list[list[Simplex]] = [[] for _ in range(cx.dim + 1)]
-        for s in cx.sorted_simplices():
-            self.by_dim[len(s) - 1].append(s)
+        self.by_dim = _levels(cx.simplices, cx.dim)
         self.index = [{s: i for i, s in enumerate(level)} for level in self.by_dim]
-        self._solvers: list[np.ndarray] = []
-        self.betti: list[int] = []
-        for k in range(cx.dim + 1):
-            n = len(self.by_dim[k])
-            if k == 0:
-                dmat = np.ones((1, n), dtype=np.int64) if n else np.zeros((1, 0), dtype=np.int64)
-            else:
-                dmat = boundary_matrix(self.by_dim[k], self.by_dim[k - 1], p)
-            cycles = nullspace(dmat, p)
-            if k + 1 <= cx.dim and self.by_dim[k + 1]:
-                bnd = boundary_matrix(self.by_dim[k + 1], self.by_dim[k], p)
-            else:
-                bnd = np.zeros((n, 0), dtype=np.int64)
-            if n == 0:
-                self._solvers.append(np.zeros((0, 0), dtype=np.int64))
-                self.betti.append(0)
-                continue
-            bsel = bnd[:, row_reduce(bnd, p)[1]] if bnd.shape[1] else bnd
-            _, pivots = row_reduce(np.hstack([bsel, cycles]), p)
-            hsel = cycles[:, [c - bsel.shape[1] for c in pivots if c >= bsel.shape[1]]]
-            # columns: independent boundaries, then homology representatives
-            self._solvers.append(np.hstack([bsel, hsel]))
-            self.betti.append(hsel.shape[1])
+        self.betti: list[int] = [0] * (cx.dim + 1)
+        self._reps: list[list[Column]] = [[] for _ in self.by_dim]
+        # per dimension: low row -> (column, homology coordinate or None)
+        self._table: list[dict[int, tuple[Column, int | None]]] = [{} for _ in self.by_dim]
+        bounds: dict[int, Column] = {}   # reduced boundaries from the level above
+        for k, cols, pivots, vs in _reduce_levels(self.by_dim, p, augmented=True,
+                                                  record=True):
+            table = {low: (col, None) for low, col in bounds.items()}
+            paired = set(pivots.values())
+            for j, col in enumerate(cols):
+                if j not in paired and j not in bounds:
+                    table[j] = (vs[j], len(self._reps[k]))
+                    self._reps[k].append(vs[j])
+            self._table[k] = table
+            self.betti[k] = len(self._reps[k])
+            bounds = {low: cols[j] for low, j in pivots.items()}
 
     def representative_cycles(self, k: int) -> np.ndarray:
         """Columns are chosen cycle representatives of H_k, over the k-simplex basis."""
-        solver = self._solvers[k]
-        h = self.betti[k]
-        return solver[:, solver.shape[1] - h:]
+        return _dense(self._reps[k], len(self.by_dim[k]))
 
     def coordinates(self, k: int, chain_vec: np.ndarray) -> np.ndarray:
         """Homology coordinates of a cycle given over this complex's k-simplices."""
-        solver = self._solvers[k]
-        h = self.betti[k]
-        if h == 0:
-            return np.zeros(0, dtype=np.int64)
-        x = solve(solver, chain_vec, self.p)
-        if x is None:
-            raise ValueError("chain is not a cycle of this complex")
-        return x[solver.shape[1] - h:]
+        chain = {i: x % self.p for i, x in enumerate(np.asarray(chain_vec).tolist())
+                 if x % self.p}
+        return np.array(self._coordinates(k, chain), dtype=np.int64)
+
+    def _coordinates(self, k: int, chain: Column) -> list[int]:
+        """Reduce a sparse cycle (consumed) against the pivot table of dimension k."""
+        p = self.p
+        out = [0] * self.betti[k]
+        table = self._table[k]
+        while chain:
+            low = max(chain)
+            entry = table.get(low)
+            if entry is None:
+                raise ValueError("chain is not a cycle of this complex")
+            col, coord = entry
+            f = chain[low]
+            if coord is not None:
+                out[coord] = f
+            _axpy(chain, p - f, col, p)
+        return out
 
 
 def induced_map(small: HomologyBasis, big: HomologyBasis, k: int) -> np.ndarray:
@@ -243,12 +320,8 @@ def induced_map(small: HomologyBasis, big: HomologyBasis, k: int) -> np.ndarray:
         return np.zeros((big.betti[k] if k <= big.cx.dim else 0, 0), dtype=np.int64)
     if k > big.cx.dim:
         return np.zeros((0, small.betti[k]), dtype=np.int64)
-    src = small.representative_cycles(k)
+    to_big = [big.index[k][s] for s in small.by_dim[k]]
     out = np.zeros((big.betti[k], small.betti[k]), dtype=np.int64)
-    n_big = len(big.by_dim[k])
-    for j in range(small.betti[k]):
-        vec = np.zeros(n_big, dtype=np.int64)
-        for i, s in enumerate(small.by_dim[k]):
-            vec[big.index[k][s]] = src[i, j]
-        out[:, j] = big.coordinates(k, vec)
+    for j, rep in enumerate(small._reps[k]):
+        out[:, j] = big._coordinates(k, {to_big[i]: x for i, x in rep.items()})
     return out

@@ -44,12 +44,11 @@ class Scene:
     seed: frozenset
     labels: Optional[dict[str, int]] = None  # label -> vertex id
 
+    def __post_init__(self):
+        self._names = {i: name for name, i in (self.labels or {}).items()}
+
     def label_of(self, vid: int) -> str:
-        if self.labels:
-            for name, i in self.labels.items():
-                if i == vid:
-                    return name
-        return str(vid)
+        return self._names.get(vid, str(vid))
 
     def format_simplex(self, s: Simplex) -> str:
         return ",".join(self.label_of(v) for v in s)
@@ -180,23 +179,23 @@ def load_scene(path, check_atomic: bool = True) -> Scene:
     return scene_from_dict(doc, check_atomic)
 
 
-def _simplex_out(s: Simplex, rev: Optional[dict[int, str]]):
-    return [rev[v] if rev and v in rev else v for v in s]
+def _simplex_out(s: Simplex, names: dict[int, str]):
+    return [names.get(v, v) for v in s]
 
 
 def scene_to_dict(scene: Scene) -> dict:
-    rev = {v: k for k, v in scene.labels.items()} if scene.labels else None
+    names = scene._names
     maximal = [s for s in scene.cx.sorted_simplices()
                if not scene.cx.cofacets(s)]
     doc: dict = {}
     if scene.labels:
         doc["vertices"] = dict(sorted(scene.labels.items(), key=lambda kv: kv[1]))
-    doc["maximal_simplices"] = [_simplex_out(s, rev) for s in maximal]
+    doc["maximal_simplices"] = [_simplex_out(s, names) for s in maximal]
     doc["fields"] = [
-        [[_simplex_out(s, rev) for s in sorted(part)]
+        [[_simplex_out(s, names) for s in sorted(part)]
          for part in fld.parts() if len(part) > 1]
         for fld in scene.fields]
-    doc["seed"] = [_simplex_out(s, rev) for s in sorted(scene.seed)]
+    doc["seed"] = [_simplex_out(s, names) for s in sorted(scene.seed)]
     return doc
 
 

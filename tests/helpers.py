@@ -4,7 +4,9 @@ The oracles deliberately avoid the library's algorithmic shortcuts: the
 invariant-part oracle searches for explicit eventually-periodic solutions
 and evaluates the essential-solution condition position by position; the
 hull oracle intersects all convex compatible supersets; the zigzag oracle
-decomposes modules through Hom-space dimensions.
+decomposes modules through Hom-space dimensions; the homology oracles use
+dense row elimination (numpy int64, so only for small primes) instead of
+the library's sparse column reduction.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import itertools
 import numpy as np
 
 import mvtrack as mv
-from mvtrack.algebra import nullspace
 from mvtrack.zigzag import BACKWARD, FORWARD
 
 
@@ -242,6 +243,145 @@ def isolated_invariant_sets(fld, p=2):
             if fld.cx.is_convex(union) and mv.is_invariant(fld, union, p):
                 out.append(union)
     return out
+
+
+# ------------------------------------------------ dense elimination oracle
+# Dense int64 elimination: exact only while p * p fits in int64.
+
+def _inv_mod(a: int, p: int) -> int:
+    return pow(a, p - 2, p)
+
+
+def row_reduce(mat, p):
+    """Reduced row echelon form mod p; returns (rref, pivot column list)."""
+    a = np.array(mat, dtype=np.int64) % p
+    rows, cols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r] = (a[r] * _inv_mod(int(a[r, c]), p)) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        a = (a - np.outer(col, a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def dense_rank(mat, p=2):
+    a = np.asarray(mat)
+    if a.size == 0:
+        return 0
+    return len(row_reduce(a, p)[1])
+
+
+def nullspace(mat, p):
+    """Columns form a basis of the kernel of mat over GF(p)."""
+    a = np.asarray(mat, dtype=np.int64)
+    rows, cols = a.shape
+    if cols == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    if rows == 0:
+        return np.eye(cols, dtype=np.int64)
+    rref, pivots = row_reduce(a, p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((cols, len(free)), dtype=np.int64)
+    for j, fc in enumerate(free):
+        basis[fc, j] = 1
+        for i, pc in enumerate(pivots):
+            basis[pc, j] = (-int(rref[i, fc])) % p
+    return basis
+
+
+def solve(mat, rhs, p):
+    """One solution of mat @ x = rhs over GF(p), or None if inconsistent."""
+    a = np.asarray(mat, dtype=np.int64)
+    b = np.asarray(rhs, dtype=np.int64).reshape(-1, 1)
+    if a.shape[1] == 0:
+        return None if np.any(b % p) else np.zeros((0,), dtype=np.int64)
+    aug, pivots = row_reduce(np.hstack([a, b]), p)
+    if a.shape[1] in pivots:
+        return None
+    x = np.zeros(a.shape[1], dtype=np.int64)
+    for i, pc in enumerate(pivots):
+        x[pc] = aug[i, a.shape[1]]
+    return x
+
+
+def boundary_matrix(chain, lower, p):
+    """Boundary operator from span(chain) to span(lower), faces outside `lower` dropped.
+
+    Sign convention: removing the vertex at position i contributes (-1)^i.
+    """
+    index = {s: i for i, s in enumerate(lower)}
+    mat = np.zeros((len(lower), len(chain)), dtype=np.int64)
+    for j, s in enumerate(chain):
+        for i in range(len(s)):
+            face = s[:i] + s[i + 1:]
+            row = index.get(face)
+            if row is not None:
+                mat[row, j] = (mat[row, j] + (-1) ** i) % p
+    return mat
+
+
+def _by_dim(simplices, dim):
+    out = [[] for _ in range(dim + 1)]
+    for s in sorted(simplices):
+        out[len(s) - 1].append(s)
+    return out
+
+
+def _augmented_boundary(by_dim, k, p):
+    """Matrix of the k-th boundary map; in degree 0 the augmentation."""
+    if k == 0:
+        return np.ones((1, len(by_dim[0])), dtype=np.int64)
+    return boundary_matrix(by_dim[k], by_dim[k - 1], p)
+
+
+def dense_relative_betti(cx, pset, eset, p=2):
+    """Betti numbers of (P, E) by rank counting on dense boundary matrices."""
+    by_dim = _by_dim(frozenset(pset) - frozenset(eset), cx.dim)
+    ranks = [0] * (cx.dim + 2)
+    for k in range(1, cx.dim + 1):
+        if by_dim[k] and by_dim[k - 1]:
+            ranks[k] = dense_rank(boundary_matrix(by_dim[k], by_dim[k - 1], p), p)
+    return tuple(len(by_dim[k]) - ranks[k] - ranks[k + 1] for k in range(cx.dim + 1))
+
+
+def dense_reduced_betti(cx, p=2):
+    """Reduced Betti numbers by rank counting on dense boundary matrices."""
+    by_dim = _by_dim(cx.simplices, cx.dim)
+    ranks = [0] * (cx.dim + 2)
+    for k in range(cx.dim + 1):
+        if by_dim[k]:
+            ranks[k] = dense_rank(_augmented_boundary(by_dim, k, p), p)
+    return tuple(len(by_dim[k]) - ranks[k] - ranks[k + 1] for k in range(cx.dim + 1))
+
+
+def dense_induced_rank(small, big, k, p=2):
+    """Rank of H_k(small) -> H_k(big) (reduced homology, small a subcomplex):
+    dim(Z_k(small) + B_k(big)) - dim B_k(big), all over the k-simplices of big."""
+    if k > small.dim:
+        return 0
+    small_by, big_by = _by_dim(small.simplices, small.dim), _by_dim(big.simplices, big.dim)
+    cycles = nullspace(_augmented_boundary(small_by, k, p), p)
+    index = {s: i for i, s in enumerate(big_by[k])}
+    embedded = np.zeros((len(big_by[k]), cycles.shape[1]), dtype=np.int64)
+    for i, s in enumerate(small_by[k]):
+        embedded[index[s]] = cycles[i]
+    if k + 1 <= big.dim:
+        bnd = boundary_matrix(big_by[k + 1], big_by[k], p)
+    else:
+        bnd = np.zeros((len(big_by[k]), 0), dtype=np.int64)
+    return dense_rank(np.hstack([embedded, bnd]), p) - dense_rank(bnd, p)
 
 
 # ------------------------------------------------------- zigzag oracle

@@ -1,13 +1,15 @@
 import random
+import time
 
 import numpy as np
 import pytest
 
 import mvtrack as mv
-from mvtrack.algebra import (HomologyBasis, boundary_matrix, cone_pair, induced_map,
-                             nullspace, rank, reduced_betti, relative_homology, solve)
+from mvtrack.algebra import (HomologyBasis, check_prime, cone_pair, induced_map,
+                             nullspace, rank, reduced_betti, relative_homology)
 
-from helpers import random_complex, closed_subsets
+from helpers import (boundary_matrix, closed_subsets, dense_induced_rank,
+                     dense_reduced_betti, dense_relative_betti, random_complex, solve)
 
 
 def test_rank_basics():
@@ -29,6 +31,8 @@ def test_nullspace_and_solve():
     basis = nullspace(mat, 2)
     assert basis.shape[1] == 1
     assert not ((mat @ basis) % 2).any()
+    assert (nullspace(np.zeros((0, 4), dtype=np.int64), 3) == np.eye(4)).all()
+    assert nullspace(np.zeros((3, 0), dtype=np.int64), 3).shape == (0, 0)
     x = solve(mat, np.array([1, 0]), 2)
     assert ((mat @ x) % 2 == np.array([1, 0])).all()
     assert solve(np.zeros((2, 2), dtype=np.int64), np.array([1, 0]), 2) is None
@@ -145,3 +149,122 @@ def test_homology_basis_and_induced_map(triangle):
     assert hb_big.betti == [0, 0, 0]
     mat = induced_map(hb_small, hb_big, 1)
     assert mat.shape == (0, 1)
+
+
+def _nested_cone_pairs(rng, n_cases, max_size=14):
+    """Random closed pairs (P, E) <= (P2, E2) over random complexes, then the
+    punctured projective plane (torsion) inside its cone: yields cx, P, E and
+    the complexes of both pairs."""
+    for _ in range(n_cases):
+        cx = random_complex(rng, n_vertices=5, n_maximal=3, max_dim=2, max_size=max_size)
+        closed = closed_subsets(cx)
+        pset = rng.choice(closed)
+        eset = rng.choice([e for e in closed if e <= pset])
+        pset2 = rng.choice([q for q in closed if pset <= q])
+        eset2 = rng.choice([e for e in closed if eset <= e <= pset2])
+        apex = max(cx.vertices) + 1
+        yield (cx, pset, eset,
+               cone_pair(cx, pset, eset, apex), cone_pair(cx, pset2, eset2, apex))
+    rp2 = mv.Complex.from_maximal(RP2)
+    punctured = rp2.simplices - {(1,)}
+    pset, eset = rp2.closure(punctured), rp2.mouth(punctured)
+    yield rp2, pset, eset, rp2, cone_pair(rp2, pset, eset)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sparse_kernel_matches_dense_oracle(p):
+    rng = random.Random(40 + p)
+    for cx, pset, eset, small, big in _nested_cone_pairs(rng, 25):
+        assert relative_homology(cx, pset, eset, p) == dense_relative_betti(cx, pset, eset, p)
+        for cone in (small, big):
+            expected = dense_reduced_betti(cone, p)
+            assert reduced_betti(cone, p) == expected
+            assert HomologyBasis(cone, p).betti == list(expected)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_induced_map_rank_matches_dense_oracle(p):
+    rng = random.Random(50 + p)
+    for _, _, _, small, big in _nested_cone_pairs(rng, 25):
+        hb_small, hb_big = HomologyBasis(small, p), HomologyBasis(big, p)
+        for k in range(big.dim + 1):
+            mat = induced_map(hb_small, hb_big, k)
+            assert rank(mat, p) == dense_induced_rank(small, big, k, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_coordinates_of_representatives_and_non_cycles(p):
+    rng = random.Random(60 + p)
+    for _, _, _, _, cone in _nested_cone_pairs(rng, 20):
+        hb = HomologyBasis(cone, p)
+        for k, level in enumerate(hb.by_dim):
+            reps = hb.representative_cycles(k)
+            assert reps.shape == (len(level), hb.betti[k])
+            if k + 1 < len(hb.by_dim) and hb.by_dim[k + 1]:
+                bnd = boundary_matrix(hb.by_dim[k + 1][:1], level, p)[:, 0]
+            else:
+                bnd = np.zeros(len(level), dtype=np.int64)
+            for j in range(hb.betti[k]):
+                unit = np.eye(hb.betti[k], dtype=np.int64)[j]
+                assert (hb.coordinates(k, reps[:, j]) == unit).all()
+                # adding a boundary does not change the class
+                shifted = (2 * reps[:, j] + bnd) % p
+                assert (hb.coordinates(k, shifted) == (2 * unit) % p).all()
+            # a single simplex has a nonzero (augmented) boundary
+            single = np.zeros(len(level), dtype=np.int64)
+            single[0] = 1
+            with pytest.raises(ValueError):
+                hb.coordinates(k, single)
+
+
+# Above 2**32 the old dense int64 elimination overflowed without error.
+BIG_P = 2 ** 32 + 15
+
+
+def test_rank_is_exact_at_a_large_prime():
+    rng = random.Random(32)
+    for _ in range(50):
+        m, n = rng.randint(4, 8), rng.randint(4, 8)
+        # rank exactly 3: an identity block, the other rows/columns random,
+        # then rows and columns shuffled
+        left = [[int(i == j) for j in range(3)] for i in range(3)]
+        left += [[rng.randrange(BIG_P) for _ in range(3)] for _ in range(m - 3)]
+        right = [[int(i == j) for j in range(3)] + [rng.randrange(BIG_P) for _ in range(n - 3)]
+                 for i in range(3)]
+        rng.shuffle(left)
+        order = rng.sample(range(n), n)
+        prod = [[sum(row[t] * right[t][c] for t in range(3)) % BIG_P for c in order]
+                for row in left]
+        assert rank(np.array(prod, dtype=np.int64), BIG_P) == 3
+
+
+def test_homology_is_exact_at_a_large_prime():
+    cx = mv.Complex.from_maximal(RP2)
+    assert relative_homology(cx, cx.simplices, frozenset(), BIG_P) == (1, 0, 0)
+    assert HomologyBasis(cx, BIG_P).betti == [0, 0, 0]
+    rng = random.Random(33)
+    for cx, pset, eset, _, big in _nested_cone_pairs(rng, 10):
+        # no torsion on complexes this small, so rational Betti numbers
+        assert relative_homology(cx, pset, eset, BIG_P) == relative_homology(cx, pset, eset, 3)
+        assert HomologyBasis(big, BIG_P).betti == list(reduced_betti(big, 3))
+
+
+def test_check_prime_is_exact_and_fast():
+    start = time.perf_counter()
+    assert check_prime(2 ** 61 - 1) == 2 ** 61 - 1
+    assert check_prime(BIG_P) == BIG_P
+    assert time.perf_counter() - start < 1.0
+    for n in (-3, 0, 1, 4, 561, 2047, 3215031751, (2 ** 31 - 1) * (2 ** 31 + 11)):
+        with pytest.raises(ValueError, match="must be prime"):
+            check_prime(n)
+    trial = [n for n in range(2, 3000) if all(n % d for d in range(2, int(n ** 0.5) + 1))]
+    assert [n for n in range(3000) if _accepted(n)] == trial
+    with pytest.raises(ValueError, match="below 2\\*\\*63"):
+        check_prime(9223372036854775837)
+
+
+def _accepted(n):
+    try:
+        return check_prime(n) == n
+    except ValueError:
+        return False

@@ -188,6 +188,11 @@ def test_scene_round_trip(tmp_path):
     assert again.fields == scene.fields
     assert again.seed == scene.seed
     assert scene_to_dict(again) == scene_to_dict(scene)
+    assert again.labels == scene.labels and len(scene.labels) == len(scene.cx.vertices)
+    for s in scene.cx.sorted_simplices():
+        assert again.format_simplex(s) == scene.format_simplex(s)
+        assert [scene.labels[name] for name in scene.format_simplex(s).split(",")] == list(s)
+    assert scene.label_of(max(scene.cx.vertices) + 1) == str(max(scene.cx.vertices) + 1)
 
 
 def test_ops_and_explicit_fields_agree(tmp_path):
@@ -252,3 +257,23 @@ def test_field_char_flag(capsys):
     assert json.loads(out)["betti"] == [0, 1, 0]
     with pytest.raises(SystemExit):
         main(["conley", str(FIXTURES / "merging_saddles.json"), "--field-char", "4"])
+
+
+def test_field_char_beyond_int64_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["conley", str(FIXTURES / "merging_saddles.json"),
+              "--field-char", "9223372036854775837"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "below 2**63" in err and "Traceback" not in err
+
+
+def test_track_at_a_large_prime_matches_p3(capsys):
+    """No torsion in the fixture, so every odd characteristic gives the same
+    barcode; at 2**61 - 1 the zigzag matrices hold entries close to the
+    int64 limit."""
+    scene = str(FIXTURES / "saddle_collision_nine.json")
+    code_big, out_big = run(capsys, "track", scene, "--field-char", str(2 ** 61 - 1))
+    code_small, out_small = run(capsys, "track", scene, "--field-char", "3")
+    assert code_big == code_small == 0
+    assert out_big == out_small
