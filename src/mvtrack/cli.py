@@ -55,8 +55,7 @@ def barcode_doc(barcode: Barcode) -> dict:
 def barcode_text(barcode: Barcode) -> str:
     """One row per bar, ranged over steps when a step map exists."""
     if barcode.step_of_position is not None:
-        spans = [(b.dim, barcode.step_of_position[b.birth - 1],
-                  barcode.step_of_position[b.death - 1]) for b in barcode.bars]
+        spans = barcode.step_bars()
         width = max(barcode.step_of_position, default=1)
         unit = "steps"
     else:

@@ -30,11 +30,6 @@ def simplex(vertices: Iterable[int]) -> Simplex:
     return vs
 
 
-def face_leq(sigma: Simplex, tau: Simplex) -> bool:
-    """Face relation: sigma <= tau iff every vertex of sigma lies in tau."""
-    return set(sigma) <= set(tau)
-
-
 def proper_faces(sigma: Simplex) -> list[Simplex]:
     """All non-empty faces of sigma other than sigma itself."""
     out = []
@@ -124,6 +119,17 @@ class Complex:
         out: set[Simplex] = set()
         for s in subset:
             out |= self._closure_of[s]
+        return frozenset(out)
+
+    def star(self, subset: Collection[Simplex]) -> SimplexSet:
+        """Every simplex having a member as a face, the members included."""
+        out = set(self.check_subset(subset))
+        stack = list(out)
+        while stack:
+            for c in self._cofacets[stack.pop()]:
+                if c not in out:
+                    out.add(c)
+                    stack.append(c)
         return frozenset(out)
 
     def mouth(self, subset: Collection[Simplex]) -> SimplexSet:

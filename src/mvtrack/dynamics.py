@@ -19,7 +19,7 @@ from typing import Collection
 
 from .algebra import relative_homology
 from .complexes import Simplex, SimplexSet
-from .fields import MultivectorField
+from .fields import CheckReport, MultivectorField
 
 
 class PreconditionError(ValueError):
@@ -44,15 +44,6 @@ class IndexPair:
 
     def includes(self, other: "IndexPair") -> bool:
         return other.P <= self.P and other.E <= self.E
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    ok: bool
-    problems: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def step_graph(field: MultivectorField, subset: SimplexSet) -> dict[Simplex, list[Simplex]]:
@@ -150,11 +141,6 @@ def is_invariant(field: MultivectorField, subset: Collection[Simplex], p: int = 
     return invariant_part(field, subset, p) == subset
 
 
-def is_v_compatible(field: MultivectorField, subset: Collection[Simplex]) -> bool:
-    """True iff the set is a union of whole multivectors."""
-    return field.is_compatible(subset)
-
-
 def is_isolated_invariant_set(field: MultivectorField, subset: Collection[Simplex],
                               p: int = 2) -> bool:
     """Invariant, convex and compatible (the three are equivalent to isolation)."""
@@ -202,35 +188,6 @@ def push_forward(field: MultivectorField, subset: Collection[Simplex],
     return frozenset(_reachable(step_graph(field, nbhd), subset))
 
 
-def validate_index_pair(field: MultivectorField, pset: Collection[Simplex],
-                        eset: Collection[Simplex], subset: Collection[Simplex],
-                        p: int = 2) -> CheckReport:
-    """Diagnostic check of the index-pair conditions for the given invariant set."""
-    cx = field.cx
-    pset = cx.check_subset(pset)
-    eset = cx.check_subset(eset)
-    subset = cx.check_subset(subset)
-    problems = []
-    if not cx.is_closed(pset):
-        problems.append("P is not closed")
-    if not cx.is_closed(eset):
-        problems.append("E is not closed")
-    if not eset <= pset:
-        problems.append("E is not a subset of P")
-    body = pset - eset
-    for s in sorted(body):
-        if not field.fmap(s) <= pset:
-            problems.append(f"image of {s} escapes P")
-            break
-    for s in sorted(eset):
-        if not field.fmap(s) & pset <= eset:
-            problems.append(f"image of exit simplex {s} re-enters P outside E")
-            break
-    if invariant_part(field, body, p) != subset:
-        problems.append("invariant part of P \\ E differs from the given set")
-    return CheckReport(not problems, tuple(problems))
-
-
 def canonical_index_pair(field: MultivectorField, subset: Collection[Simplex],
                          p: int = 2) -> IndexPair:
     """(closure, mouth) of a convex compatible set: the minimal index pair
@@ -247,37 +204,51 @@ def canonical_index_pair(field: MultivectorField, subset: Collection[Simplex],
 def validate_index_pair_in_n(field: MultivectorField, pset: Collection[Simplex],
                              eset: Collection[Simplex], nbhd: Collection[Simplex],
                              subset: Collection[Simplex], p: int = 2) -> CheckReport:
-    """Diagnostic check of the four conditions for an index pair inside `nbhd`."""
+    """Diagnostic check of the four conditions for an index pair inside `nbhd`.
+
+    With N = P these are the conditions for an index pair, and each failed
+    condition is reported once, naming P.
+    """
     cx = field.cx
     pset = cx.check_subset(pset)
     eset = cx.check_subset(eset)
     nbhd = cx.check_subset(nbhd)
     subset = cx.check_subset(subset)
+    in_p = nbhd == pset
+    n = "P" if in_p else "N"
     problems = []
     if not cx.is_closed(pset):
         problems.append("P is not closed")
     if not cx.is_closed(eset):
         problems.append("E is not closed")
-    if not cx.is_closed(nbhd):
+    if not in_p and not cx.is_closed(nbhd):
         problems.append("N is not closed")
     if not eset <= pset:
         problems.append("E is not a subset of P")
     body = pset - eset
     for s in sorted(body):
         if not field.fmap(s) <= nbhd:
-            problems.append(f"image of {s} escapes N")
+            problems.append(f"image of {s} escapes {n}")
             break
     for s in sorted(eset):
         if not field.fmap(s) & nbhd <= eset:
-            problems.append(f"image of exit simplex {s} re-enters N outside E")
+            problems.append(f"image of exit simplex {s} re-enters {n} outside E")
             break
-    for s in sorted(pset):
-        if not field.fmap(s) & nbhd <= pset:
-            problems.append(f"image of {s} re-enters N outside P")
-            break
+    if not in_p:  # with N = P this condition holds trivially
+        for s in sorted(pset):
+            if not field.fmap(s) & nbhd <= pset:
+                problems.append(f"image of {s} re-enters N outside P")
+                break
     if invariant_part(field, body, p) != subset:
         problems.append("invariant part of P \\ E differs from the given set")
     return CheckReport(not problems, tuple(problems))
+
+
+def validate_index_pair(field: MultivectorField, pset: Collection[Simplex],
+                        eset: Collection[Simplex], subset: Collection[Simplex],
+                        p: int = 2) -> CheckReport:
+    """Diagnostic check of the index-pair conditions for the given invariant set."""
+    return validate_index_pair_in_n(field, pset, eset, pset, subset, p)
 
 
 def conley_index(field: MultivectorField, subset: Collection[Simplex],

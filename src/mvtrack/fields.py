@@ -138,15 +138,16 @@ class MultivectorField:
 
 
 @dataclass(frozen=True)
-class FieldReport:
+class CheckReport:
+    """Outcome of a diagnostic check: truthy iff ok, with the failed conditions."""
     ok: bool
-    problems: tuple[str, ...]
+    problems: tuple[str, ...] = ()
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def validate_field(field: MultivectorField) -> FieldReport:
+def validate_field(field: MultivectorField) -> CheckReport:
     """Check that every part is convex, naming offenders (partition is enforced
     at construction).  Disconnected parts are deliberately accepted."""
     problems = []
@@ -154,7 +155,7 @@ def validate_field(field: MultivectorField) -> FieldReport:
         part = field.part(ident)
         if not field.cx.is_convex(part):
             problems.append(f"multivector {sorted(part)} is not convex")
-    return FieldReport(not problems, tuple(problems))
+    return CheckReport(not problems, tuple(problems))
 
 
 @dataclass(frozen=True)
@@ -232,13 +233,11 @@ def rearrangement_path(field: MultivectorField,
 
 def intersect_fields(field: MultivectorField,
                      other: MultivectorField) -> MultivectorField:
-    """Common refinement: pairwise intersections of parts, empties dropped."""
+    """Common refinement: the nonempty intersections of parts, found by
+    grouping simplices by their pair of multivectors."""
     if field.cx != other.cx:
         raise ValueError("fields live on different complexes")
-    parts = []
-    for a in field.parts():
-        for b in other.parts():
-            meet = a & b
-            if meet:
-                parts.append(meet)
-    return MultivectorField(field.cx, parts)
+    parts: dict[tuple[Simplex, Simplex], list[Simplex]] = {}
+    for s in field.cx.simplices:
+        parts.setdefault((field.mv_id(s), other.mv_id(s)), []).append(s)
+    return MultivectorField(field.cx, parts.values())

@@ -21,15 +21,12 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 from .complexes import Complex, SimplexSet
-from .dynamics import (CheckReport, IndexPair, PreconditionError, canonical_index_pair,
-                       invariant_part, is_isolated_invariant_set, isolates, push_forward,
+from .dynamics import (IndexPair, PreconditionError, canonical_index_pair, invariant_part,
+                       is_isolated_invariant_set, isolates, push_forward,
                        validate_index_pair, validate_index_pair_in_n)
-from .fields import (AtomicRearrangement, MultivectorField, classify_rearrangement,
-                     intersect_fields, validate_field)
+from .fields import (AtomicRearrangement, CheckReport, MultivectorField,
+                     classify_rearrangement, intersect_fields, validate_field)
 from .zigzag import BACKWARD, FORWARD, Barcode, PairTag, PairZigzag, pair_zigzag_barcode
-
-CONTINUATION_CASES = ("a", "b", "c", "d")
-
 
 class NotAdjacentError(ValueError):
     """The closures of the two sets do not isolate both of them."""
@@ -47,24 +44,20 @@ def _require(report: CheckReport, what: str):
 def hull(field: MultivectorField, subset: SimplexSet) -> SimplexSet:
     """Minimal convex and compatible superset, by alternating the two closures.
 
-    Both closure operators only add simplices, so the loop terminates at the
-    least fixed point, which is the intersection of all convex compatible
-    supersets.
+    The convex hull of A is closure(A) & star(A): the simplices lying between
+    two members.  Both closure operators only add simplices, so the loop
+    terminates at the least fixed point, which is the intersection of all
+    convex compatible supersets.
     """
     cx = field.cx
-    out = set(cx.check_subset(subset))
+    out = cx.check_subset(subset)
     while True:
         grown = set(out)
-        for s in list(grown):
+        for s in out:
             grown |= field.part_of(s)
-        while True:
-            add = {rho for rho in cx.closure(grown) - grown
-                   if any(f in grown for f in cx.closure_of(rho) - {rho})}
-            if not add:
-                break
-            grown |= add
+        grown = cx.closure(grown) & cx.star(grown)
         if grown == out:
-            return frozenset(out)
+            return out
         out = grown
 
 
@@ -98,53 +91,41 @@ class TrackingTrace:
     stopped: str  # completed | emptied | unresolved
 
 
-def _canonical(field: MultivectorField, subset: SimplexSet, p: int) -> IndexPair:
-    return canonical_index_pair(field, subset, p)
-
-
-def _eq2_chunk(field: MultivectorField, subset: SimplexSet, pair: IndexPair,
-               p: int, tag: int):
-    """canonical(S) <= pf-pair >= meet >= ... <= (P,E), pairs after the canonical."""
+def _push_forward_pair(field: MultivectorField, subset: SimplexSet,
+                       nbhd: SimplexSet) -> IndexPair:
+    """The canonical pair of `subset` pushed forward inside the closed set `nbhd`."""
     cx = field.cx
-    pf_p = push_forward(field, cx.closure(subset), pair.P)
-    pf_e = push_forward(field, cx.mouth(subset), pair.P)
-    pf_pair = IndexPair(pf_p, pf_e)
-    meet = IndexPair(pair.P & pf_p, pair.E & pf_e)
-    for label, candidate in (("push-forward pair", pf_pair),
-                             ("intersected pair", meet),
-                             ("connecting pair", pair)):
-        _require(validate_index_pair(field, candidate.P, candidate.E, subset, p), label)
-    tags = [PairTag(tag, "pushforward"), PairTag(tag, "meet"), PairTag(tag, "connecting")]
-    return [pf_pair, meet, pair], [FORWARD, BACKWARD, FORWARD], tags
+    return IndexPair(push_forward(field, cx.closure(subset), nbhd),
+                     push_forward(field, cx.mouth(subset), nbhd))
 
 
-def _eq4_chunk(field: MultivectorField, subset: SimplexSet, pair: IndexPair,
-               p: int, tag: int):
-    """(P,E) >= meet <= pf-pair >= canonical(S), pairs after (P,E)."""
+_CHAIN = (("canonical", "canonical pair"), ("pushforward", "push-forward pair"),
+          ("meet", "intersected pair"), ("connecting", "connecting pair"))
+
+
+def _chain(field: MultivectorField, subset: SimplexSet, pair: IndexPair,
+           p: int, tag: int) -> tuple[list[IndexPair], list[PairTag]]:
+    """canonical(S) <= pf-pair >= meet <= (P,E), each validated as an index pair for S.
+
+    The arrows between consecutive pairs run forward, backward, forward; read
+    backwards, the chain connects (P,E) down to canonical(S).
+    """
     cx = field.cx
-    pf_p = push_forward(field, cx.closure(subset), pair.P)
-    pf_e = push_forward(field, cx.mouth(subset), pair.P)
-    pf_pair = IndexPair(pf_p, pf_e)
-    meet = IndexPair(pair.P & pf_p, pair.E & pf_e)
-    canonical = IndexPair(cx.closure(subset), cx.mouth(subset))
-    for label, candidate in (("intersected pair", meet),
-                             ("push-forward pair", pf_pair),
-                             ("canonical pair", canonical)):
+    pf_pair = _push_forward_pair(field, subset, pair.P)
+    chain = [IndexPair(cx.closure(subset), cx.mouth(subset)), pf_pair,
+             IndexPair(pair.P & pf_pair.P, pair.E & pf_pair.E), pair]
+    for (_, label), candidate in zip(_CHAIN, chain):
         _require(validate_index_pair(field, candidate.P, candidate.E, subset, p), label)
-    tags = [PairTag(tag, "meet"), PairTag(tag, "pushforward"), PairTag(tag, "canonical")]
-    return [meet, pf_pair, canonical], [BACKWARD, FORWARD, BACKWARD], tags
+    return chain, [PairTag(tag, role) for role, _ in _CHAIN]
 
 
 def _adjacency_chunk(field: MultivectorField, nxt: MultivectorField,
-                     current: SimplexSet, result: SimplexSet, p: int,
-                     tag_cur: int, tag_nxt: int):
+                     current: SimplexSet, result: SimplexSet, ambient: SimplexSet,
+                     p: int, tag_cur: int, tag_nxt: int):
     """canonical(S) <= pf >= meet <= pf' >= canonical(S'), pairs after canonical(S)."""
     cx = field.cx
-    ambient = cx.closure(current) | cx.closure(result)
-    pf1 = IndexPair(push_forward(field, cx.closure(current), ambient),
-                    push_forward(field, cx.mouth(current), ambient))
-    pf2 = IndexPair(push_forward(nxt, cx.closure(result), ambient),
-                    push_forward(nxt, cx.mouth(result), ambient))
+    pf1 = _push_forward_pair(field, current, ambient)
+    pf2 = _push_forward_pair(nxt, result, ambient)
     meet = IndexPair(pf1.P & pf2.P, pf1.E & pf2.E)
     canonical2 = IndexPair(cx.closure(result), cx.mouth(result))
     _require(validate_index_pair(field, pf1.P, pf1.E, current, p), "push-forward pair")
@@ -163,7 +144,7 @@ def _adjacency_chunk(field: MultivectorField, nxt: MultivectorField,
     dirs = [FORWARD, BACKWARD, FORWARD, BACKWARD]
     tags = [PairTag(tag_cur, "pushforward"), PairTag(tag_nxt, "meet"),
             PairTag(tag_nxt, "pushforward"), PairTag(tag_nxt, "canonical")]
-    return pairs, dirs, tags, ambient
+    return pairs, dirs, tags
 
 
 def _naive_chunk(cx: Complex, current: SimplexSet, result: SimplexSet,
@@ -198,31 +179,29 @@ def track_step(field: MultivectorField, nxt: MultivectorField, current: SimplexS
                      hull_set=None) -> TrackingStep:
         step = TrackingStep(step_index, case, move.kind, current, result, move,
                             connecting_pair=pair, hull_set=hull_set)
-        pairs, dirs, tags = _eq2_chunk(field, current, pair, p, tag_cur)
-        _require(validate_index_pair(nxt, pair.P, pair.E, result, p),
-                 "connecting pair under the incoming field")
-        pairs2, dirs2, tags2 = _eq4_chunk(nxt, result, pair, p, tag_nxt)
-        step.appended_pairs = pairs + pairs2
-        step.appended_dirs = dirs + dirs2
-        step.appended_tags = tags + tags2
+        out, out_tags = _chain(field, current, pair, p, tag_cur)
+        back, back_tags = _chain(nxt, result, pair, p, tag_nxt)
+        step.appended_pairs = out[1:] + back[-2::-1]
+        step.appended_dirs = [FORWARD, BACKWARD] * 3
+        step.appended_tags = out_tags[1:] + back_tags[-2::-1]
         return step
 
     if move.kind == "refinement":
         result = invariant_part(nxt, current, p)
-        return continuation("a", result, _canonical(field, current, p))
+        return continuation("a", result, canonical_index_pair(field, current, p))
 
     merged = move.whole
     if merged <= current:
         result = invariant_part(nxt, current, p)
-        return continuation("b", result, _canonical(field, current, p))
+        return continuation("b", result, canonical_index_pair(field, current, p))
     if not merged & current:
         result = frozenset(current)
-        return continuation("c", result, _canonical(field, current, p))
+        return continuation("c", result, canonical_index_pair(field, current, p))
 
     hull_set = hull(nxt, current | merged)
     result = invariant_part(nxt, hull_set, p)
     if invariant_part(field, hull_set, p) == current:
-        return continuation("d", result, _canonical(nxt, hull_set, p), hull_set)
+        return continuation("d", result, canonical_index_pair(nxt, hull_set, p), hull_set)
 
     # No continuation exists past this point; fall back to persistence.
     ambient = cx.closure(current) | cx.closure(result)
@@ -230,8 +209,8 @@ def track_step(field: MultivectorField, nxt: MultivectorField, current: SimplexS
         step = TrackingStep(step_index, "f", move.kind, current, result, move,
                             hull_set=hull_set, adjacency_set=ambient,
                             notes=("continuation broken",))
-        pairs, dirs, tags, _ = _adjacency_chunk(field, nxt, current, result, p,
-                                                tag_cur, tag_nxt)
+        pairs, dirs, tags = _adjacency_chunk(field, nxt, current, result, ambient, p,
+                                             tag_cur, tag_nxt)
         step.appended_pairs, step.appended_dirs, step.appended_tags = pairs, dirs, tags
         return step
 
@@ -240,23 +219,14 @@ def track_step(field: MultivectorField, nxt: MultivectorField, current: SimplexS
                         result if heuristic_g else None, move,
                         hull_set=hull_set, resolved=heuristic_g)
     if heuristic_g:
-        report = validate_index_pair(nxt, cx.closure(current) & cx.closure(result),
-                                     cx.mouth(current) & cx.mouth(result),
-                                     invariant_part(nxt, (cx.closure(current) & cx.closure(result))
-                                                    - (cx.mouth(current) & cx.mouth(result)), p), p)
+        pairs, dirs, tags = _naive_chunk(cx, current, result, tag_nxt)
+        meet = pairs[0]
+        report = validate_index_pair(nxt, meet.P, meet.E, invariant_part(nxt, meet.body, p), p)
         notes.append("heuristic intersection emitted"
                      + ("" if report else "; middle pair is not an index pair"))
-        pairs, dirs, tags = _naive_chunk(cx, current, result, tag_nxt)
         step.appended_pairs, step.appended_dirs, step.appended_tags = pairs, dirs, tags
     step.notes = tuple(notes)
     return step
-
-
-def continuation_pairs(step: TrackingStep) -> list[IndexPair]:
-    """The connecting index pair contributed by a continuation step."""
-    if step.case not in CONTINUATION_CASES:
-        raise ValueError(f"step case {step.case!r} is not a continuation case")
-    return [step.connecting_pair]
 
 
 def continuation_to_zigzag(pairs: Sequence[IndexPair], sets: Sequence[SimplexSet],
@@ -278,14 +248,11 @@ def continuation_to_zigzag(pairs: Sequence[IndexPair], sets: Sequence[SimplexSet
     zz_dirs: list[str] = []
     zz_tags = [PairTag(1, "connecting")]
     for i in range(1, len(pairs)):
-        chunk, dirs, tags = _eq4_chunk(fields[i], sets[i], pairs[i - 1], p, i + 1)
-        zz_pairs += chunk
-        zz_dirs += dirs
-        zz_tags += tags
-        chunk, dirs, tags = _eq2_chunk(fields[i], sets[i], pairs[i], p, i + 1)
-        zz_pairs += chunk
-        zz_dirs += dirs
-        zz_tags += tags
+        back, back_tags = _chain(fields[i], sets[i], pairs[i - 1], p, i + 1)
+        out, out_tags = _chain(fields[i], sets[i], pairs[i], p, i + 1)
+        zz_pairs += back[-2::-1] + out[1:]
+        zz_dirs += [BACKWARD, FORWARD] * 3
+        zz_tags += back_tags[-2::-1] + out_tags[1:]
     return PairZigzag(cx, zz_pairs, zz_dirs, zz_tags)
 
 
@@ -298,7 +265,7 @@ def adjacency_zigzag(field: MultivectorField, nxt: MultivectorField,
     ambient = cx.closure(current) | cx.closure(result)
     if not (isolates(field, ambient, current, p) and isolates(nxt, ambient, result, p)):
         raise NotAdjacentError("union of closures does not isolate both sets")
-    pairs, dirs, tags, _ = _adjacency_chunk(field, nxt, current, result, p, 1, 2)
+    pairs, dirs, tags = _adjacency_chunk(field, nxt, current, result, ambient, p, 1, 2)
     canonical1 = IndexPair(cx.closure(current), cx.mouth(current))
     _require(validate_index_pair(field, canonical1.P, canonical1.E, current, p),
              "canonical pair")
@@ -314,8 +281,8 @@ def connect_pair_to_canonical(field: MultivectorField, current: SimplexSet,
     report = validate_index_pair(field, pair.P, pair.E, current, p)
     if not report:
         raise PreconditionError("; ".join(report.problems))
-    chunk, dirs, tags = _eq4_chunk(field, current, pair, p, 1)
-    return PairZigzag(cx, [pair] + chunk, dirs, [PairTag(1, "connecting")] + tags)
+    chain, tags = _chain(field, current, pair, p, 1)
+    return PairZigzag(cx, chain[::-1], [BACKWARD, FORWARD, BACKWARD], tags[::-1])
 
 
 def naive_intersection_zigzag(cx: Complex, current: SimplexSet,

@@ -104,15 +104,6 @@ class PairZigzag:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def concat(self, other: "PairZigzag") -> "PairZigzag":
-        """Join two zigzags whose boundary pairs coincide."""
-        if self.pairs[-1] != other.pairs[0]:
-            raise ValueError("zigzags do not share their junction pair")
-        return PairZigzag(self.cx,
-                          self.pairs + other.pairs[1:],
-                          self.directions + other.directions,
-                          self.tags[:-1] + other.tags)
-
 
 def _window_rank(dims: list[int], arrows: list[tuple[str, np.ndarray]],
                  b: int, d: int, p: int, iso: list[bool]) -> int:

@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mvtrack as mv
-from mvtrack.complexes import Complex, face_leq, proper_faces, simplex
+from mvtrack.complexes import Complex, proper_faces, simplex
+
+from helpers import random_complex, random_subset
 
 
 def test_simplex_normalizes_and_validates():
@@ -13,12 +16,6 @@ def test_simplex_normalizes_and_validates():
         simplex([])
     with pytest.raises(ValueError):
         simplex([1, 1, 2])
-
-
-def test_face_leq():
-    assert face_leq((1,), (1, 2, 3))
-    assert face_leq((1, 2, 3), (1, 2, 3))
-    assert not face_leq((1, 4), (1, 2, 3))
 
 
 def test_complex_requires_closure():
@@ -70,6 +67,16 @@ def test_is_convex_examples(triangle):
     # vertex and triangle without the sandwiched edges
     assert not triangle.is_convex({(0,), (0, 1, 2)})
     assert triangle.is_convex({(0,), (0, 1), (0, 2), (0, 1, 2)})
+
+
+def test_star_is_the_set_of_cofaces():
+    rng = random.Random(11)
+    for _ in range(60):
+        cx = random_complex(rng, max_size=30)
+        subset = random_subset(rng, cx.simplices, max_size=4)
+        by_definition = {tau for tau in cx.simplices
+                         if any(set(a) <= set(tau) for a in subset)}
+        assert cx.star(subset) == by_definition
 
 
 def test_membership_enforced(triangle):

@@ -4,8 +4,7 @@ import pytest
 
 import mvtrack as mv
 from mvtrack.dynamics import (IndexPair, canonical_index_pair, invariant_part,
-                              is_invariant, is_isolated_invariant_set, is_v_compatible,
-                              isolates, push_forward, validate_index_pair,
+                              is_invariant, is_isolated_invariant_set, isolates, push_forward, validate_index_pair,
                               validate_index_pair_in_n)
 from mvtrack.fields import MultivectorField, intersect_fields
 
@@ -60,9 +59,9 @@ def test_is_invariant(triangle):
 def test_is_v_compatible(triangle):
     fld = MultivectorField.from_parts(triangle, [[(0,), (0, 1)]],
                                       complete_singletons=True)
-    assert is_v_compatible(fld, frozenset())
-    assert is_v_compatible(fld, frozenset({(0,), (0, 1)}))
-    assert not is_v_compatible(fld, frozenset({(0,)}))
+    assert fld.is_compatible(frozenset())
+    assert fld.is_compatible(frozenset({(0,), (0, 1)}))
+    assert not fld.is_compatible(frozenset({(0,)}))
 
 
 def test_isolated_invariant_set(merging_saddles):
@@ -138,6 +137,9 @@ def test_validate_index_pair_examples(merging_saddles):
     assert validate_index_pair(fld, cx.simplices, frozenset(), whole)
     report = validate_index_pair(fld, cx.closure(seed), frozenset(), seed)
     assert not report and report.problems
+    # N = P: a P that is not closed is one failed condition, reported once
+    report = validate_index_pair(fld, seed, frozenset(), seed)
+    assert [m for m in report.problems if "not closed" in m] == ["P is not closed"]
 
 
 def test_canonical_index_pair(triangle, merging_saddles):

@@ -141,3 +141,9 @@ def test_intersect_fields(triangle):
     assert intersect_fields(fld, singles) == singles
     refined = fld.split(fld.mv_id((0,)), frozenset({(0, 1)}))
     assert intersect_fields(fld, refined) == refined
+    rng = random.Random(17)
+    for _ in range(40):
+        cx = random_complex(rng, max_size=20)
+        a, b = random_field(rng, cx), random_field(rng, cx)
+        pairwise = {pa & pb for pa in a.parts() for pb in b.parts()} - {frozenset()}
+        assert set(intersect_fields(a, b).parts()) == pairwise

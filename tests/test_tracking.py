@@ -6,8 +6,8 @@ import mvtrack as mv
 from mvtrack.dynamics import IndexPair, canonical_index_pair, invariant_part
 from mvtrack.fields import MultivectorField
 from mvtrack.tracking import (NotAdjacentError, adjacency_zigzag, connect_pair_to_canonical,
-                              continuation_pairs, continuation_to_zigzag, hull,
-                              naive_intersection_zigzag, run_protocol, track_step)
+                              continuation_to_zigzag, hull, naive_intersection_zigzag,
+                              run_protocol, track_step)
 
 from helpers import (brute_hull, random_complex, random_field, random_isolated_set,
                      random_subset)
@@ -100,15 +100,6 @@ def test_track_step_case_g():
     assert len(heur.appended_pairs) == 2
     assert all(tag.heuristic for tag in heur.appended_tags)
     assert any("not an index pair" in note for note in heur.notes)
-
-
-def test_continuation_pairs(merging_saddles):
-    v1, v2, _ = merging_saddles.fields
-    step = track_step(v1, v2, merging_saddles.seed)
-    assert continuation_pairs(step) == [step.connecting_pair]
-    cx, fld, nxt, seed = _case_g_instance()
-    with pytest.raises(ValueError):
-        continuation_pairs(track_step(fld, nxt, seed))
 
 
 def test_continuation_to_zigzag_single(merging_saddles):

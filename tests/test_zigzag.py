@@ -54,18 +54,6 @@ def test_interval_multiplicities_against_hom_oracle():
             == oracle_multiplicities(dims, arrows, p)
 
 
-def test_concat_shares_junction(triangle):
-    a = IndexPair(triangle.closure({(0, 1)}), frozenset({(0,)}))
-    b = IndexPair(triangle.simplices, frozenset({(0,)}))
-    left = PairZigzag(triangle, [a, b])
-    right = PairZigzag(triangle, [b, a])
-    joined = left.concat(right)
-    assert joined.pairs == [a, b, a]
-    assert joined.directions == [FORWARD, BACKWARD]
-    with pytest.raises(ValueError):
-        right.concat(right)
-
-
 def test_constant_zigzag_full_barcode(repeller_disk):
     cx = repeller_disk.cx
     center = repeller_disk.seed
