@@ -11,8 +11,10 @@ to zero anyway.  Relative homology of a closed pair (P, E) uses the
 quotient chain complex spanned by the simplices of P \\ E; reduced homology
 adds the empty simplex as the one (-1)-simplex.
 
-The zigzag layer works on int64 arrays; `rank` and `nullspace` convert them
-to sparse columns, which is why primes are capped below 2**63.
+Induced maps are int64 arrays, which is why primes are capped below 2**63;
+the zigzag sweep turns each one into sparse columns once and reduces them
+here.  `rank` and `nullspace` are the array-facing wrappers for callers
+outside the sweep.
 
 The cone construction realizes a closed pair as an absolute complex whose
 reduced homology equals the relative homology of the pair.  Reusing one

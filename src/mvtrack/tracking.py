@@ -108,13 +108,17 @@ def _chain(field: MultivectorField, subset: SimplexSet, pair: IndexPair,
     """canonical(S) <= pf-pair >= meet <= (P,E), each validated as an index pair for S.
 
     The arrows between consecutive pairs run forward, backward, forward; read
-    backwards, the chain connects (P,E) down to canonical(S).
+    backwards, the chain connects (P,E) down to canonical(S).  Pairs often
+    coincide, so each distinct pair is validated once, under its first label.
     """
     cx = field.cx
     pf_pair = _push_forward_pair(field, subset, pair.P)
     chain = [IndexPair(cx.closure(subset), cx.mouth(subset)), pf_pair,
              IndexPair(pair.P & pf_pair.P, pair.E & pf_pair.E), pair]
+    labels: dict[IndexPair, str] = {}
     for (_, label), candidate in zip(_CHAIN, chain):
+        labels.setdefault(candidate, label)
+    for candidate, label in labels.items():
         _require(validate_index_pair(field, candidate.P, candidate.E, subset, p), label)
     return chain, [PairTag(tag, role) for role, _ in _CHAIN]
 

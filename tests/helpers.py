@@ -3,10 +3,10 @@
 The oracles deliberately avoid the library's algorithmic shortcuts: the
 invariant-part oracle searches for explicit eventually-periodic solutions
 and evaluates the essential-solution condition position by position; the
-hull oracle intersects all convex compatible supersets; the zigzag oracle
-decomposes modules through Hom-space dimensions; the homology oracles use
-dense row elimination (numpy int64, so only for small primes) instead of
-the library's sparse column reduction.
+hull oracle intersects all convex compatible supersets; the zigzag oracles
+decompose modules through Hom-space dimensions and through generalized ranks
+over windows; the homology oracles use dense row elimination (numpy int64,
+so only for small primes) instead of the library's sparse column reduction.
 """
 
 from __future__ import annotations
@@ -459,8 +459,83 @@ def oracle_multiplicities(dims, arrows, p=2):
     return {iv: m for iv, m in mult.items() if m}
 
 
-def random_module(rng, n, max_dim=3, p=2):
-    """A random zigzag module: dimensions, alternating arrows, random matrices."""
+def _window_rank(dims, arrows, b, d, p, iso):
+    """Rank of limit -> colimit of the module restricted to positions [b, d]."""
+    if any(dims[i] == 0 for i in range(b, d + 1)):
+        return 0
+    if b == d:
+        return dims[b]
+    if all(iso[i] for i in range(b, d)):
+        return dims[b]
+    offs = [0]
+    for i in range(b, d + 1):
+        offs.append(offs[-1] + dims[i])
+    total = offs[-1]
+    blocks = []
+    rel_cols = []
+    for i in range(b, d):
+        direction, mat = arrows[i]
+        if direction == FORWARD:
+            src, dst = i - b, i - b + 1
+        else:
+            src, dst = i - b + 1, i - b
+        rows = np.zeros((mat.shape[0], total), dtype=np.int64)
+        rows[:, offs[src]:offs[src] + mat.shape[1]] = mat
+        rows[:, offs[dst]:offs[dst] + mat.shape[0]] -= np.eye(mat.shape[0], dtype=np.int64)
+        blocks.append(rows % p)
+        for j in range(mat.shape[1]):
+            col = np.zeros(total, dtype=np.int64)
+            col[offs[dst]:offs[dst] + mat.shape[0]] = mat[:, j]
+            col[offs[src] + j] -= 1
+            rel_cols.append(col % p)
+    lim = nullspace(np.vstack(blocks), p)
+    if lim.shape[1] == 0:
+        return 0
+    lim_embedded = np.zeros((total, lim.shape[1]), dtype=np.int64)
+    lim_embedded[offs[0]:offs[1], :] = lim[offs[0]:offs[1], :]
+    rel = np.array(rel_cols, dtype=np.int64).T if rel_cols else np.zeros((total, 0), dtype=np.int64)
+    return dense_rank(np.hstack([lim_embedded, rel]), p) - dense_rank(rel, p)
+
+
+def windowed_multiplicities(dims, arrows, p=2):
+    """Interval multiplicities through generalized ranks over windows.
+
+    The rank of the canonical map from the limit to the colimit of the module
+    restricted to [b, d] counts the bars containing that window, and
+    inclusion-exclusion over the four windows [b-1..b] x [d..d+1] recovers the
+    multiplicity of [b, d].  This was the library's algorithm before the
+    left-to-right sweep; it costs a nullspace per window.
+    """
+    n = len(dims)
+    iso = [mat.shape[0] == mat.shape[1] and dense_rank(mat, p) == mat.shape[0]
+           for _, mat in arrows]
+    ranks = {}
+    for b in range(n):
+        for d in range(b, n):
+            r = _window_rank(dims, arrows, b, d, p, iso)
+            ranks[(b, d)] = r
+            if r == 0:
+                break
+
+    def get(b, d):
+        return ranks.get((b, d), 0) if 0 <= b and d <= n - 1 else 0
+
+    out = {}
+    for b in range(n):
+        for d in range(b, n):
+            m = get(b, d) - get(b - 1, d) - get(b, d + 1) + get(b - 1, d + 1)
+            assert m >= 0, f"negative multiplicity at window [{b}, {d}]"
+            if m:
+                out[(b, d)] = m
+    return out
+
+
+def random_module(rng, n, max_dim=3, p=2, degenerate=0.0):
+    """A random zigzag module: dimensions, alternating arrows, random matrices.
+
+    With probability `degenerate` an arrow is made rank-deficient: the zero
+    matrix, or a matrix whose last column repeats its first.
+    """
     dims = [rng.randint(0, max_dim) for _ in range(n)]
     arrows = []
     for i in range(n - 1):
@@ -468,5 +543,10 @@ def random_module(rng, n, max_dim=3, p=2):
         src, dst = (i, i + 1) if direction == FORWARD else (i + 1, i)
         mat = np.array([[rng.randrange(p) for _ in range(dims[src])]
                         for _ in range(dims[dst])], dtype=np.int64).reshape(dims[dst], dims[src])
+        if degenerate and rng.random() < degenerate:
+            if dims[src] > 1 and rng.random() < 0.5:
+                mat[:, -1] = mat[:, 0]
+            else:
+                mat[:] = 0
         arrows.append((direction, mat))
     return dims, arrows

@@ -10,7 +10,10 @@ from mvtrack.zigzag import (BACKWARD, FORWARD, Bar, PairZigzag, homology_module,
                             pair_zigzag_barcode)
 
 from helpers import (oracle_multiplicities, random_complex, random_field,
-                     random_isolated_set, random_module, closed_subsets)
+                     random_isolated_set, random_module, closed_subsets,
+                     windowed_multiplicities)
+
+SWAP = {FORWARD: BACKWARD, BACKWARD: FORWARD}
 
 
 def test_bar_validation():
@@ -45,13 +48,81 @@ def test_interval_multiplicities_hand_cases():
 
 
 def test_interval_multiplicities_against_hom_oracle():
+    """Short modules against both oracles, Hom dimensions and windowed ranks;
+    rank-deficient arrows (zero matrices, repeated columns) included."""
     rng = random.Random(40)
-    for _ in range(120):
+    for i in range(180):
         n = rng.randint(1, 5)
-        p = rng.choice([2, 3])
-        dims, arrows = random_module(rng, n, max_dim=3, p=p)
+        p = (2, 3, 5)[i % 3]
+        dims, arrows = random_module(rng, n, max_dim=3, p=p, degenerate=0.3)
+        got = interval_multiplicities(dims, arrows, p)
+        assert got == oracle_multiplicities(dims, arrows, p)
+        assert got == windowed_multiplicities(dims, arrows, p)
+
+
+def test_sweep_matches_windowed_oracle_on_long_modules():
+    rng = random.Random(44)
+    for _ in range(40):
+        p = rng.choice([2, 3, 5])
+        dims, arrows = random_module(rng, rng.randint(10, 30), max_dim=4, p=p,
+                                     degenerate=0.3)
         assert interval_multiplicities(dims, arrows, p) \
-            == oracle_multiplicities(dims, arrows, p)
+            == windowed_multiplicities(dims, arrows, p)
+
+
+def test_interval_multiplicities_rejects_malformed_modules():
+    ident = np.eye(1, dtype=np.int64)
+    with pytest.raises(ValueError, match="arrows"):
+        interval_multiplicities([1, 1, 1], [(FORWARD, ident)])
+    with pytest.raises(ValueError, match="direction"):
+        interval_multiplicities([1, 1], [("sideways", ident)])
+    # f: V_0 -> V_1 must be dims[1] x dims[0]; g: V_1 -> V_0 the transpose
+    with pytest.raises(ValueError, match="shape"):
+        interval_multiplicities([1, 2], [(FORWARD, np.ones((1, 2), dtype=np.int64))])
+    with pytest.raises(ValueError, match="shape"):
+        interval_multiplicities([1, 2], [(BACKWARD, np.ones((2, 1), dtype=np.int64))])
+
+
+def _reversed_module(dims, arrows):
+    return dims[::-1], [(SWAP[direction], mat) for direction, mat in reversed(arrows)]
+
+
+def test_reversing_a_module_mirrors_its_intervals():
+    rng = random.Random(45)
+    for _ in range(200):
+        p = rng.choice([2, 3, 5])
+        n = rng.randint(1, 12)
+        dims, arrows = random_module(rng, n, max_dim=3, p=p, degenerate=0.3)
+        mirrored = {(n - 1 - d, n - 1 - b): m
+                    for (b, d), m in interval_multiplicities(dims, arrows, p).items()}
+        assert interval_multiplicities(*_reversed_module(dims, arrows), p) == mirrored
+
+
+def _mirrored_bars(zz, p):
+    n = len(zz)
+    rev = PairZigzag(zz.cx, zz.pairs[::-1], [SWAP[d] for d in reversed(zz.directions)])
+    bars = sorted((b.dim, b.birth, b.death) for b in pair_zigzag_barcode(rev, p).bars)
+    return sorted((k, n + 1 - d, n + 1 - b) for k, b, d in bars)
+
+
+def test_reversing_a_pair_zigzag_mirrors_its_barcode(merging_saddles, nine_fields):
+    rng = random.Random(46)
+    zigzags = [mv.run_protocol(scene.fields, scene.seed).zigzag
+               for scene in (merging_saddles, nine_fields)]
+    while len(zigzags) < 14:
+        cx = random_complex(rng, n_vertices=5, n_maximal=3, max_dim=2, max_size=12)
+        closed = closed_subsets(cx)
+        pairs = [_random_pair(rng, closed)]
+        for _ in range(rng.randint(1, 6)):
+            nxt = _random_adjacent_pair(rng, closed, pairs[-1])
+            if nxt is None:
+                break
+            pairs.append(nxt)
+        zigzags.append(PairZigzag(cx, pairs))
+    for zz in zigzags:
+        for p in (2, 3):
+            bars = [(b.dim, b.birth, b.death) for b in pair_zigzag_barcode(zz, p).bars]
+            assert _mirrored_bars(zz, p) == sorted(bars)
 
 
 def test_constant_zigzag_full_barcode(repeller_disk):
@@ -199,3 +270,17 @@ def test_semi_equal_inclusions_induce_isomorphisms():
         if mv.validate_index_pair(fld, same_e.P, same_e.E, subset):
             assert induced_map_rank(cx, same_e, grown, FORWARD) == betti
         done += 1
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_forward_back_forward_replay_barcode(nine_fields, p):
+    """The 143-pair replay of saddle_collision_nine: forward, back, forward.
+
+    The expected bars were computed with the windowed generalized-rank
+    algorithm, which is too slow on this zigzag to recompute in the suite.
+    """
+    f = list(nine_fields.fields)
+    trace = mv.run_protocol(f + f[-2::-1] + f[1:], nine_fields.seed, p)
+    assert len(trace.zigzag) == 143
+    assert [(b.dim, b.birth, b.death) for b in trace.barcode.bars] \
+        == [(1, 1, 143), (1, 40, 143)]
