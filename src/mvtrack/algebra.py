@@ -11,10 +11,12 @@ to zero anyway.  Relative homology of a closed pair (P, E) uses the
 quotient chain complex spanned by the simplices of P \\ E; reduced homology
 adds the empty simplex as the one (-1)-simplex.
 
-Induced maps are int64 arrays, which is why primes are capped below 2**63;
-the zigzag sweep turns each one into sparse columns once and reduces them
-here.  `rank` and `nullspace` are the array-facing wrappers for callers
-outside the sweep.
+Induced maps are sparse columns too, and the zigzag sweep reduces them here,
+so one column format runs from the boundary matrices to the barcode.
+Primes are capped below 3,317,044,064,679,887,385,961,981, the least strong
+pseudoprime to the bases 2..41, below which Miller-Rabin with those bases is
+exact (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
+Math. Comp. 2017).
 
 The cone construction realizes a closed pair as an absolute complex whose
 reduced homology equals the relative homology of the pair.  Reusing one
@@ -26,16 +28,14 @@ from __future__ import annotations
 
 from typing import Collection, Iterator, Sequence
 
-import numpy as np
-
 from .complexes import Complex, Simplex, simplex
 
 BettiVector = tuple
 Column = dict  # {row index: nonzero coefficient mod p}
 
-# Deterministic Miller-Rabin bases: correct for every n below 3.3e24.
+# Deterministic Miller-Rabin bases, exact for every n below MAX_PRIME.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-MAX_PRIME = 2 ** 63  # exclusive; zigzag arrows are int64 arrays
+MAX_PRIME = 3_317_044_064_679_887_385_961_981  # exclusive
 
 
 def _is_prime(n: int) -> bool:
@@ -63,7 +63,7 @@ def _is_prime(n: int) -> bool:
 
 def check_prime(p: int) -> int:
     if p >= MAX_PRIME:
-        raise ValueError(f"field characteristic must be below 2**63, got {p}")
+        raise ValueError(f"field characteristic must be below {MAX_PRIME}, got {p}")
     if not _is_prime(p):
         raise ValueError(f"field characteristic must be prime, got {p}")
     return p
@@ -117,43 +117,28 @@ def reduce_columns(cols: list[Column], p: int, clear: Collection[int] = (),
     return pivots, vs
 
 
-def row_reduce(mat: np.ndarray, p: int,
+def row_reduce(rows: Sequence[Sequence[int]], p: int,
                record: bool = True) -> tuple[dict[int, int], list[Column] | None]:
-    """Reduce the columns of an integer array mod p: (pivot table, V or None).
+    """Reduce the columns of a matrix given as integer rows, mod p.
 
-    The one adapter from the array interface to `reduce_columns`; `rank` and
-    `nullspace` share it, and the benchmark's tracer counts it by this name.
+    Returns (pivot table, V or None), as `reduce_columns` does.  The adapter
+    for callers holding a dense matrix; the benchmark's tracer counts it by
+    this name.
     """
-    at = np.asarray(mat, dtype=np.int64).T % p
-    cols: list[Column] = [{} for _ in range(at.shape[0])]
-    js, rows = np.nonzero(at)
-    for j, i, x in zip(js.tolist(), rows.tolist(), at[js, rows].tolist()):
-        cols[j][i] = x
+    cols: list[Column] = [{} for _ in range(len(rows[0]) if len(rows) else 0)]
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            x = int(x) % p
+            if x:
+                cols[j][i] = x
     return reduce_columns(cols, p, record=record)
 
 
-def rank(mat: np.ndarray, p: int = 2) -> int:
-    """Rank over the prime field."""
-    a = np.asarray(mat)
-    if a.size == 0:
-        return 0
-    return len(row_reduce(a, p, record=False)[0])
-
-
-def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    """Columns form a basis of the kernel of mat over GF(p)."""
-    a = np.asarray(mat, dtype=np.int64)
-    pivots, vs = row_reduce(a, p)
+def nullspace(rows: Sequence[Sequence[int]], p: int) -> list[Column]:
+    """A basis of the kernel of a matrix given as integer rows, as sparse columns."""
+    pivots, vs = row_reduce(rows, p)
     paired = set(pivots.values())
-    return _dense([v for j, v in enumerate(vs) if j not in paired], a.shape[1])
-
-
-def _dense(columns: Sequence[Column], rows: int) -> np.ndarray:
-    out = np.zeros((rows, len(columns)), dtype=np.int64)
-    for j, col in enumerate(columns):
-        for r, x in col.items():
-            out[r, j] = x
-    return out
+    return [v for j, v in enumerate(vs) if j not in paired]
 
 
 def _levels(simplices, dim: int) -> list[list[Simplex]]:
@@ -262,7 +247,9 @@ class HomologyBasis:
     column of each zero column that no boundary clears).  All these columns
     have distinct lows, so a cycle reduces to zero against the table in one
     pass, and the multiples of the representatives it used are its homology
-    coordinates.  Used by the zigzag layer to turn inclusions into matrices.
+    coordinates.  `reps[k]` holds the representatives of H_k as sparse
+    columns over the k-simplices `by_dim[k]`.  Used by the zigzag layer to
+    turn inclusions into maps.
     """
 
     def __init__(self, cx: Complex, p: int = 2):
@@ -272,7 +259,7 @@ class HomologyBasis:
         self.by_dim = _levels(cx.simplices, cx.dim)
         self.index = [{s: i for i, s in enumerate(level)} for level in self.by_dim]
         self.betti: list[int] = [0] * (cx.dim + 1)
-        self._reps: list[list[Column]] = [[] for _ in self.by_dim]
+        self.reps: list[list[Column]] = [[] for _ in self.by_dim]
         # per dimension: low row -> (column, homology coordinate or None)
         self._table: list[dict[int, tuple[Column, int | None]]] = [{} for _ in self.by_dim]
         bounds: dict[int, Column] = {}   # reduced boundaries from the level above
@@ -282,24 +269,17 @@ class HomologyBasis:
             paired = set(pivots.values())
             for j, col in enumerate(cols):
                 if j not in paired and j not in bounds:
-                    table[j] = (vs[j], len(self._reps[k]))
-                    self._reps[k].append(vs[j])
+                    table[j] = (vs[j], len(self.reps[k]))
+                    self.reps[k].append(vs[j])
             self._table[k] = table
-            self.betti[k] = len(self._reps[k])
+            self.betti[k] = len(self.reps[k])
             bounds = {low: cols[j] for low, j in pivots.items()}
 
-    def representative_cycles(self, k: int) -> np.ndarray:
-        """Columns are chosen cycle representatives of H_k, over the k-simplex basis."""
-        return _dense(self._reps[k], len(self.by_dim[k]))
+    def coordinates(self, k: int, chain: Column) -> list[int]:
+        """Homology coordinates of a sparse cycle over this complex's k-simplices.
 
-    def coordinates(self, k: int, chain_vec: np.ndarray) -> np.ndarray:
-        """Homology coordinates of a cycle given over this complex's k-simplices."""
-        chain = {i: x % self.p for i, x in enumerate(np.asarray(chain_vec).tolist())
-                 if x % self.p}
-        return np.array(self._coordinates(k, chain), dtype=np.int64)
-
-    def _coordinates(self, k: int, chain: Column) -> list[int]:
-        """Reduce a sparse cycle (consumed) against the pivot table of dimension k."""
+        Reduces `chain` (consumed) against the pivot table of dimension k.
+        """
         p = self.p
         out = [0] * self.betti[k]
         table = self._table[k]
@@ -316,14 +296,16 @@ class HomologyBasis:
         return out
 
 
-def induced_map(small: HomologyBasis, big: HomologyBasis, k: int) -> np.ndarray:
-    """Matrix of the inclusion-induced map H_k(small) -> H_k(big)."""
+def induced_map(small: HomologyBasis, big: HomologyBasis, k: int) -> list[Column]:
+    """The inclusion-induced map H_k(small) -> H_k(big) as sparse columns.
+
+    One column per representative of `small`, over the basis of H_k(big).
+    """
     if k > small.cx.dim:
-        return np.zeros((big.betti[k] if k <= big.cx.dim else 0, 0), dtype=np.int64)
-    if k > big.cx.dim:
-        return np.zeros((0, small.betti[k]), dtype=np.int64)
+        return []
     to_big = [big.index[k][s] for s in small.by_dim[k]]
-    out = np.zeros((big.betti[k], small.betti[k]), dtype=np.int64)
-    for j, rep in enumerate(small._reps[k]):
-        out[:, j] = big._coordinates(k, {to_big[i]: x for i, x in rep.items()})
+    out = []
+    for rep in small.reps[k]:
+        coords = big.coordinates(k, {to_big[i]: x for i, x in rep.items()})
+        out.append({r: x for r, x in enumerate(coords) if x})
     return out

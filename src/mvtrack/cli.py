@@ -34,6 +34,11 @@ def _emit(text: str, out: Path | None):
         out.write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
 
 
+def _cannot_write(exc: OSError) -> int:
+    _emit(f"FAIL: cannot write {exc.filename}: {exc.strerror}", None)
+    return FAIL
+
+
 def _dump(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -220,10 +225,13 @@ def cmd_track(args) -> int:
     bdoc = barcode_doc(trace.barcode)
     if args.out:
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        _emit(_dump(tdoc), outdir / "trace.json")
-        _emit(_dump(bdoc), outdir / "barcode.json")
-        _emit(barcode_text(trace.barcode), outdir / "barcode.txt")
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            _emit(_dump(tdoc), outdir / "trace.json")
+            _emit(_dump(bdoc), outdir / "barcode.json")
+            _emit(barcode_text(trace.barcode), outdir / "barcode.txt")
+        except OSError as exc:
+            return _cannot_write(exc)
     if args.format == "json":
         _emit(_dump({"trace": tdoc, "barcode": bdoc}), None)
     else:
@@ -252,7 +260,10 @@ def cmd_barcode(args) -> int:
         return FAIL
     barcode = pair_zigzag_barcode(zz, args.field_char)
     text = _dump(barcode_doc(barcode)) if args.format == "json" else barcode_text(barcode)
-    _emit(text, Path(args.out) if args.out else None)
+    try:
+        _emit(text, Path(args.out) if args.out else None)
+    except OSError as exc:
+        return _cannot_write(exc)
     return OK
 
 
@@ -267,7 +278,10 @@ def cmd_rearrange_path(args) -> int:
         return FAIL
     path = rearrangement_path(scene.fields[0], scene.fields[-1])
     path_scene = Scene(scene.cx, path, scene.seed, scene.labels)
-    save_scene(path_scene, args.out)
+    try:
+        save_scene(path_scene, args.out)
+    except OSError as exc:
+        return _cannot_write(exc)
     _emit(f"wrote {len(path_scene.fields)} fields to {args.out}", None)
     return OK
 

@@ -34,7 +34,7 @@ from .zigzag import PairZigzag
 
 
 class SchemaError(ValueError):
-    """The input file does not match the documented schema."""
+    """The input file cannot be read or does not match the documented schema."""
 
 
 @dataclass
@@ -98,6 +98,8 @@ def _apply_op(field: MultivectorField, op, labels, what: str) -> MultivectorFiel
     try:
         if kind == "split":
             off = frozenset(_parse_simplex_set(op.get("off"), labels, f"{what} 'off'"))
+            if not off:
+                raise SchemaError(f"{what}: split needs at least one simplex in 'off'")
             idents = {field.mv_id(s) for s in off}
             if len(idents) != 1:
                 raise SchemaError(f"{what}: split pieces span several multivectors")
@@ -109,6 +111,8 @@ def _apply_op(field: MultivectorField, op, labels, what: str) -> MultivectorFiel
             return field.merge(field.mv_id(members[0]), field.mv_id(members[1]))
     except KeyError as exc:
         raise SchemaError(f"{what}: simplex {exc} not in complex") from exc
+    except SchemaError:
+        raise
     except ValueError as exc:
         raise SchemaError(f"{what}: {exc}") from exc
     raise SchemaError(f"{what}: unknown op {kind!r}")
@@ -118,7 +122,8 @@ def _parse_complex(doc) -> tuple[Complex, Optional[dict[str, int]]]:
     labels = doc.get("vertices")
     if labels is not None:
         if (not isinstance(labels, dict)
-                or not all(isinstance(k, str) and isinstance(v, int) for k, v in labels.items())):
+                or not all(isinstance(k, str) and isinstance(v, int) and not isinstance(v, bool)
+                           for k, v in labels.items())):
             raise SchemaError("'vertices' must map labels to integer ids")
         if len(set(labels.values())) != len(labels):
             raise SchemaError("'vertices' assigns one id to several labels")
@@ -170,13 +175,20 @@ def scene_from_dict(doc: dict, check_atomic: bool = True) -> Scene:
     return Scene(cx, fields, seed, labels)
 
 
+def _read_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc}") from exc
+
+
 def load_scene(path, check_atomic: bool = True) -> Scene:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}") from exc
-    return scene_from_dict(doc, check_atomic)
+    return scene_from_dict(_read_json(path), check_atomic)
 
 
 def _simplex_out(s: Simplex, names: dict[int, str]):
@@ -221,7 +233,7 @@ def zigzag_from_dict(doc: dict) -> tuple[PairZigzag, Optional[dict[str, int]]]:
         try:
             cx.check_subset(pset)
             if not cx.is_closed(pset) or not cx.is_closed(eset):
-                raise SchemaError(f"pair {k + 1} components must be closed")
+                raise SchemaError("components must be closed")  # prefixed below
             pairs.append(IndexPair(pset, eset))
         except ValueError as exc:
             raise SchemaError(f"pair {k + 1}: {exc}") from exc
@@ -232,9 +244,4 @@ def zigzag_from_dict(doc: dict) -> tuple[PairZigzag, Optional[dict[str, int]]]:
 
 
 def load_zigzag(path) -> tuple[PairZigzag, Optional[dict[str, int]]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}") from exc
-    return zigzag_from_dict(doc)
+    return zigzag_from_dict(_read_json(path))

@@ -28,9 +28,6 @@ from .fields import (AtomicRearrangement, CheckReport, MultivectorField,
                      classify_rearrangement, intersect_fields, validate_field)
 from .zigzag import BACKWARD, FORWARD, Barcode, PairTag, PairZigzag, pair_zigzag_barcode
 
-class NotAdjacentError(ValueError):
-    """The closures of the two sets do not isolate both of them."""
-
 
 class ZigzagAssemblyError(RuntimeError):
     """A constructed pair failed validation; indicates an internal bug."""
@@ -231,74 +228,6 @@ def track_step(field: MultivectorField, nxt: MultivectorField, current: SimplexS
         step.appended_pairs, step.appended_dirs, step.appended_tags = pairs, dirs, tags
     step.notes = tuple(notes)
     return step
-
-
-def continuation_to_zigzag(pairs: Sequence[IndexPair], sets: Sequence[SimplexSet],
-                           fields: Sequence[MultivectorField], p: int = 2) -> PairZigzag:
-    """Expand connecting pairs into the canonical zigzag filtration.
-
-    `sets` has one more entry than `pairs`; pair i must be an index pair for
-    sets[i] under fields[i] and for sets[i+1] under fields[i+1].
-    """
-    if len(sets) != len(pairs) + 1 or len(fields) != len(sets):
-        raise ValueError("need n pairs, n+1 sets and n+1 fields")
-    cx = fields[0].cx
-    for i, pair in enumerate(pairs):
-        _require(validate_index_pair(fields[i], pair.P, pair.E, sets[i], p),
-                 f"connecting pair {i} under its outgoing field")
-        _require(validate_index_pair(fields[i + 1], pair.P, pair.E, sets[i + 1], p),
-                 f"connecting pair {i} under its incoming field")
-    zz_pairs = [pairs[0]]
-    zz_dirs: list[str] = []
-    zz_tags = [PairTag(1, "connecting")]
-    for i in range(1, len(pairs)):
-        back, back_tags = _chain(fields[i], sets[i], pairs[i - 1], p, i + 1)
-        out, out_tags = _chain(fields[i], sets[i], pairs[i], p, i + 1)
-        zz_pairs += back[-2::-1] + out[1:]
-        zz_dirs += [BACKWARD, FORWARD] * 3
-        zz_tags += back_tags[-2::-1] + out_tags[1:]
-    return PairZigzag(cx, zz_pairs, zz_dirs, zz_tags)
-
-
-def adjacency_zigzag(field: MultivectorField, nxt: MultivectorField,
-                     current: SimplexSet, result: SimplexSet, p: int = 2) -> PairZigzag:
-    """The five-pair zigzag through push-forwards in the union of closures."""
-    cx = field.cx
-    current = cx.check_subset(current)
-    result = cx.check_subset(result)
-    ambient = cx.closure(current) | cx.closure(result)
-    if not (isolates(field, ambient, current, p) and isolates(nxt, ambient, result, p)):
-        raise NotAdjacentError("union of closures does not isolate both sets")
-    pairs, dirs, tags = _adjacency_chunk(field, nxt, current, result, ambient, p, 1, 2)
-    canonical1 = IndexPair(cx.closure(current), cx.mouth(current))
-    _require(validate_index_pair(field, canonical1.P, canonical1.E, current, p),
-             "canonical pair")
-    return PairZigzag(cx, [canonical1] + pairs, dirs,
-                      [PairTag(1, "canonical")] + tags)
-
-
-def connect_pair_to_canonical(field: MultivectorField, current: SimplexSet,
-                              pair: IndexPair, p: int = 2) -> PairZigzag:
-    """Zigzag from an arbitrary index pair down to the canonical pair."""
-    cx = field.cx
-    current = cx.check_subset(current)
-    report = validate_index_pair(field, pair.P, pair.E, current, p)
-    if not report:
-        raise PreconditionError("; ".join(report.problems))
-    chain, tags = _chain(field, current, pair, p, 1)
-    return PairZigzag(cx, chain[::-1], [BACKWARD, FORWARD, BACKWARD], tags[::-1])
-
-
-def naive_intersection_zigzag(cx: Complex, current: SimplexSet,
-                              result: SimplexSet) -> PairZigzag:
-    """Raw intersection of canonical pairs.  Heuristic: the middle entry is
-    generally not an index pair under any field, and is flagged as such."""
-    current = cx.check_subset(current)
-    result = cx.check_subset(result)
-    canonical1 = IndexPair(cx.closure(current), cx.mouth(current))
-    pairs, dirs, tags = _naive_chunk(cx, current, result, 2)
-    return PairZigzag(cx, [canonical1] + pairs, dirs,
-                      [PairTag(1, "canonical", heuristic=True)] + tags)
 
 
 def run_protocol(fields: Sequence[MultivectorField], seed: SimplexSet,

@@ -34,9 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .algebra import (Column, HomologyBasis, _axpy, check_prime, cone_pair, induced_map, rank,
+from .algebra import (Column, HomologyBasis, _axpy, check_prime, cone_pair, induced_map,
                       reduce_columns)
 from .complexes import Complex
 from .dynamics import IndexPair
@@ -125,11 +123,6 @@ class PairZigzag:
         return len(self.pairs)
 
 
-def _columns(mat: np.ndarray, p: int) -> list[Column]:
-    """The columns of an integer matrix as sparse {row: coeff mod p} dicts."""
-    return [{r: x % p for r, x in enumerate(col) if x % p} for col in mat.T.tolist()]
-
-
 def _image(cols: list[Column], vec: Column, p: int) -> Column:
     """The image of the sparse vector `vec` under the matrix with columns `cols`."""
     out: Column = {}
@@ -138,28 +131,31 @@ def _image(cols: list[Column], vec: Column, p: int) -> Column:
     return out
 
 
-def interval_multiplicities(dims: list[int], arrows: list[tuple[str, np.ndarray]],
+def interval_multiplicities(dims: list[int], arrows: list[tuple[str, list[Column]]],
                             p: int = 2) -> dict[tuple[int, int], int]:
     """Multiplicity of every interval summand of a zigzag module (0-based positions).
 
     `arrows[i]` is (FORWARD, f) with f: V_i -> V_{i+1}, or (BACKWARD, g) with
-    g: V_{i+1} -> V_i; its matrix has shape (dims[target], dims[source]).
+    g: V_{i+1} -> V_i.  A map is given by sparse columns, one per basis
+    vector of its source, with rows below the dimension of its target.
     """
     n = len(dims)
     if len(arrows) != max(n - 1, 0):
         raise ValueError(f"need {max(n - 1, 0)} arrows for {n} positions, got {len(arrows)}")
     mats = []
-    for i, (direction, mat) in enumerate(arrows):
+    for i, (direction, cols) in enumerate(arrows):
         if direction == FORWARD:
             src, dst = i, i + 1
         elif direction == BACKWARD:
             src, dst = i + 1, i
         else:
             raise ValueError(f"unknown direction {direction!r} at arrow {i}")
-        if np.shape(mat) != (dims[dst], dims[src]):
-            raise ValueError(f"arrow {i} has shape {np.shape(mat)}, "
-                             f"expected {(dims[dst], dims[src])}")
-        mats.append(_columns(np.asarray(mat), p))
+        if len(cols) != dims[src]:
+            raise ValueError(f"arrow {i} has {len(cols)} columns, expected {dims[src]}")
+        if any(not 0 <= r < dims[dst] for col in cols for r in col):
+            raise ValueError(f"arrow {i} has a row outside 0..{dims[dst] - 1}")
+        # copies: the backward step reduces them in place
+        mats.append([{r: x % p for r, x in col.items() if x % p} for col in cols])
     out: Counter = Counter()
     # bars alive at position i, senior first: (birth, representative in V_i)
     alive = [(0, {r: 1}) for r in range(dims[0])] if n else []
@@ -212,22 +208,22 @@ def homology_module(zz: PairZigzag, p: int = 2):
             raise AssertionError("cone homology above the ambient dimension")
         betti.append(tuple(bs[k] if k < len(bs) else 0 for k in range(kmax + 1)))
     modules = []
-    map_cache: dict[tuple[IndexPair, IndexPair, int], np.ndarray] = {}
+    map_cache: dict[tuple[IndexPair, IndexPair, int], list[Column]] = {}
     for k in range(kmax + 1):
         dims = [bt[k] for bt in betti]
-        arrows: list[tuple[str, np.ndarray]] = []
+        arrows: list[tuple[str, list[Column]]] = []
         for i, direction in enumerate(zz.directions):
             a, b = zz.pairs[i], zz.pairs[i + 1]
             small, big = (a, b) if direction == FORWARD else (b, a)
             key = (small, big, k)
-            mat = map_cache.get(key)
-            if mat is None:
+            cols = map_cache.get(key)
+            if cols is None:
                 if small == big:
-                    mat = np.eye(dims[i], dtype=np.int64)
+                    cols = [{r: 1} for r in range(dims[i])]
                 else:
-                    mat = induced_map(bases[small], bases[big], k)
-                map_cache[key] = mat
-            arrows.append((direction, mat))
+                    cols = induced_map(bases[small], bases[big], k)
+                map_cache[key] = cols
+            arrows.append((direction, cols))
         modules.append((dims, arrows))
     return betti, modules
 
@@ -251,28 +247,3 @@ def pair_zigzag_barcode(zz: PairZigzag, p: int = 2) -> Barcode:
     steps = [t.field_index for t in zz.tags]
     step_map = [s for s in steps] if all(s is not None for s in steps) else None
     return Barcode(bars, len(zz), [tuple(bt) for bt in betti], step_map)
-
-
-def induced_map_rank(cx: Complex, pair_a: IndexPair, pair_b: IndexPair,
-                     direction: str, p: int = 2) -> tuple:
-    """Per-dimension rank of the inclusion-induced map between two pairs.
-
-    `direction` names the arrow: FORWARD maps pair_a into pair_b and
-    requires that inclusion; BACKWARD the reverse.
-    """
-    if direction == FORWARD:
-        small, big = pair_a, pair_b
-    elif direction == BACKWARD:
-        small, big = pair_b, pair_a
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    if not big.includes(small):
-        raise ValueError("pairs are not nested in the claimed direction")
-    apex = max(cx.vertices, default=-1) + 1
-    hb_small = HomologyBasis(cone_pair(cx, small.P, small.E, apex=apex), p)
-    hb_big = HomologyBasis(cone_pair(cx, big.P, big.E, apex=apex), p)
-    out = []
-    for k in range(cx.dim + 1):
-        mat = induced_map(hb_small, hb_big, k)
-        out.append(rank(mat, p) if mat.size else 0)
-    return tuple(out)

@@ -7,15 +7,19 @@ hull oracle intersects all convex compatible supersets; the zigzag oracles
 decompose modules through Hom-space dimensions and through generalized ranks
 over windows; the homology oracles use dense row elimination (numpy int64,
 so only for small primes) instead of the library's sparse column reduction.
+The oracles take zigzag arrows as dense matrices; `sparse_arrows` and
+`dense_arrows` convert to and from the library's sparse columns.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
 import mvtrack as mv
+from mvtrack import algebra
 from mvtrack.zigzag import BACKWARD, FORWARD
 
 
@@ -276,6 +280,32 @@ def row_reduce(mat, p):
     return a, pivots
 
 
+def rank(rows, p=2):
+    return len(algebra.row_reduce(rows, p, record=False)[0])
+
+
+def dense(cols, n_rows):
+    """Sparse {row: coeff} columns as a dense n_rows x len(cols) matrix."""
+    mat = np.zeros((n_rows, len(cols)), dtype=np.int64)
+    for j, col in enumerate(cols):
+        for r, x in col.items():
+            mat[r, j] = x
+    return mat
+
+
+def sparse_arrows(arrows):
+    """Dense zigzag arrows as the library's sparse columns."""
+    return [(direction, [{r: int(x) for r, x in enumerate(col) if x}
+                         for col in np.asarray(mat).T.tolist()])
+            for direction, mat in arrows]
+
+
+def dense_arrows(dims, arrows):
+    """The library's sparse zigzag arrows as dense matrices."""
+    return [(direction, dense(cols, dims[i + 1] if direction == FORWARD else dims[i]))
+            for i, (direction, cols) in enumerate(arrows)]
+
+
 def dense_rank(mat, p=2):
     a = np.asarray(mat)
     if a.size == 0:
@@ -384,6 +414,27 @@ def dense_induced_rank(small, big, k, p=2):
     return dense_rank(np.hstack([embedded, bnd]), p) - dense_rank(bnd, p)
 
 
+def induced_map_rank(cx, pair_a, pair_b, direction, p=2):
+    """Per-dimension rank of the inclusion-induced map between two pairs,
+    through the coned complexes and `dense_induced_rank`.
+
+    `direction` names the arrow: FORWARD maps pair_a into pair_b and
+    requires that inclusion; BACKWARD the reverse.
+    """
+    if direction == FORWARD:
+        small, big = pair_a, pair_b
+    elif direction == BACKWARD:
+        small, big = pair_b, pair_a
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    if not big.includes(small):
+        raise ValueError("pairs are not nested in the claimed direction")
+    apex = max(cx.vertices, default=-1) + 1
+    small_cx = mv.cone_pair(cx, small.P, small.E, apex=apex)
+    big_cx = mv.cone_pair(cx, big.P, big.E, apex=apex)
+    return tuple(dense_induced_rank(small_cx, big_cx, k, p) for k in range(cx.dim + 1))
+
+
 # ------------------------------------------------------- zigzag oracle
 
 def dim_hom(rep_a, rep_b, p=2):
@@ -447,16 +498,32 @@ def oracle_multiplicities(dims, arrows, p=2):
     reps = {iv: interval_module(n, directions, *iv) for iv in intervals}
     target = {iv: dim_hom(reps[iv], (dims, arrows), p) for iv in intervals}
     hom = {(i, j): dim_hom(reps[i], reps[j], p) for i in intervals for j in intervals}
-    mat = np.array([[hom[(i, j)] for j in intervals] for i in intervals], dtype=float)
-    rhs = np.array([target[i] for i in intervals], dtype=float)
-    sol = np.linalg.solve(mat, rhs)
-    mult = {iv: int(round(x)) for iv, x in zip(intervals, sol)}
-    for i in intervals:  # verify the rounded solution exactly
+    sol = _solve_rational([[hom[(i, j)] for j in intervals] for i in intervals],
+                          [target[i] for i in intervals])
+    assert all(x.denominator == 1 for x in sol)
+    mult = {iv: int(x) for iv, x in zip(intervals, sol)}
+    for i in intervals:  # verify the solution exactly
         assert sum(hom[(i, j)] * mult[j] for j in intervals) == target[i]
     assert all(m >= 0 for m in mult.values())
     for pos in range(n):
         assert sum(m for (b, d), m in mult.items() if b <= pos <= d) == dims[pos]
     return {iv: m for iv, m in mult.items() if m}
+
+
+def _solve_rational(mat, rhs):
+    """The unique solution of a nonsingular square system, by Gauss-Jordan
+    elimination over the rationals."""
+    n = len(mat)
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(mat, rhs)]
+    for c in range(n):
+        r = next(r for r in range(c, n) if aug[r][c])
+        aug[c], aug[r] = aug[r], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [row[n] for row in aug]
 
 
 def _window_rank(dims, arrows, b, d, p, iso):

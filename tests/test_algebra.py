@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 
 import mvtrack as mv
-from mvtrack.algebra import (HomologyBasis, check_prime, cone_pair, induced_map,
-                             nullspace, rank, reduced_betti, relative_homology)
+from mvtrack.algebra import (MAX_PRIME, HomologyBasis, check_prime, cone_pair, induced_map,
+                             nullspace, reduced_betti, relative_homology)
 
-from helpers import (boundary_matrix, closed_subsets, dense_induced_rank,
-                     dense_reduced_betti, dense_relative_betti, random_complex, solve)
+import helpers
+from helpers import (boundary_matrix, closed_subsets, dense, dense_induced_rank,
+                     dense_reduced_betti, dense_relative_betti, random_complex, rank, solve)
 
 
 def test_rank_basics():
-    assert rank(np.zeros((3, 4), dtype=np.int64)) == 0
+    assert rank([[0] * 4] * 3) == 0
     assert rank(np.eye(5, dtype=np.int64)) == 5
-    assert rank(np.array([[1, 1], [1, 4]]), p=3) == 1
-    assert rank(np.array([[1, 1], [1, 4]]), p=5) == 2
+    assert rank([[1, 1], [1, 4]], p=3) == 1
+    assert rank([[1, 1], [1, 4]], p=5) == 2
+    assert rank([], p=3) == 0
 
 
 def test_rank_of_triangle_boundary(triangle):
@@ -28,11 +30,14 @@ def test_rank_of_triangle_boundary(triangle):
 
 def test_nullspace_and_solve():
     mat = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.int64)
-    basis = nullspace(mat, 2)
-    assert basis.shape[1] == 1
-    assert not ((mat @ basis) % 2).any()
-    assert (nullspace(np.zeros((0, 4), dtype=np.int64), 3) == np.eye(4)).all()
-    assert nullspace(np.zeros((3, 0), dtype=np.int64), 3).shape == (0, 0)
+    basis = nullspace(mat.tolist(), 2)
+    assert basis == [{0: 1, 1: 1, 2: 1}]
+    assert not ((mat @ dense(basis, 3)) % 2).any()
+    assert nullspace([[0] * 4], 3) == [{0: 1}, {1: 1}, {2: 1}, {3: 1}]
+    assert nullspace([[], [], []], 3) == [] and nullspace([], 3) == []
+    # the dense oracle, which the Hom-dimension oracle uses, on empty shapes
+    assert (helpers.nullspace(np.zeros((0, 4), dtype=np.int64), 3) == np.eye(4)).all()
+    assert helpers.nullspace(np.zeros((3, 0), dtype=np.int64), 3).shape == (0, 0)
     x = solve(mat, np.array([1, 0]), 2)
     assert ((mat @ x) % 2 == np.array([1, 0])).all()
     assert solve(np.zeros((2, 2), dtype=np.int64), np.array([1, 0]), 2) is None
@@ -147,8 +152,8 @@ def test_homology_basis_and_induced_map(triangle):
     assert hb_small.betti == [0, 1]
     hb_big = HomologyBasis(triangle, 2)
     assert hb_big.betti == [0, 0, 0]
-    mat = induced_map(hb_small, hb_big, 1)
-    assert mat.shape == (0, 1)
+    # one column, for the one class of the boundary, over the zero space
+    assert induced_map(hb_small, hb_big, 1) == [{}]
 
 
 def _nested_cone_pairs(rng, n_cases, max_size=14):
@@ -188,8 +193,10 @@ def test_induced_map_rank_matches_dense_oracle(p):
     for _, _, _, small, big in _nested_cone_pairs(rng, 25):
         hb_small, hb_big = HomologyBasis(small, p), HomologyBasis(big, p)
         for k in range(big.dim + 1):
-            mat = induced_map(hb_small, hb_big, k)
-            assert rank(mat, p) == dense_induced_rank(small, big, k, p)
+            cols = induced_map(hb_small, hb_big, k)
+            assert len(cols) == (hb_small.betti[k] if k <= small.dim else 0)
+            assert all(0 <= r < hb_big.betti[k] for col in cols for r in col)
+            assert rank(dense(cols, hb_big.betti[k]), p) == dense_induced_rank(small, big, k, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -198,23 +205,23 @@ def test_coordinates_of_representatives_and_non_cycles(p):
     for _, _, _, _, cone in _nested_cone_pairs(rng, 20):
         hb = HomologyBasis(cone, p)
         for k, level in enumerate(hb.by_dim):
-            reps = hb.representative_cycles(k)
-            assert reps.shape == (len(level), hb.betti[k])
+            reps = hb.reps[k]
+            assert len(reps) == hb.betti[k]
+            assert all(0 <= i < len(level) for rep in reps for i in rep)
             if k + 1 < len(hb.by_dim) and hb.by_dim[k + 1]:
-                bnd = boundary_matrix(hb.by_dim[k + 1][:1], level, p)[:, 0]
+                bnd = boundary_matrix(hb.by_dim[k + 1][:1], level, p)[:, 0].tolist()
             else:
-                bnd = np.zeros(len(level), dtype=np.int64)
-            for j in range(hb.betti[k]):
-                unit = np.eye(hb.betti[k], dtype=np.int64)[j]
-                assert (hb.coordinates(k, reps[:, j]) == unit).all()
+                bnd = [0] * len(level)
+            for j, rep in enumerate(reps):
+                unit = [int(i == j) for i in range(hb.betti[k])]
+                assert hb.coordinates(k, dict(rep)) == unit
                 # adding a boundary does not change the class
-                shifted = (2 * reps[:, j] + bnd) % p
-                assert (hb.coordinates(k, shifted) == (2 * unit) % p).all()
+                shifted = {i: (2 * rep.get(i, 0) + b) % p for i, b in enumerate(bnd)}
+                shifted = {i: x for i, x in shifted.items() if x}
+                assert hb.coordinates(k, shifted) == [2 * x % p for x in unit]
             # a single simplex has a nonzero (augmented) boundary
-            single = np.zeros(len(level), dtype=np.int64)
-            single[0] = 1
             with pytest.raises(ValueError):
-                hb.coordinates(k, single)
+                hb.coordinates(k, {0: 1})
 
 
 # Above 2**32 the old dense int64 elimination overflowed without error.
@@ -235,7 +242,7 @@ def test_rank_is_exact_at_a_large_prime():
         order = rng.sample(range(n), n)
         prod = [[sum(row[t] * right[t][c] for t in range(3)) % BIG_P for c in order]
                 for row in left]
-        assert rank(np.array(prod, dtype=np.int64), BIG_P) == 3
+        assert rank(prod, BIG_P) == 3
 
 
 def test_homology_is_exact_at_a_large_prime():
@@ -259,8 +266,16 @@ def test_check_prime_is_exact_and_fast():
             check_prime(n)
     trial = [n for n in range(2, 3000) if all(n % d for d in range(2, int(n ** 0.5) + 1))]
     assert [n for n in range(3000) if _accepted(n)] == trial
-    with pytest.raises(ValueError, match="below 2\\*\\*63"):
-        check_prime(9223372036854775837)
+    # primes above 2**63 are accepted; the least strong pseudoprime to the
+    # bases 2..37 is caught by base 41
+    assert check_prime(2 ** 63 + 29) == 2 ** 63 + 29
+    assert check_prime(2 ** 64 + 13) == 2 ** 64 + 13
+    with pytest.raises(ValueError, match="must be prime"):
+        check_prime(318665857834031151167461)
+    # the least strong pseudoprime to the bases 2..41 is the bound itself
+    for n in (MAX_PRIME, MAX_PRIME + 2):
+        with pytest.raises(ValueError, match=f"below {MAX_PRIME}"):
+            check_prime(n)
 
 
 def _accepted(n):

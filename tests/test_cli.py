@@ -1,14 +1,24 @@
 import json
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import mvtrack as mv
+from mvtrack.algebra import MAX_PRIME
 from mvtrack.cli import main
 from mvtrack.io import (SchemaError, load_scene, load_zigzag, save_scene,
-                        scene_from_dict, scene_to_dict)
+                        scene_from_dict, scene_to_dict, zigzag_from_dict)
 
-FIXTURES = Path(__file__).parent.parent / "fixtures"
+ROOT = Path(__file__).parent.parent
+FIXTURES = ROOT / "fixtures"
+GOLDEN = Path(__file__).parent / "golden"
+SRC = ROOT / "src"
+SCENES = ("merging_saddles", "repeller_disk", "saddle_collision_nine", "unresolved_step")
+ZIGZAGS = ("repeller_naive_intersection", "repeller_pairs_in_n")
 
 
 def run(capsys, *argv):
@@ -260,20 +270,159 @@ def test_field_char_flag(capsys):
 
 
 def test_field_char_beyond_int64_is_a_usage_error(capsys):
+    """A prime at or above MAX_PRIME, where Miller-Rabin with the bases
+    2..41 is no longer proven exact, is refused with the bound named."""
     with pytest.raises(SystemExit) as exc:
         main(["conley", str(FIXTURES / "merging_saddles.json"),
-              "--field-char", "9223372036854775837"])
+              "--field-char", "3317044064679887385962123"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "below 2**63" in err and "Traceback" not in err
+    assert f"below {MAX_PRIME}" in err and "Traceback" not in err
 
 
 def test_track_at_a_large_prime_matches_p3(capsys):
-    """No torsion in the fixture, so every odd characteristic gives the same
-    barcode; at 2**61 - 1 the zigzag matrices hold entries close to the
-    int64 limit."""
-    scene = str(FIXTURES / "saddle_collision_nine.json")
-    code_big, out_big = run(capsys, "track", scene, "--field-char", str(2 ** 61 - 1))
-    code_small, out_small = run(capsys, "track", scene, "--field-char", "3")
-    assert code_big == code_small == 0
-    assert out_big == out_small
+    """No torsion in the fixtures, so every odd characteristic gives the same
+    barcode; 2**64 + 13 is a prime above the int64 range."""
+    for verb, names in (("track", SCENES), ("barcode", ZIGZAGS)):
+        for name in names:
+            path = str(FIXTURES / f"{name}.json")
+            code_small, out_small = run(capsys, verb, path, "--field-char", "3")
+            for p in (2 ** 61 - 1, 2 ** 64 + 13):
+                assert run(capsys, verb, path, "--field-char", str(p)) == (code_small, out_small)
+
+
+def test_track_runs_without_numpy():
+    """numpy is a test-only dependency: `track` runs with it blocked."""
+    golden = (GOLDEN / "saddle_collision_nine.track.p3.text.txt").read_text(encoding="utf-8")
+    header = "exit 0\n--- stdout\n"
+    assert golden.startswith(header)
+    code = ("import sys; sys.modules['numpy'] = None; from mvtrack.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "track", str(FIXTURES / "saddle_collision_nine.json"),
+         "--field-char", "3"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == golden[len(header):]
+
+
+@pytest.mark.parametrize("verb,kind", [(verb, kind) for verb in ("validate", "track", "barcode")
+                                       for kind in ("missing", "directory", "latin-1")])
+def test_unreadable_input_exits_2(tmp_path, capsys, verb, kind):
+    path = tmp_path / "input.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "latin-1":
+        path.write_bytes('{"maximal_simplices": [["\u00e9"]]}'.encode("latin-1"))
+    code, out = run(capsys, verb, str(path))
+    assert code == 2
+    assert out.startswith("FAIL") and str(path) in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("track", str(FIXTURES / "merging_saddles.json")),
+    ("barcode", str(FIXTURES / "repeller_pairs_in_n.json")),
+    ("rearrange-path", str(FIXTURES / "merging_saddles.json"))], ids=lambda argv: argv[0])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out = run(capsys, *argv, "--out", str(blocker / "sub"))
+    assert code == 2
+    assert out.startswith("FAIL: cannot write") and str(blocker) in out
+
+
+def _nine_with_op(op):
+    doc = json.loads((FIXTURES / "saddle_collision_nine.json").read_text())
+    doc["fields"]["ops"][0] = op
+    return doc
+
+
+@pytest.mark.parametrize("op,message", [
+    ({"op": "split", "off": [[1, 6], [3, 8]]}, "op 1: split pieces span several multivectors"),
+    ({"op": "merge", "mvs": [[1, 6]]}, "op 1: merge needs exactly two member simplices")],
+    ids=["split", "merge"])
+def test_op_errors_are_prefixed_once(op, message):
+    with pytest.raises(SchemaError) as exc:
+        scene_from_dict(_nine_with_op(op))
+    assert str(exc.value) == message
+
+
+def test_split_with_empty_off_has_its_own_message():
+    with pytest.raises(SchemaError) as exc:
+        scene_from_dict(_nine_with_op({"op": "split", "off": []}))
+    assert str(exc.value) == "op 1: split needs at least one simplex in 'off'"
+
+
+def test_vertex_table_rejects_booleans():
+    doc = {"vertices": {"A": True, "B": 2}, "maximal_simplices": [["A", "B"]],
+           "fields": [[]], "seed": []}
+    with pytest.raises(SchemaError, match="'vertices' must map labels to integer ids"):
+        scene_from_dict(doc)
+
+
+def test_zigzag_pair_errors_are_prefixed_once():
+    doc = {"maximal_simplices": [[0, 1]], "pairs": [{"p": [[0, 1]], "e": []}]}
+    with pytest.raises(SchemaError) as exc:
+        zigzag_from_dict(doc)
+    assert str(exc.value) == "pair 1: components must be closed"
+
+
+FUZZ_JUNK = [None, True, -1, 0, 3, 99, "x", "A", [], {}, [[]], [[0, 0]], [[0, 99]],
+             {"op": "split", "off": []}, {"op": "merge", "mvs": [[1], [2]]}]
+FUZZ_SELECTORS = ["seed", "", "mv:1:", "mv:0:1", "mv:x:1", "set:1:", "set:9:1", "warp:1:1",
+                  "mv:1:1,1", "mv:1:A,B", "set:1:1;1,2", "set:2:0,1;1;0", "mv:2:0,1,5"]
+
+
+def _fuzz_nodes(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _fuzz_nodes(child, path + (key,))
+
+
+def _mutate(rng, doc):
+    """Replace, renumber, delete or duplicate one random node of a JSON document."""
+    path = rng.choice(list(_fuzz_nodes(doc))[1:])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key, value = path[-1], parent[path[-1]]
+    action = rng.randrange(4)
+    if action == 0:
+        parent[key] = rng.choice(FUZZ_JUNK)
+    elif action == 1 and isinstance(value, int):
+        parent[key] = rng.randint(-1, 10)
+    elif action == 2:
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, json.loads(json.dumps(value)))
+
+
+def test_every_verb_survives_mutated_fixtures(tmp_path, capsys):
+    """Mutated fixtures through `cli.main`: every verb exits 0, 2 or 3, with
+    no traceback."""
+    rng = random.Random(2024)
+    docs = {name: json.loads((FIXTURES / f"{name}.json").read_text())
+            for name in SCENES + ZIGZAGS}
+    path = tmp_path / "case.json"
+    for _ in range(120):
+        name = rng.choice(sorted(docs))
+        doc = json.loads(json.dumps(docs[name]))
+        for _ in range(rng.randint(1, 3)):
+            _mutate(rng, doc)
+        path.write_text(json.dumps(doc))
+        if name in ZIGZAGS:
+            calls = [("barcode",)]
+        else:
+            calls = [("validate",), ("conley", rng.choice(FUZZ_SELECTORS)), ("track",),
+                     ("track", "--heuristic-g")]
+        for call in calls:
+            argv = [call[0], str(path), *call[1:], "--field-char", rng.choice(["2", "3"])]
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            capsys.readouterr()
+            assert code in (0, 2, 3), (argv, doc)

@@ -1,16 +1,21 @@
 import random
+from pathlib import Path
 
 import pytest
 
 import mvtrack as mv
-from mvtrack.dynamics import IndexPair, canonical_index_pair, invariant_part
+from mvtrack.complexes import simplex
+from mvtrack.dynamics import IndexPair, canonical_index_pair, invariant_part, isolates
 from mvtrack.fields import MultivectorField
-from mvtrack.tracking import (NotAdjacentError, adjacency_zigzag, connect_pair_to_canonical,
-                              continuation_to_zigzag, hull, naive_intersection_zigzag,
+from mvtrack.tracking import (ZigzagAssemblyError, _adjacency_chunk, _chain, _naive_chunk, hull,
                               run_protocol, track_step)
+from mvtrack.zigzag import BACKWARD, FORWARD, PairTag, PairZigzag
 
 from helpers import (brute_hull, random_complex, random_field, random_isolated_set,
-                     random_subset)
+                     random_refinement, random_subset)
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
+SCENES = ("merging_saddles", "repeller_disk", "saddle_collision_nine", "unresolved_step")
 
 
 def test_hull_fixed_points(triangle):
@@ -102,64 +107,74 @@ def test_track_step_case_g():
     assert any("not an index pair" in note for note in heur.notes)
 
 
+def _step_zigzag(field, current, step):
+    """The zigzag one step appends, from the canonical pair of `current` on."""
+    return PairZigzag(field.cx, [canonical_index_pair(field, current)] + step.appended_pairs,
+                      step.appended_dirs, [PairTag(step.index, "canonical")] + step.appended_tags)
+
+
 def test_continuation_to_zigzag_single(merging_saddles):
     v1 = merging_saddles.fields[0]
     seed = merging_saddles.seed
-    pair = canonical_index_pair(v1, seed)
-    zz = continuation_to_zigzag([pair], [seed, seed], [v1, v1])
-    assert len(zz) == 1 and zz.pairs[0] == pair
+    zz = run_protocol([v1], seed).zigzag
+    assert len(zz) == 1 and zz.pairs[0] == canonical_index_pair(v1, seed)
 
 
 def test_continuation_to_zigzag_chain(nine_fields):
     fields = nine_fields.fields[:4]
-    sets = [nine_fields.seed]
-    pairs = []
-    for i in range(3):
-        step = track_step(fields[i], fields[i + 1], sets[-1], step_index=i + 1)
-        assert step.case in "abcd"
-        pairs.append(step.connecting_pair)
-        sets.append(step.result)
-    zz = continuation_to_zigzag(pairs, sets, fields)
-    assert len(zz) == 1 + 6 * (len(pairs) - 1)
-    barcode = mv.pair_zigzag_barcode(zz)
-    assert barcode.is_full()
-    first = mv.relative_homology(fields[0].cx, pairs[0].P, pairs[0].E)
+    trace = run_protocol(fields, nine_fields.seed)
+    assert [step.case for step in trace.steps] == list("daa")
+    assert len(trace.zigzag) == 1 + 6 * len(trace.steps)
+    for step in trace.steps:
+        # canonical <= push-forward >= meet <= connecting pair >= meet' ...
+        assert step.appended_pairs[2] == step.connecting_pair
+        assert step.appended_dirs == [FORWARD, BACKWARD] * 3
+    assert trace.barcode.is_full()
+    pair = trace.steps[0].connecting_pair
+    first = mv.relative_homology(fields[0].cx, pair.P, pair.E)
     for k, count in enumerate(first):
-        assert len(barcode.bars_in_dim(k)) == count
+        assert len(trace.barcode.bars_in_dim(k)) == count
 
 
 def test_adjacency_zigzag(merging_saddles):
     v1, v2, v3 = merging_saddles.fields
     seed = merging_saddles.seed
     step1 = track_step(v1, v2, seed)
-    step2 = track_step(v2, v3, step1.result)
-    zz = adjacency_zigzag(v2, v3, step1.result, step2.result)
+    step2 = track_step(v2, v3, step1.result, step_index=2)
+    assert step2.case == "f"
+    zz = _step_zigzag(v2, step1.result, step2)
     assert len(zz) == 5
     barcode = mv.pair_zigzag_barcode(zz)
     dim1 = sorted((b.birth, b.death) for b in barcode.bars_in_dim(1))
     assert dim1[0] == (1, 5) and dim1[1][1] == 5 and len(dim1) == 2
 
     # identical sets and fields: everything constant, full barcode
-    same = adjacency_zigzag(v1, v1, seed, seed)
+    cx = merging_saddles.cx
+    pairs, dirs, _ = _adjacency_chunk(v1, v1, seed, seed, cx.closure(seed), 2, 1, 2)
+    same = PairZigzag(cx, [canonical_index_pair(v1, seed)] + pairs, dirs)
     assert mv.pair_zigzag_barcode(same).is_full()
 
+    # case g: the union of closures does not isolate both sets
     cx, fld, nxt, gseed = _case_g_instance()
     bad = track_step(fld, nxt, gseed, heuristic_g=True)
-    with pytest.raises(NotAdjacentError):
-        adjacency_zigzag(fld, nxt, gseed, bad.result)
+    assert bad.case == "g" and bad.adjacency_set is None
+    ambient = cx.closure(gseed) | cx.closure(bad.result)
+    assert not (isolates(fld, ambient, gseed) and isolates(nxt, ambient, bad.result))
 
 
 def test_connect_pair_to_canonical(merging_saddles):
-    v1 = merging_saddles.fields[0]
+    v1, v2 = merging_saddles.fields[:2]
     cx = merging_saddles.cx
     seed = merging_saddles.seed
     canonical = canonical_index_pair(v1, seed)
-    zz = connect_pair_to_canonical(v1, seed, canonical)
-    assert all(pair == canonical for pair in zz.pairs)
+    step = track_step(v1, v2, seed)
+    assert step.case == "a" and step.connecting_pair == canonical
+    assert step.appended_pairs[:3] == [canonical] * 3
     bigger = IndexPair(cx.simplices, frozenset(cx.simplices
                                                - invariant_part(v1, cx.simplices)))
-    with pytest.raises(mv.PreconditionError):
-        connect_pair_to_canonical(v1, seed, bigger)
+    assert not mv.validate_index_pair(v1, bigger.P, bigger.E, seed)
+    with pytest.raises(ZigzagAssemblyError):
+        _chain(v1, seed, bigger, 2, 1)
 
 
 def test_connect_push_forward_pair(repeller_disk):
@@ -167,32 +182,34 @@ def test_connect_push_forward_pair(repeller_disk):
     cx = repeller_disk.cx
     center = repeller_disk.seed
     pair = IndexPair(cx.simplices, frozenset(cx.simplices - center))
-    zz = connect_pair_to_canonical(fld, center, pair)
-    assert zz.pairs[-1] == canonical_index_pair(fld, center)
+    chain, tags = _chain(fld, center, pair, 2, 1)
+    assert chain[0] == canonical_index_pair(fld, center) and chain[-1] == pair
+    zz = PairZigzag(cx, chain[::-1], [BACKWARD, FORWARD, BACKWARD], tags[::-1])
     assert mv.pair_zigzag_barcode(zz).is_full()
 
 
 def test_naive_intersection_zigzag(merging_saddles):
-    cx = merging_saddles.cx
-    v2, v3 = merging_saddles.fields[1], merging_saddles.fields[2]
-    seed = merging_saddles.seed
-    step1 = track_step(merging_saddles.fields[0], v2, seed)
-    step2 = track_step(v2, v3, step1.result)
-    zz = naive_intersection_zigzag(cx, step1.result, step2.result)
+    cx, fld, nxt, seed = _case_g_instance()
+    step = track_step(fld, nxt, seed, heuristic_g=True)
+    zz = _step_zigzag(fld, seed, step)
     assert len(zz) == 3
     assert zz.tags[1].heuristic
     middle = zz.pairs[1]
-    s_mid = invariant_part(v2, middle.body)
-    assert not mv.validate_index_pair(v2, middle.P, middle.E, s_mid)
+    assert not mv.validate_index_pair(nxt, middle.P, middle.E,
+                                      invariant_part(nxt, middle.body))
     assert not mv.pair_zigzag_barcode(zz).is_full()
 
-    constant = naive_intersection_zigzag(cx, seed, seed)
+    cx = merging_saddles.cx
+    seed = merging_saddles.seed
+    pairs, dirs, _ = _naive_chunk(cx, seed, seed, 2)
+    constant = PairZigzag(cx, [IndexPair(cx.closure(seed), cx.mouth(seed))] + pairs, dirs)
     assert mv.pair_zigzag_barcode(constant).is_full()
 
     # disjoint closures: the middle pair is empty and every bar dies
     strip = mv.Complex.from_maximal([[0, 1], [2, 3]])
     left, right = frozenset({(0, 1)}), frozenset({(2, 3)})
-    zz = naive_intersection_zigzag(strip, left, right)
+    pairs, dirs, _ = _naive_chunk(strip, left, right, 2)
+    zz = PairZigzag(strip, [IndexPair(strip.closure(left), strip.mouth(left))] + pairs, dirs)
     barcode = mv.pair_zigzag_barcode(zz)
     assert barcode.betti_per_position[1] == (0, 0)
     assert all(b.birth == b.death for b in barcode.bars)
@@ -274,3 +291,71 @@ def _random_refinement_or_none(rng, fld):
 def _random_coarsening_or_none(rng, fld):
     from helpers import random_coarsening
     return random_coarsening(rng, fld)
+
+
+def _bars(trace):
+    return [(b.dim, b.birth, b.death) for b in trace.barcode.bars]
+
+
+def _relabeled(scene, perm):
+    """Fields and seed of a scene with every vertex v renamed perm[v]."""
+    def image(s):
+        return simplex(perm[v] for v in s)
+    cx = mv.Complex(image(s) for s in scene.cx.simplices)
+    fields = [MultivectorField.from_parts(cx, [[image(s) for s in part] for part in fld.parts()])
+              for fld in scene.fields]
+    return fields, frozenset(image(s) for s in scene.seed)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", SCENES)
+def test_relabeling_vertices_keeps_cases_and_barcode(name, p):
+    """Renaming vertices reorders simplices and flips orientations, but the
+    dynamics, the case of every step and the barcode are the same."""
+    scene = mv.load_scene(FIXTURES / f"{name}.json")
+    base = run_protocol(scene.fields, scene.seed, p)
+    rng = random.Random(name)
+    vertices = list(scene.cx.vertices)
+    for _ in range(3):
+        fields, seed = _relabeled(scene, dict(zip(vertices, rng.sample(vertices, len(vertices)))))
+        trace = run_protocol(fields, seed, p)
+        assert [s.case for s in trace.steps] == [s.case for s in base.steps]
+        assert trace.stopped == base.stopped
+        assert _bars(trace) == _bars(base)
+
+
+def _split_and_merge_back(rng, fld):
+    """An atomic split of fld and the merge that undoes it, or None."""
+    split = random_refinement(rng, fld)
+    if split is None:
+        return None
+    halves = set(split.parts()) - set(fld.parts())
+    a, b = (min(half) for half in halves)
+    back = split.merge(split.mv_id(a), split.mv_id(b))
+    assert back == fld
+    return split, back
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_split_then_merge_back_continues_with_full_bars(p):
+    rng = random.Random(70 + p)
+    instances = [(scene.fields[0], scene.seed)
+                 for scene in (mv.load_scene(FIXTURES / f"{name}.json") for name in SCENES)]
+    while len(instances) < 40:
+        cx = random_complex(rng, max_size=16)
+        fld = random_field(rng, cx)
+        seed = random_isolated_set(rng, fld, p) if mv.validate_field(fld) else None
+        if seed is not None:
+            instances.append((fld, seed))
+    checked = 0
+    for fld, seed in instances:
+        for _ in range(3):
+            pair = _split_and_merge_back(rng, fld)
+            if pair is None:
+                break
+            trace = run_protocol([fld, *pair], seed, p)
+            assert trace.stopped == "completed"
+            assert all(step.case in "abcd" for step in trace.steps)
+            assert trace.barcode.is_full()
+            checked += 1
+    assert checked >= 60

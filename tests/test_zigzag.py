@@ -1,17 +1,15 @@
 import random
 
-import numpy as np
 import pytest
 
 import mvtrack as mv
 from mvtrack.dynamics import IndexPair
 from mvtrack.zigzag import (BACKWARD, FORWARD, Bar, PairZigzag, homology_module,
-                            induced_map_rank, interval_multiplicities,
-                            pair_zigzag_barcode)
+                            interval_multiplicities, pair_zigzag_barcode)
 
-from helpers import (oracle_multiplicities, random_complex, random_field,
-                     random_isolated_set, random_module, closed_subsets,
-                     windowed_multiplicities)
+from helpers import (dense_arrows, induced_map_rank, oracle_multiplicities, random_complex,
+                     random_field, random_isolated_set, random_module, closed_subsets,
+                     sparse_arrows, windowed_multiplicities)
 
 SWAP = {FORWARD: BACKWARD, BACKWARD: FORWARD}
 
@@ -34,15 +32,18 @@ def test_pair_zigzag_checks_inclusions(triangle):
 
 
 def test_interval_multiplicities_hand_cases():
-    ident = np.eye(1, dtype=np.int64)
-    zero = np.zeros((1, 1), dtype=np.int64)
+    ident = [{0: 1}]
+    zero = [{}]
     # F --id--> F : one bar across
     assert interval_multiplicities([1, 1], [(FORWARD, ident)]) == {(0, 1): 1}
     # F <--0-- F : two singleton bars
     assert interval_multiplicities([1, 1], [(BACKWARD, zero)]) == {(0, 0): 1, (1, 1): 1}
+    # a coefficient that is 0 mod p is the zero map
+    assert interval_multiplicities([1, 1], [(BACKWARD, [{0: 3}])], 3) \
+        == {(0, 0): 1, (1, 1): 1}
     # F --(1,0)--> F^2 <--(0,1)-- F : bars [0,1] and [1,2]
-    left = np.array([[1], [0]], dtype=np.int64)
-    right = np.array([[0], [1]], dtype=np.int64)
+    left = [{0: 1}]
+    right = [{1: 1}]
     out = interval_multiplicities([1, 2, 1], [(FORWARD, left), (BACKWARD, right)])
     assert out == {(0, 1): 1, (1, 2): 1}
 
@@ -55,7 +56,7 @@ def test_interval_multiplicities_against_hom_oracle():
         n = rng.randint(1, 5)
         p = (2, 3, 5)[i % 3]
         dims, arrows = random_module(rng, n, max_dim=3, p=p, degenerate=0.3)
-        got = interval_multiplicities(dims, arrows, p)
+        got = interval_multiplicities(dims, sparse_arrows(arrows), p)
         assert got == oracle_multiplicities(dims, arrows, p)
         assert got == windowed_multiplicities(dims, arrows, p)
 
@@ -66,21 +67,28 @@ def test_sweep_matches_windowed_oracle_on_long_modules():
         p = rng.choice([2, 3, 5])
         dims, arrows = random_module(rng, rng.randint(10, 30), max_dim=4, p=p,
                                      degenerate=0.3)
-        assert interval_multiplicities(dims, arrows, p) \
+        assert interval_multiplicities(dims, sparse_arrows(arrows), p) \
             == windowed_multiplicities(dims, arrows, p)
 
 
 def test_interval_multiplicities_rejects_malformed_modules():
-    ident = np.eye(1, dtype=np.int64)
+    ident = [{0: 1}]
     with pytest.raises(ValueError, match="arrows"):
         interval_multiplicities([1, 1, 1], [(FORWARD, ident)])
     with pytest.raises(ValueError, match="direction"):
         interval_multiplicities([1, 1], [("sideways", ident)])
-    # f: V_0 -> V_1 must be dims[1] x dims[0]; g: V_1 -> V_0 the transpose
-    with pytest.raises(ValueError, match="shape"):
-        interval_multiplicities([1, 2], [(FORWARD, np.ones((1, 2), dtype=np.int64))])
-    with pytest.raises(ValueError, match="shape"):
-        interval_multiplicities([1, 2], [(BACKWARD, np.ones((2, 1), dtype=np.int64))])
+    # f: V_0 -> V_1 has dims[0] columns with rows below dims[1]; g: V_1 -> V_0
+    # has dims[1] columns with rows below dims[0]
+    with pytest.raises(ValueError, match="columns"):
+        interval_multiplicities([1, 2], [(FORWARD, [{0: 1}, {1: 1}])])
+    with pytest.raises(ValueError, match="columns"):
+        interval_multiplicities([1, 2], [(BACKWARD, [{0: 1}])])
+    with pytest.raises(ValueError, match="row"):
+        interval_multiplicities([1, 2], [(FORWARD, [{2: 1}])])
+    with pytest.raises(ValueError, match="row"):
+        interval_multiplicities([1, 2], [(BACKWARD, [{0: 1}, {1: 1}])])
+    with pytest.raises(ValueError, match="row"):
+        interval_multiplicities([2, 1], [(FORWARD, [{-1: 1}, {0: 1}])])
 
 
 def _reversed_module(dims, arrows):
@@ -93,6 +101,7 @@ def test_reversing_a_module_mirrors_its_intervals():
         p = rng.choice([2, 3, 5])
         n = rng.randint(1, 12)
         dims, arrows = random_module(rng, n, max_dim=3, p=p, degenerate=0.3)
+        arrows = sparse_arrows(arrows)
         mirrored = {(n - 1 - d, n - 1 - b): m
                     for (b, d), m in interval_multiplicities(dims, arrows, p).items()}
         assert interval_multiplicities(*_reversed_module(dims, arrows), p) == mirrored
@@ -189,7 +198,7 @@ def test_module_extraction_matches_oracle_on_real_zigzags():
         _, modules = homology_module(zz, 2)
         for dims, arrows in modules:
             assert interval_multiplicities(dims, arrows, 2) \
-                == oracle_multiplicities(dims, arrows, 2)
+                == oracle_multiplicities(dims, dense_arrows(dims, arrows), 2)
         done += 1
 
 
