@@ -83,7 +83,8 @@ class Complex:
         return sigma in self.simplices
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Complex) and self.simplices == other.simplices
+        return self is other or (isinstance(other, Complex)
+                                 and self.simplices == other.simplices)
 
     def __hash__(self) -> int:
         return hash(self.simplices)

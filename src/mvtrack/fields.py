@@ -4,14 +4,16 @@ A multivector field is a partition of a complex into convex pieces.  Each
 piece is identified by its lexicographically smallest member simplex, which
 keeps identities stable across serialization.  Criticality of a piece is the
 non-vanishing of the relative homology of (closure, mouth) and is cached per
-(piece, characteristic); cache fills are idempotent, so concurrent readers
-are safe.
+(piece, characteristic), and the sorted ids and validate_field's convexity
+report are stored; every fill is idempotent, so concurrent readers are safe.
+Splits and merges derive their result from the parent's tables and keep the
+criticality of untouched pieces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Optional
 
 from .algebra import relative_homology
 from .complexes import Complex, Simplex, SimplexSet
@@ -29,10 +31,9 @@ class MultivectorField:
     reported rather than merely rejected.
     """
 
-    __slots__ = ("cx", "_assign", "_parts", "_criticality")
+    __slots__ = ("cx", "_assign", "_parts", "_criticality", "_ids", "_report")
 
     def __init__(self, cx: Complex, parts: Iterable[Collection[Simplex]]):
-        self.cx = cx
         assign: dict[Simplex, Simplex] = {}
         part_map: dict[Simplex, SimplexSet] = {}
         for raw in parts:
@@ -50,9 +51,11 @@ class MultivectorField:
         missing = cx.simplices - assign.keys()
         if missing:
             raise ValueError(f"not a partition: {sorted(missing)[0]} unassigned")
-        self._assign = assign
-        self._parts = part_map
-        self._criticality: dict[tuple[Simplex, int], bool] = {}
+        self._adopt(cx, assign, part_map, {})
+
+    def _adopt(self, cx: Complex, assign: dict, parts: dict, criticality: dict) -> None:
+        self.cx, self._assign, self._parts, self._criticality = cx, assign, parts, criticality
+        self._ids = self._report = None
 
     @classmethod
     def singleton_field(cls, cx: Complex) -> "MultivectorField":
@@ -90,7 +93,9 @@ class MultivectorField:
         return self._parts[self._assign[sigma]]
 
     def ids(self) -> tuple[Simplex, ...]:
-        return tuple(sorted(self._parts))
+        if self._ids is None:
+            self._ids = tuple(sorted(self._parts))
+        return self._ids
 
     def parts(self) -> tuple[SimplexSet, ...]:
         return tuple(self._parts[i] for i in self.ids())
@@ -124,17 +129,33 @@ class MultivectorField:
         off = frozenset(off)
         if not off or not off < part:
             raise ValueError("split piece must be a proper non-empty subset of the multivector")
-        parts = [p for i, p in self._parts.items() if i != ident]
-        parts.extend([off, part - off])
-        return MultivectorField(self.cx, parts)
+        return self._replace((ident,), (off, part - off))
 
     def merge(self, ident_a: Simplex, ident_b: Simplex) -> "MultivectorField":
         """Atomic coarsening merging two multivectors into one."""
         if ident_a == ident_b:
             raise ValueError("cannot merge a multivector with itself")
-        parts = [p for i, p in self._parts.items() if i not in (ident_a, ident_b)]
-        parts.append(self._parts[ident_a] | self._parts[ident_b])
-        return MultivectorField(self.cx, parts)
+        return self._replace((ident_a, ident_b), (self._parts[ident_a] | self._parts[ident_b],))
+
+    def _replace(self, gone: tuple[Simplex, ...],
+                 born: tuple[SimplexSet, ...]) -> "MultivectorField":
+        """The field whose parts `gone` give way to `born`, which covers the
+        same simplices.  Criticality entries of every gone id are dropped: the
+        half of a split that keeps the minimum keeps its id, not its content."""
+        assign = dict(self._assign)
+        parts = dict(self._parts)
+        for ident in gone:
+            del parts[ident]
+        for part in born:
+            ident = min(part)
+            parts[ident] = part
+            for s in part:
+                assign[s] = ident
+        criticality = {key: crit for key, crit in self._criticality.items()
+                       if key[0] not in gone}
+        child = object.__new__(MultivectorField)
+        child._adopt(self.cx, assign, parts, criticality)
+        return child
 
 
 @dataclass(frozen=True)
@@ -147,15 +168,25 @@ class CheckReport:
         return self.ok
 
 
-def validate_field(field: MultivectorField) -> CheckReport:
-    """Check that every part is convex, naming offenders (partition is enforced
-    at construction).  Disconnected parts are deliberately accepted."""
-    problems = []
-    for ident in field.ids():
-        part = field.part(ident)
-        if not field.cx.is_convex(part):
-            problems.append(f"multivector {sorted(part)} is not convex")
-    return CheckReport(not problems, tuple(problems))
+def validate_field(field: MultivectorField,
+                   step: Optional[AtomicRearrangement] = None) -> CheckReport:
+    """Check that every part is convex, naming offenders in part-id order
+    (partition is enforced at construction).  Disconnected parts are
+    deliberately accepted.  The report is stored on the field.
+
+    `step`, if given, must be the atomic rearrangement that made `field` from
+    a field that passed: only the parts it added are then checked."""
+    if field._report is None:
+        if step is None:
+            checked = field.parts()
+        elif step.kind == "refinement":
+            checked = step.parts
+        else:
+            checked = (step.whole,)
+        problems = tuple(f"multivector {sorted(part)} is not convex"
+                         for part in checked if not field.cx.is_convex(part))
+        field._report = CheckReport(not problems, problems)
+    return field._report
 
 
 @dataclass(frozen=True)
@@ -164,7 +195,7 @@ class AtomicRearrangement:
 
     `whole` is the one multivector that splits (refinement, a part of the
     source field) or results from the merge (coarsening, a part of the
-    target field); `parts` are its two halves.
+    target field); `parts` are its two halves, in part-id order.
     """
     kind: str  # "refinement" | "coarsening"
     whole: SimplexSet
@@ -180,8 +211,8 @@ def classify_rearrangement(field: MultivectorField,
     """
     if field.cx != other.cx:
         raise NotAtomicError("fields live on different complexes")
-    old = set(field.parts())
-    new = set(other.parts())
+    old = set(field._parts.values())
+    new = set(other._parts.values())
     gone = sorted(old - new, key=sorted)
     born = sorted(new - old, key=sorted)
     if len(gone) == 1 and len(born) == 2:

@@ -17,6 +17,8 @@ field: {"op": "split", "off": [<simplex>, ...]} splits the multivector
 containing the listed simplices, {"op": "merge", "mvs": [<simplex>,
 <simplex>]} merges the two containing multivectors.
 
+Fields after the first are checked only by the multivectors their atomic step adds.
+
 A zigzag file replaces "fields"/"seed" with "pairs":
 [{"p": [...], "e": [...]}, ...]; inclusion directions are inferred.
 """
@@ -155,17 +157,21 @@ def scene_from_dict(doc: dict, check_atomic: bool = True) -> Scene:
         raise SchemaError("'fields' must be an array or an initial/ops object")
     if not fields:
         raise SchemaError("scene needs at least one field")
+    not_atomic = None  # the first non-atomic step, raised after every convexity check
     for k, fld in enumerate(fields):
-        report = validate_field(fld)
+        step = None
+        if check_atomic and k:
+            try:
+                step = classify_rearrangement(fields[k - 1], fld)
+            except ValueError as exc:
+                not_atomic = not_atomic or (k, exc)
+        report = validate_field(fld, step)
         if not report:
             raise SchemaError(f"field {k + 1}: " + "; ".join(report.problems))
-    if check_atomic:
-        for k, (a, b) in enumerate(zip(fields, fields[1:])):
-            try:
-                classify_rearrangement(a, b)
-            except ValueError as exc:
-                raise SchemaError(f"fields {k + 1} -> {k + 2} are not an atomic "
-                                  f"rearrangement: {exc}") from exc
+    if not_atomic:
+        k, exc = not_atomic
+        raise SchemaError(f"fields {k} -> {k + 1} are not an atomic "
+                          f"rearrangement: {exc}") from exc
     seed_raw = doc.get("seed", [])
     seed = frozenset(_parse_simplex_set(seed_raw, labels, "'seed'"))
     try:

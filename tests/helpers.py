@@ -8,7 +8,9 @@ decompose modules through Hom-space dimensions and through generalized ranks
 over windows; the homology oracles use dense row elimination (numpy int64,
 so only for small primes) instead of the library's sparse column reduction.
 The oracles take zigzag arrows as dense matrices; `sparse_arrows` and
-`dense_arrows` convert to and from the library's sparse columns.
+`dense_arrows` convert to and from the library's sparse columns.  The
+convexity oracle checks every multivector of a field, where the loader
+checks only what each atomic step adds.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 import mvtrack as mv
 from mvtrack import algebra
+from mvtrack.complexes import facets
 from mvtrack.zigzag import BACKWARD, FORWARD
 
 
@@ -103,6 +106,90 @@ def random_coarsening(rng, fld):
         if fld.cx.is_convex(fld.part(a) | fld.part(b)):
             return fld.merge(a, b)
     return None
+
+
+def grid_complex(n):
+    """An n x n grid of squares, each cut into two triangles along its
+    diagonal; vertex (i, j) has id i * (n + 1) + j."""
+    triangles = []
+    for i in range(n):
+        for j in range(n):
+            a = i * (n + 1) + j
+            triangles += [[a, a + 1, a + n + 2], [a, a + n + 1, a + n + 2]]
+    return mv.Complex.from_maximal(triangles)
+
+
+def _has_closed_path(cx, matched):
+    """True iff the Hasse diagram, with the edge of every matched (facet,
+    cofacet) pair turned upward, has a directed cycle (Kahn's algorithm)."""
+    succ = {s: [] for s in cx.simplices}
+    for tau in cx.simplices:
+        for rho in facets(tau):
+            if matched.get(rho) == tau:
+                succ[rho].append(tau)
+            else:
+                succ[tau].append(rho)
+    indegree = {s: 0 for s in cx.simplices}
+    for targets in succ.values():
+        for t in targets:
+            indegree[t] += 1
+    ready = [s for s, d in indegree.items() if not d]
+    seen = 0
+    while ready:
+        seen += 1
+        for t in succ[ready.pop()]:
+            indegree[t] -= 1
+            if not indegree[t]:
+                ready.append(t)
+    return seen < len(cx)
+
+
+def random_gradient_field(rng, cx):
+    """A gradient field: singletons and (facet, cofacet) pairs of an acyclic
+    matching, grown greedily from the facet pairs in random order."""
+    candidates = [(rho, tau) for tau in sorted(cx.simplices) for rho in facets(tau)]
+    rng.shuffle(candidates)
+    matched = {}
+    used = set()
+    for rho, tau in candidates:
+        if rho in used or tau in used:
+            continue
+        matched[rho] = tau
+        if _has_closed_path(cx, matched):
+            del matched[rho]
+        else:
+            used |= {rho, tau}
+    return mv.MultivectorField.from_parts(cx, [[rho, tau] for rho, tau in matched.items()],
+                                          complete_singletons=True)
+
+
+def grid_scene(rng, n=4, steps=4, p=2):
+    """Fields on grid_complex(n): a random gradient field, then `steps` random
+    atomic splits and merges.  Returns (fields, seed), with a seed isolated
+    under the first field at characteristic p, or None if none was found."""
+    fields = [random_gradient_field(rng, grid_complex(n))]
+    for _ in range(20 * steps):
+        if len(fields) > steps:
+            break
+        move = random_refinement if rng.random() < 0.5 else random_coarsening
+        nxt = move(rng, fields[-1])
+        if nxt is not None:
+            fields.append(nxt)
+    seed = random_isolated_set(rng, fields[0], p)
+    return None if seed is None else (fields, seed)
+
+
+# ------------------------------------------------------ convexity oracle
+
+def full_convexity_report(fld):
+    """Check every multivector for convexity, in part-id order, with neither
+    the report stored on the field nor its cached ids."""
+    problems = []
+    for ident in sorted({fld.mv_id(s) for s in fld.cx.simplices}):
+        part = fld.part(ident)
+        if not fld.cx.is_convex(part):
+            problems.append(f"multivector {sorted(part)} is not convex")
+    return mv.CheckReport(not problems, tuple(problems))
 
 
 # ------------------------------------------------ invariant-part oracle

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import mvtrack as mv
+from mvtrack import cli, tracking
 from mvtrack.algebra import MAX_PRIME
 from mvtrack.cli import main
-from mvtrack.io import (SchemaError, load_scene, load_zigzag, save_scene,
+from mvtrack.io import (Scene, SchemaError, load_scene, load_zigzag, save_scene,
                         scene_from_dict, scene_to_dict, zigzag_from_dict)
 
 ROOT = Path(__file__).parent.parent
@@ -332,9 +333,9 @@ def test_unwritable_out_exits_2(tmp_path, capsys, argv):
     assert out.startswith("FAIL: cannot write") and str(blocker) in out
 
 
-def _nine_with_op(op):
+def _nine_with_op(op, k=0):
     doc = json.loads((FIXTURES / "saddle_collision_nine.json").read_text())
-    doc["fields"]["ops"][0] = op
+    doc["fields"]["ops"][k] = op
     return doc
 
 
@@ -352,6 +353,91 @@ def test_split_with_empty_off_has_its_own_message():
     with pytest.raises(SchemaError) as exc:
         scene_from_dict(_nine_with_op({"op": "split", "off": []}))
     assert str(exc.value) == "op 1: split needs at least one simplex in 'off'"
+
+
+def test_non_convex_merge_is_named_alike_in_ops_and_list_form():
+    """Field 5 is checked only by the union its merge adds; the message is
+    the one a check of every multivector gives."""
+    message = "field 5: multivector [(2, 6, 7), (6,)] is not convex"
+    with pytest.raises(SchemaError) as exc:
+        scene_from_dict(_nine_with_op({"op": "merge", "mvs": [[6], [2, 6, 7]]}, k=3))
+    assert str(exc.value) == message
+    scene = load_scene(FIXTURES / "saddle_collision_nine.json")
+    fld = scene.fields[3]
+    fields = scene.fields[:4] + [fld.merge(fld.mv_id((6,)), fld.mv_id((2, 6, 7)))]
+    with pytest.raises(SchemaError) as exc:
+        scene_from_dict(scene_to_dict(Scene(scene.cx, fields, scene.seed)))
+    assert str(exc.value) == message
+
+
+def test_non_atomic_step_is_reported_after_convexity():
+    """Step 1 -> 2 makes two merges at once.  A non-convex field 3 is still
+    reported first; with a convex field 3 the non-atomic step is."""
+    scene = load_scene(FIXTURES / "saddle_collision_nine.json")
+    one = scene.fields[0]
+    two = one.merge(one.mv_id((0,)), one.mv_id((0, 1))).merge(one.mv_id((4,)), one.mv_id((4, 9)))
+    bad = two.merge(two.mv_id((6,)), two.mv_id((2, 6, 7)))
+    good = two.merge(two.mv_id((1,)), two.mv_id((1, 2)))
+    for three, message in (
+            (bad, "field 3: multivector [(2, 6, 7), (6,), (6, 7)] is not convex"),
+            (good, "fields 1 -> 2 are not an atomic rearrangement: "
+                   "fields differ by 4 removed / 2 added multivectors")):
+        with pytest.raises(SchemaError) as exc:
+            scene_from_dict(scene_to_dict(Scene(scene.cx, [one, two, three], scene.seed)))
+        assert str(exc.value) == message
+
+
+@pytest.fixture
+def convexity_calls(monkeypatch):
+    """The argument of every Complex.is_convex call, in call order."""
+    calls = []
+    original = mv.Complex.is_convex
+
+    def counted(cx, subset):
+        calls.append(subset)
+        return original(cx, subset)
+
+    monkeypatch.setattr(mv.Complex, "is_convex", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["saddle_collision_nine", "merging_saddles"])
+def test_loading_checks_each_atomic_step_once(name, convexity_calls, monkeypatch, capsys):
+    """Counts work, not time: field 1 costs one convexity check per
+    multivector and each atomic step at most two; later checks cost none."""
+    path = FIXTURES / f"{name}.json"
+    scene = load_scene(path)
+    assert len(convexity_calls) <= len(scene.fields[0]) + 2 * (len(scene.fields) - 1)
+    convexity_calls.clear()
+    assert all(mv.validate_field(fld) for fld in scene.fields)
+    assert convexity_calls == []
+
+    def count(verb):
+        convexity_calls.clear()
+        verb()
+        return len(convexity_calls)
+
+    def verbs():
+        return (count(lambda: mv.run_protocol(scene.fields, scene.seed)),
+                count(lambda: run(capsys, "validate", str(path))))
+
+    with_checks = verbs()
+
+    def passed(fld):
+        return mv.CheckReport(True)
+
+    monkeypatch.setattr(tracking, "validate_field", passed)
+    monkeypatch.setattr(cli, "validate_field", passed)
+    assert verbs() == with_checks
+
+
+def test_rearrange_path_checks_every_field_in_full(tmp_path, convexity_calls, capsys):
+    path = str(FIXTURES / "merging_saddles.json")
+    scene = load_scene(path, check_atomic=False)
+    assert len(convexity_calls) == sum(len(fld) for fld in scene.fields)
+    convexity_calls.clear()
+    assert run(capsys, "rearrange-path", path, "--out", str(tmp_path / "path.json"))[0] == 0
+    assert len(convexity_calls) == sum(len(fld) for fld in scene.fields)
 
 
 def test_vertex_table_rejects_booleans():

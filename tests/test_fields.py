@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,8 +7,10 @@ import mvtrack as mv
 from mvtrack.fields import (MultivectorField, NotAtomicError, classify_rearrangement,
                             intersect_fields, refinement_path, rearrangement_path,
                             validate_field)
+from mvtrack.io import Scene, SchemaError, scene_from_dict, scene_to_dict
 
-from helpers import random_complex, random_field
+from helpers import (full_convexity_report, grid_complex, random_coarsening, random_complex,
+                     random_field, random_gradient_field, random_refinement)
 
 
 def test_partition_is_enforced(triangle):
@@ -147,3 +150,87 @@ def test_intersect_fields(triangle):
         a, b = random_field(rng, cx), random_field(rng, cx)
         pairwise = {pa & pb for pa in a.parts() for pb in b.parts()} - {frozenset()}
         assert set(intersect_fields(a, b).parts()) == pairwise
+
+
+def _forced_merge(rng, fld):
+    """A merge whose union is not convex, or None if every merge is convex."""
+    pairs = [(a, b) for a, b in itertools.combinations(fld.ids(), 2)
+             if not fld.cx.is_convex(fld.part(a) | fld.part(b))]
+    return fld.merge(*rng.choice(pairs)) if pairs else None
+
+
+def _forced_split(rng, fld):
+    """A split into a random subset and the rest, convex or not."""
+    targets = [i for i in fld.ids() if len(fld.part(i)) > 1]
+    if not targets:
+        return None
+    ident = rng.choice(targets)
+    part = sorted(fld.part(ident))
+    return fld.split(ident, frozenset(rng.sample(part, rng.randint(1, len(part) - 1))))
+
+
+def _random_atomic_sequence(rng, fld, steps):
+    moves = [random_refinement, random_coarsening, random_coarsening, _forced_merge, _forced_split]
+    fields = [fld]
+    for _ in range(steps):
+        nxt = rng.choice(moves)(rng, fields[-1])
+        if nxt is not None:
+            fields.append(nxt)
+    return fields
+
+
+def test_stored_reports_match_the_full_check_on_atomic_sequences():
+    """validate_field given each step, and the loader on the same sequence,
+    report exactly what checking every multivector reports, in order."""
+    rng = random.Random(29)
+    failures = 0
+    for trial in range(60):
+        cx = grid_complex(2) if trial % 4 == 0 else random_complex(rng, max_size=18)
+        start = MultivectorField(cx, [cx.simplices]) if trial % 3 == 0 else random_field(rng, cx)
+        fields = _random_atomic_sequence(rng, start, 8)
+        for k, fld in enumerate(fields):
+            step = classify_rearrangement(fields[k - 1], fld) if k else None
+            report = validate_field(fld, step)
+            assert report == full_convexity_report(fld)
+            assert validate_field(fld) is report
+            if not report:
+                fields = fields[:k + 1]
+                break
+        doc = scene_to_dict(Scene(cx, fields, frozenset()))
+        if report:
+            loaded = scene_from_dict(doc).fields
+            assert [validate_field(f) for f in loaded] == [full_convexity_report(f) for f in fields]
+        else:
+            failures += 1
+            with pytest.raises(SchemaError) as exc:
+                scene_from_dict(doc)
+            assert str(exc.value) == f"field {len(fields)}: " + "; ".join(report.problems)
+    assert failures >= 15
+
+
+def test_split_and_merge_match_fields_built_from_scratch():
+    """A derived field has the tables of one built from its parts, and every
+    criticality entry it carries over is still right."""
+    rng = random.Random(31)
+    checked = 0
+    for trial in range(40):
+        cx = grid_complex(2) if trial % 2 else random_complex(rng, max_size=18)
+        parent = random_gradient_field(rng, cx) if trial % 2 else random_field(rng, cx)
+        for p in (2, 3):
+            for ident in parent.ids():
+                parent.is_critical(ident, p)
+        for move in (_forced_split, _forced_merge, random_refinement, random_coarsening):
+            child = move(rng, parent)
+            if child is None:
+                continue
+            fresh = MultivectorField(cx, child.parts())
+            assert child._assign == fresh._assign
+            assert child._parts == fresh._parts
+            assert child.ids() == fresh.ids() == tuple(sorted(fresh._parts))
+            assert child.parts() == fresh.parts() and child == fresh
+            changed = {i for i in parent.ids() if child._parts.get(i) != parent.part(i)}
+            assert {i for i, _ in child._criticality} == set(parent.ids()) - changed
+            for (ident, p), crit in child._criticality.items():
+                assert crit == fresh.is_critical(ident, p)
+            checked += 1
+    assert checked >= 100

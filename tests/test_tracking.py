@@ -11,8 +11,8 @@ from mvtrack.tracking import (ZigzagAssemblyError, _adjacency_chunk, _chain, _na
                               run_protocol, track_step)
 from mvtrack.zigzag import BACKWARD, FORWARD, PairTag, PairZigzag
 
-from helpers import (brute_hull, random_complex, random_field, random_isolated_set,
-                     random_refinement, random_subset)
+from helpers import (brute_hull, grid_scene, random_complex, random_field,
+                     random_isolated_set, random_refinement, random_subset)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 SCENES = ("merging_saddles", "repeller_disk", "saddle_collision_nine", "unresolved_step")
@@ -359,3 +359,22 @@ def test_split_then_merge_back_continues_with_full_bars(p):
             assert trace.barcode.is_full()
             checked += 1
     assert checked >= 60
+
+
+def test_grid_scenes_give_the_same_barcode_at_p2_and_p3():
+    """Pairs of subcomplexes of a disk have torsion-free relative homology,
+    so characteristics 2 and 3 give the same cases and bars: both for a
+    small isolated set and for the invariant part of the whole grid."""
+    rng = random.Random(47)
+    checked = 0
+    while checked < 12:
+        scene = grid_scene(rng, n=4, steps=6)
+        if scene is None:
+            continue
+        fields, seed = scene
+        for start in (seed, invariant_part(fields[0], fields[0].cx.simplices, 2)):
+            two, three = (run_protocol(fields, start, p) for p in (2, 3))
+            assert [s.case for s in two.steps] == [s.case for s in three.steps]
+            assert two.stopped == three.stopped
+            assert _bars(two) == _bars(three)
+            checked += 1
