@@ -2,12 +2,11 @@
 
 The dynamics of a field on a subset A is the directed graph with vertex set
 A and an edge sigma -> tau whenever tau lies in the induced multivalued map
-of sigma, restricted to A.  The invariant part of A consists of the
-simplices that see an essential core in both directions, where the core
-collects simplices of critical multivectors together with simplices whose
-strongly connected component meets more than one multivector.  This
-reduction is validated against a direct essential-solution search in the
-test suite.
+of sigma, restricted to A.  The invariant part of A is a union of blocks,
+the simplices of A in one multivector, and is found by peeling blocks that
+cannot lie on an essential solution.  The peel is validated against a
+direct essential-solution search and against the former strongly connected
+component reduction in the test suite.
 
 All functions are pure; scratch state is private per call.
 """
@@ -46,94 +45,64 @@ class IndexPair:
         return other.P <= self.P and other.E <= self.E
 
 
-def step_graph(field: MultivectorField, subset: SimplexSet) -> dict[Simplex, list[Simplex]]:
-    """Successor lists of the dynamics restricted to `subset`."""
-    return {s: sorted(field.fmap(s) & subset) for s in subset}
-
-
-def _reachable(adj: dict[Simplex, list[Simplex]], seeds: Collection[Simplex]) -> set[Simplex]:
+def _reachable(field: MultivectorField, nbhd: SimplexSet,
+               seeds: Collection[Simplex]) -> set[Simplex]:
+    """Everything reachable from `seeds` by steps of the dynamics inside `nbhd`."""
     seen = set(seeds)
-    stack = list(seeds)
+    stack = list(seen)
     while stack:
-        for nxt in adj[stack.pop()]:
+        for nxt in field.fmap(stack.pop()) & nbhd:
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
     return seen
 
 
-def _reverse(adj: dict[Simplex, list[Simplex]]) -> dict[Simplex, list[Simplex]]:
-    rev: dict[Simplex, list[Simplex]] = {s: [] for s in adj}
-    for s, nbrs in adj.items():
-        for t in nbrs:
-            rev[t].append(s)
-    return rev
-
-
-def strongly_connected_components(adj: dict[Simplex, list[Simplex]]) -> list[set[Simplex]]:
-    """Tarjan's algorithm, iterative to sidestep recursion limits."""
-    index: dict[Simplex, int] = {}
-    low: dict[Simplex, int] = {}
-    on_stack: set[Simplex] = set()
-    stack: list[Simplex] = []
-    counter = 0
-    out: list[set[Simplex]] = []
-    for root in adj:
-        if root in index:
-            continue
-        work = [(root, iter(adj[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    top = stack.pop()
-                    on_stack.discard(top)
-                    comp.add(top)
-                    if top == node:
-                        break
-                out.append(comp)
-    return out
-
-
 def invariant_part(field: MultivectorField, subset: Collection[Simplex],
                    p: int = 2) -> SimplexSet:
-    """Simplices of the subset lying on an essential solution inside it."""
-    subset = field.cx.check_subset(subset)
-    if not subset:
-        return frozenset()
-    adj = step_graph(field, subset)
-    core: set[Simplex] = {s for s in subset if field.is_critical(field.mv_id(s), p)}
-    for comp in strongly_connected_components(adj):
-        if len({field.mv_id(s) for s in comp}) > 1:
-            core |= comp
-    if not core:
-        return frozenset()
-    forward = _reachable(adj, core)
-    backward = _reachable(_reverse(adj), core)
-    return frozenset(forward & backward)
+    """Simplices of the subset lying on an essential solution inside it.
+
+    A block is the set of simplices of the subset that lie in one multivector.
+    Each block maps onto itself, since fmap(s) contains the multivector of s,
+    so the answer is a union of blocks, and the only steps between blocks go
+    to faces.  The essential blocks are those that reach, and are reached
+    from, a critical block or a cycle of blocks.  Peeling every regular block
+    without a predecessor or a successor among the remaining blocks, until
+    none is left, keeps exactly these: a block on an essential solution keeps
+    its neighbours on that solution, and a remaining regular block has a
+    remaining predecessor and successor, so walks from it both ways end at a
+    critical block or on a cycle.
+    """
+    cx = field.cx
+    subset = cx.check_subset(subset)
+    blocks: dict[Simplex, list[Simplex]] = {}
+    for s in subset:
+        blocks.setdefault(field.mv_id(s), []).append(s)
+    succ: dict[Simplex, set[Simplex]] = {b: set() for b in blocks}
+    pred: dict[Simplex, set[Simplex]] = {b: set() for b in blocks}
+    for b, members in blocks.items():
+        for s in members:
+            for t in cx.closure_of(s):
+                if t in subset:
+                    c = field.mv_id(t)
+                    if c != b:
+                        succ[b].add(c)
+                        pred[c].add(b)
+    stack = [b for b in blocks if not succ[b] or not pred[b]]
+    while stack:
+        b = stack.pop()
+        if b not in blocks or field.is_critical(b, p):
+            continue
+        del blocks[b]
+        for c in succ.pop(b):
+            pred[c].discard(b)
+            if not pred[c]:
+                stack.append(c)
+        for c in pred.pop(b):
+            succ[c].discard(b)
+            if not succ[c]:
+                stack.append(c)
+    return frozenset(s for members in blocks.values() for s in members)
 
 
 def is_invariant(field: MultivectorField, subset: Collection[Simplex], p: int = 2) -> bool:
@@ -171,8 +140,7 @@ def isolates(field: MultivectorField, nbhd: Collection[Simplex],
     exits -= subset
     if not exits:
         return True
-    adj = step_graph(field, nbhd)
-    return not (_reachable(adj, exits) & subset)
+    return not (_reachable(field, nbhd, exits) & subset)
 
 
 def push_forward(field: MultivectorField, subset: Collection[Simplex],
@@ -185,7 +153,7 @@ def push_forward(field: MultivectorField, subset: Collection[Simplex],
         raise ValueError("push-forward seed must lie inside the ambient set")
     if not cx.is_closed(nbhd):
         raise ValueError("push-forward ambient set must be closed")
-    return frozenset(_reachable(step_graph(field, nbhd), subset))
+    return frozenset(_reachable(field, nbhd, subset))
 
 
 def canonical_index_pair(field: MultivectorField, subset: Collection[Simplex],

@@ -2,7 +2,10 @@
 
 The oracles deliberately avoid the library's algorithmic shortcuts: the
 invariant-part oracle searches for explicit eventually-periodic solutions
-and evaluates the essential-solution condition position by position; the
+and evaluates the essential-solution condition position by position, and
+`scc_invariant_part`, the library's former algorithm, intersects forward and
+backward reachability from critical simplices and strongly connected
+components that meet more than one multivector; the
 hull oracle intersects all convex compatible supersets; the zigzag oracles
 decompose modules through Hom-space dimensions and through generalized ranks
 over windows; the homology oracles use dense row elimination (numpy int64,
@@ -192,7 +195,97 @@ def full_convexity_report(fld):
     return mv.CheckReport(not problems, tuple(problems))
 
 
-# ------------------------------------------------ invariant-part oracle
+# ----------------------------------------------- invariant-part oracles
+
+def step_graph(fld, subset):
+    """Successor lists of the dynamics restricted to `subset`."""
+    return {s: sorted(fld.fmap(s) & subset) for s in subset}
+
+
+def _reachable(adj, seeds):
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+def _reverse(adj):
+    rev = {s: [] for s in adj}
+    for s, nbrs in adj.items():
+        for t in nbrs:
+            rev[t].append(s)
+    return rev
+
+
+def strongly_connected_components(adj):
+    """Tarjan's algorithm, iterative to sidestep recursion limits."""
+    index = {}
+    low = {}
+    on_stack = set()
+    stack = []
+    counter = 0
+    out = []
+    for root in adj:
+        if root in index:
+            continue
+        work = [(root, iter(adj[root]))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for nxt in it:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = counter
+                    counter += 1
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(adj[nxt])))
+                    advanced = True
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = set()
+                while True:
+                    top = stack.pop()
+                    on_stack.discard(top)
+                    comp.add(top)
+                    if top == node:
+                        break
+                out.append(comp)
+    return out
+
+
+def scc_invariant_part(fld, subset, p=2):
+    """The former library reduction: simplices that see an essential core in
+    both directions, where the core collects the simplices of critical
+    multivectors and every strongly connected component of the step graph
+    that meets more than one multivector."""
+    subset = frozenset(subset)
+    if not subset:
+        return frozenset()
+    adj = step_graph(fld, subset)
+    core = {s for s in subset if fld.is_critical(fld.mv_id(s), p)}
+    for comp in strongly_connected_components(adj):
+        if len({fld.mv_id(s) for s in comp}) > 1:
+            core |= comp
+    if not core:
+        return frozenset()
+    return frozenset(_reachable(adj, core) & _reachable(_reverse(adj), core))
+
 
 def _simple_cycles(adj):
     """All simple directed cycles (as node tuples), each rooted at its least node."""
@@ -260,12 +353,12 @@ def brute_invariant_part(fld, subset, p=2):
     subset = frozenset(subset)
     if not subset:
         return frozenset()
-    adj = {s: sorted(fld.fmap(s) & subset) for s in subset}
+    adj = step_graph(fld, subset)
     crit = {s: fld.is_critical(fld.mv_id(s), p) for s in subset}
     mv_of = {s: fld.mv_id(s) for s in subset}
     cycles = _simple_cycles(adj)
     assert len(cycles) < 20000, "instance too dense for the brute-force oracle"
-    reach = {s: mv.dynamics._reachable(adj, [s]) for s in subset}
+    reach = {s: _reachable(adj, [s]) for s in subset}
     result = set()
     for sigma in subset:
         into = [c for c in cycles if any(sigma in reach[u] for u in c)]

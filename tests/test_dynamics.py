@@ -8,8 +8,9 @@ from mvtrack.dynamics import (IndexPair, canonical_index_pair, invariant_part,
                               validate_index_pair_in_n)
 from mvtrack.fields import MultivectorField, intersect_fields
 
-from helpers import (brute_invariant_part, closed_subsets, random_complex,
-                     random_field, random_isolated_set, random_subset)
+from helpers import (brute_invariant_part, closed_subsets, grid_scene, random_complex,
+                     random_field, random_isolated_set, random_subset, scc_invariant_part,
+                     step_graph, strongly_connected_components)
 
 
 def test_index_pair_type():
@@ -45,6 +46,87 @@ def test_invariant_part_against_definition_oracle():
         fld = random_field(rng, cx, merges=rng.randint(0, 4))
         subset = random_subset(rng, cx.simplices, max_size=10)
         assert invariant_part(fld, subset) == brute_invariant_part(fld, subset)
+
+
+def _has_cycle_of_blocks(fld, subset):
+    return any(len({fld.mv_id(s) for s in comp}) > 1
+               for comp in strongly_connected_components(step_graph(fld, subset)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_invariant_part_against_both_oracles(p):
+    """Arbitrary subsets, most neither convex nor compatible."""
+    rng = random.Random(40 + p)
+    cycles = non_convex = non_compatible = 0
+    for _ in range(300):
+        cx = random_complex(rng, n_vertices=6, n_maximal=4, max_dim=2, max_size=16)
+        fld = random_field(rng, cx)
+        subset = random_subset(rng, cx.simplices, max_size=14)
+        inv = invariant_part(fld, subset, p)
+        assert inv == scc_invariant_part(fld, subset, p)
+        assert inv == brute_invariant_part(fld, subset, p)
+        cycles += _has_cycle_of_blocks(fld, subset)
+        non_convex += not cx.is_convex(subset)
+        non_compatible += not fld.is_compatible(subset)
+    assert cycles >= 3 and non_convex >= 30 and non_compatible >= 100
+
+
+def test_invariant_part_keeps_a_periodic_orbit(triangle):
+    """Three regular multivectors on the boundary of a triangle step around
+    it in a cycle; the critical triangle connects to that cycle."""
+    fld = MultivectorField.from_parts(
+        triangle, [[(0,), (0, 1)], [(1,), (1, 2)], [(2,), (0, 2)], [(0, 1, 2)]])
+    boundary = triangle.simplices - {(0, 1, 2)}
+    assert invariant_part(fld, boundary) == boundary
+    assert invariant_part(fld, triangle.simplices) == triangle.simplices
+    assert invariant_part(fld, boundary - {(1, 2)}) == frozenset()
+    assert invariant_part(fld, {(0, 1, 2), (0,), (0, 1)}) == {(0, 1, 2)}
+
+
+def test_invariant_part_against_scc_oracle_on_grid_scenes():
+    """Every field of random 8x8 and 10x10 grid scenes: the whole complex,
+    random subsets and hulls of random seeds."""
+    rng = random.Random(40)
+    cycles = 0
+    for n in (8, 8, 10):
+        scene = grid_scene(rng, n=n, steps=12)
+        assert scene is not None
+        for fld in scene[0]:
+            cx = fld.cx
+            subsets = [cx.simplices]
+            subsets += [random_subset(rng, cx.simplices) for _ in range(3)]
+            subsets += [mv.hull(fld, random_subset(rng, cx.simplices, max_size=8))
+                        for _ in range(3)]
+            for subset in subsets:
+                assert invariant_part(fld, subset) == scc_invariant_part(fld, subset)
+                cycles += _has_cycle_of_blocks(fld, subset)
+    assert cycles
+
+
+def _flow_down_a_path(n):
+    """The path 0 - 1 - ... - n with a gradient field flowing to vertex 0:
+    vertex i is paired with the edge below it for 0 < i < n, and vertex 0,
+    vertex n and the top edge (n - 1, n) are critical singletons."""
+    cx = mv.Complex.from_maximal([(i, i + 1) for i in range(n)])
+    pairs = [[(i,), (i - 1, i)] for i in range(1, n)]
+    return cx, MultivectorField.from_parts(cx, pairs, complete_singletons=True)
+
+
+def test_dynamics_on_a_long_path():
+    """About 20,000 simplices in one chain of blocks: the peel and the
+    reachability walk must not recurse."""
+    n = 10_000
+    cx, fld = _flow_down_a_path(n)
+    assert len(cx) == 2 * n + 1
+    top = (n - 1, n)
+    below_top = cx.simplices - {top, (n,)}
+    assert invariant_part(fld, cx.simplices) == cx.simplices
+    assert invariant_part(fld, cx.simplices - {top}) == {(0,), (n,)}
+    assert invariant_part(fld, below_top) == {(0,)}
+    assert push_forward(fld, {top}, cx.simplices) == cx.simplices
+    assert push_forward(fld, {(n - 1,)}, cx.simplices) == below_top
+    assert isolates(fld, cx.simplices, {top})
+    assert not isolates(fld, cx.simplices, {top, (0,)})
 
 
 def test_is_invariant(triangle):
