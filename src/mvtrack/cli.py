@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .algebra import check_prime, relative_homology
-from .dynamics import PreconditionError, is_isolated_invariant_set
+from .dynamics import PreconditionError, is_invariant
 from .fields import NotAtomicError, rearrangement_path, validate_field
 from .io import Scene, SchemaError, load_scene, load_zigzag, save_scene
 from .tracking import run_protocol
@@ -138,7 +138,7 @@ def cmd_validate(args) -> int:
             problems.append("seed is not convex")
         if not fld.is_compatible(scene.seed):
             problems.append("seed is not a union of multivectors of field 1")
-        if not problems and not is_isolated_invariant_set(fld, scene.seed, p):
+        if not problems and not is_invariant(fld, scene.seed, p):
             problems.append("seed is not invariant under field 1")
         seed_entry["ok"] = not problems
         seed_entry["problems"] = problems
@@ -177,7 +177,7 @@ def cmd_conley(args) -> int:
               "pair is not an index pair", None)
         return FAIL
     betti = relative_homology(cx, cx.closure(subset), cx.mouth(subset), args.field_char)
-    isolated = bool(subset) and is_isolated_invariant_set(fld, subset, args.field_char)
+    isolated = bool(subset) and is_invariant(fld, subset, args.field_char)
     if args.format == "json":
         _emit(_dump({"field": idx, "size": len(subset), "betti": list(betti),
                      "isolated_invariant": isolated}), None)

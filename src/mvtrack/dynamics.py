@@ -156,8 +156,7 @@ def push_forward(field: MultivectorField, subset: Collection[Simplex],
     return frozenset(_reachable(field, nbhd, subset))
 
 
-def canonical_index_pair(field: MultivectorField, subset: Collection[Simplex],
-                         p: int = 2) -> IndexPair:
+def canonical_index_pair(field: MultivectorField, subset: Collection[Simplex]) -> IndexPair:
     """(closure, mouth) of a convex compatible set: the minimal index pair
     for its invariant part."""
     cx = field.cx
@@ -169,19 +168,15 @@ def canonical_index_pair(field: MultivectorField, subset: Collection[Simplex],
     return IndexPair(cx.closure(subset), cx.mouth(subset))
 
 
-def validate_index_pair_in_n(field: MultivectorField, pset: Collection[Simplex],
-                             eset: Collection[Simplex], nbhd: Collection[Simplex],
-                             subset: Collection[Simplex], p: int = 2) -> CheckReport:
-    """Diagnostic check of the four conditions for an index pair inside `nbhd`.
-
-    With N = P these are the conditions for an index pair, and each failed
-    condition is reported once, naming P.
-    """
+def validate_pair_in_n(field: MultivectorField, pset: Collection[Simplex],
+                       eset: Collection[Simplex], nbhd: Collection[Simplex]) -> CheckReport:
+    """The conditions for an index pair inside `nbhd` that do not name its
+    invariant set: closedness, images and exits.  With N = P they are checked
+    for P itself, and each failed condition is reported once, naming P."""
     cx = field.cx
     pset = cx.check_subset(pset)
     eset = cx.check_subset(eset)
     nbhd = cx.check_subset(nbhd)
-    subset = cx.check_subset(subset)
     in_p = nbhd == pset
     n = "P" if in_p else "N"
     problems = []
@@ -193,8 +188,7 @@ def validate_index_pair_in_n(field: MultivectorField, pset: Collection[Simplex],
         problems.append("N is not closed")
     if not eset <= pset:
         problems.append("E is not a subset of P")
-    body = pset - eset
-    for s in sorted(body):
+    for s in sorted(pset - eset):
         if not field.fmap(s) <= nbhd:
             problems.append(f"image of {s} escapes {n}")
             break
@@ -207,9 +201,18 @@ def validate_index_pair_in_n(field: MultivectorField, pset: Collection[Simplex],
             if not field.fmap(s) & nbhd <= pset:
                 problems.append(f"image of {s} re-enters N outside P")
                 break
-    if invariant_part(field, body, p) != subset:
-        problems.append("invariant part of P \\ E differs from the given set")
     return CheckReport(not problems, tuple(problems))
+
+
+def validate_index_pair_in_n(field: MultivectorField, pset: Collection[Simplex],
+                             eset: Collection[Simplex], nbhd: Collection[Simplex],
+                             subset: Collection[Simplex], p: int = 2) -> CheckReport:
+    """Diagnostic check of the conditions of `validate_pair_in_n` and of the
+    fourth: the invariant part of P \\ E is the given set."""
+    problems = validate_pair_in_n(field, pset, eset, nbhd).problems
+    if invariant_part(field, set(pset) - set(eset), p) != field.cx.check_subset(subset):
+        problems += ("invariant part of P \\ E differs from the given set",)
+    return CheckReport(not problems, problems)
 
 
 def validate_index_pair(field: MultivectorField, pset: Collection[Simplex],
@@ -222,5 +225,5 @@ def validate_index_pair(field: MultivectorField, pset: Collection[Simplex],
 def conley_index(field: MultivectorField, subset: Collection[Simplex],
                  p: int = 2) -> tuple:
     """Betti vector of the canonical index pair of an isolated invariant set."""
-    pair = canonical_index_pair(field, subset, p)
+    pair = canonical_index_pair(field, subset)
     return relative_homology(field.cx, pair.P, pair.E, p)

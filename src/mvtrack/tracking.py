@@ -10,9 +10,12 @@ union isolates both ("adjacent" sets).  Failing that the step is
 unresolved; an optional heuristic emits the raw intersection of canonical
 pairs, which is generally not an index pair and is flagged as such.
 
-Every pair appended to the global zigzag is re-validated against the set
-it is supposed to encode; a failure raises, since it signals a bug
-upstream, not bad user input.
+Loop invariant: the zigzag ends on a validated canonical pair (closure,
+mouth) of the tracked set under the field the next step starts from.  A set
+is an isolated invariant set exactly when that pair is an index pair for it,
+so `run_protocol` checks the seed once and no step re-checks its start.
+Every other pair a step appends, its closing pair canonical(result) last, is
+validated once; a failure raises, since it signals a bug, not bad input.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 from .complexes import Complex, SimplexSet
-from .dynamics import (IndexPair, PreconditionError, canonical_index_pair, invariant_part,
-                       is_isolated_invariant_set, isolates, push_forward,
-                       validate_index_pair, validate_index_pair_in_n)
+from .dynamics import (IndexPair, PreconditionError, invariant_part, is_isolated_invariant_set,
+                       isolates, push_forward, validate_index_pair, validate_index_pair_in_n,
+                       validate_pair_in_n)
 from .fields import (AtomicRearrangement, CheckReport, MultivectorField,
                      classify_rearrangement, intersect_fields, validate_field)
 from .zigzag import BACKWARD, FORWARD, Barcode, PairTag, PairZigzag, pair_zigzag_barcode
@@ -88,12 +91,13 @@ class TrackingTrace:
     stopped: str  # completed | emptied | unresolved
 
 
-def _push_forward_pair(field: MultivectorField, subset: SimplexSet,
-                       nbhd: SimplexSet) -> IndexPair:
-    """The canonical pair of `subset` pushed forward inside the closed set `nbhd`."""
-    cx = field.cx
-    return IndexPair(push_forward(field, cx.closure(subset), nbhd),
-                     push_forward(field, cx.mouth(subset), nbhd))
+def _canonical(cx: Complex, subset: SimplexSet) -> IndexPair:
+    return IndexPair(cx.closure(subset), cx.mouth(subset))
+
+
+def _push_forward_pair(field: MultivectorField, pair: IndexPair, nbhd: SimplexSet) -> IndexPair:
+    """`pair` pushed forward inside the closed set `nbhd`."""
+    return IndexPair(push_forward(field, pair.P, nbhd), push_forward(field, pair.E, nbhd))
 
 
 _CHAIN = (("canonical", "canonical pair"), ("pushforward", "push-forward pair"),
@@ -102,50 +106,41 @@ _CHAIN = (("canonical", "canonical pair"), ("pushforward", "push-forward pair"),
 
 def _chain(field: MultivectorField, subset: SimplexSet, pair: IndexPair,
            p: int, tag: int) -> tuple[list[IndexPair], list[PairTag]]:
-    """canonical(S) <= pf-pair >= meet <= (P,E), each validated as an index pair for S.
+    """canonical(S) <= pf-pair >= meet <= (P,E), each an index pair for S.
 
-    The arrows between consecutive pairs run forward, backward, forward; read
-    backwards, the chain connects (P,E) down to canonical(S).  Pairs often
-    coincide, so each distinct pair is validated once, under its first label.
-    """
-    cx = field.cx
-    pf_pair = _push_forward_pair(field, subset, pair.P)
-    chain = [IndexPair(cx.closure(subset), cx.mouth(subset)), pf_pair,
-             IndexPair(pair.P & pf_pair.P, pair.E & pf_pair.E), pair]
-    labels: dict[IndexPair, str] = {}
-    for (_, label), candidate in zip(_CHAIN, chain):
-        labels.setdefault(candidate, label)
-    for candidate, label in labels.items():
-        _require(validate_index_pair(field, candidate.P, candidate.E, subset, p), label)
+    Read backwards, the chain connects (P,E) down to canonical(S), which is
+    validated elsewhere: as the zigzag's end before a step, or as a step's
+    closing pair.  Each other distinct pair is validated once, by first label."""
+    canonical = _canonical(field.cx, subset)
+    pf_pair = _push_forward_pair(field, canonical, pair.P)
+    chain = [canonical, pf_pair, IndexPair(pair.P & pf_pair.P, pair.E & pf_pair.E), pair]
+    seen = {canonical}
+    for (_, label), candidate in zip(_CHAIN[1:], chain[1:]):
+        if candidate not in seen:
+            seen.add(candidate)
+            _require(validate_index_pair(field, candidate.P, candidate.E, subset, p), label)
     return chain, [PairTag(tag, role) for role, _ in _CHAIN]
 
 
 def _adjacency_chunk(field: MultivectorField, nxt: MultivectorField,
                      current: SimplexSet, result: SimplexSet, ambient: SimplexSet,
-                     p: int, tag_cur: int, tag_nxt: int):
-    """canonical(S) <= pf >= meet <= pf' >= canonical(S'), pairs after canonical(S)."""
-    cx = field.cx
-    pf1 = _push_forward_pair(field, current, ambient)
-    pf2 = _push_forward_pair(nxt, result, ambient)
+                     p: int, index: int):
+    """canonical(S) <= pf >= meet <= pf' >= canonical(S'), pairs after canonical(S).
+
+    A push-forward pair is an index pair once it passes in the common
+    isolating set, which contains it.  The meet encodes the invariant part of
+    its own body, so only its closedness, images and exits can fail."""
+    pf1 = _push_forward_pair(field, _canonical(field.cx, current), ambient)
+    pf2 = _push_forward_pair(nxt, _canonical(nxt.cx, result), ambient)
     meet = IndexPair(pf1.P & pf2.P, pf1.E & pf2.E)
-    canonical2 = IndexPair(cx.closure(result), cx.mouth(result))
-    _require(validate_index_pair(field, pf1.P, pf1.E, current, p), "push-forward pair")
-    _require(validate_index_pair_in_n(field, pf1.P, pf1.E, ambient, current, p),
-             "push-forward pair in the common isolating set")
-    mixed = intersect_fields(field, nxt)
-    middle_set = invariant_part(mixed, meet.body, p)
-    _require(validate_index_pair_in_n(mixed, meet.P, meet.E, ambient, middle_set, p),
+    for fld, pf, subset in ((field, pf1, current), (nxt, pf2, result)):
+        _require(validate_index_pair_in_n(fld, pf.P, pf.E, ambient, subset, p),
+                 "push-forward pair in the common isolating set")
+    _require(validate_pair_in_n(intersect_fields(field, nxt), meet.P, meet.E, ambient),
              "intersected pair under the common refinement")
-    _require(validate_index_pair(nxt, pf2.P, pf2.E, result, p), "push-forward pair")
-    _require(validate_index_pair_in_n(nxt, pf2.P, pf2.E, ambient, result, p),
-             "push-forward pair in the common isolating set")
-    _require(validate_index_pair(nxt, canonical2.P, canonical2.E, result, p),
-             "canonical pair")
-    pairs = [pf1, meet, pf2, canonical2]
-    dirs = [FORWARD, BACKWARD, FORWARD, BACKWARD]
-    tags = [PairTag(tag_cur, "pushforward"), PairTag(tag_nxt, "meet"),
-            PairTag(tag_nxt, "pushforward"), PairTag(tag_nxt, "canonical")]
-    return pairs, dirs, tags
+    tags = [PairTag(index, "pushforward"), PairTag(index + 1, "meet"),
+            PairTag(index + 1, "pushforward"), PairTag(index + 1, "canonical")]
+    return [pf1, meet, pf2, _canonical(nxt.cx, result)], [FORWARD, BACKWARD] * 2, tags
 
 
 def _naive_chunk(cx: Complex, current: SimplexSet, result: SimplexSet,
@@ -153,10 +148,68 @@ def _naive_chunk(cx: Complex, current: SimplexSet, result: SimplexSet,
     """canonical(S) >= raw meet <= canonical(S'), flagged heuristic."""
     meet = IndexPair(cx.closure(current) & cx.closure(result),
                      cx.mouth(current) & cx.mouth(result))
-    canonical2 = IndexPair(cx.closure(result), cx.mouth(result))
     tags = [PairTag(tag_nxt, "naive-meet", heuristic=True),
             PairTag(tag_nxt, "canonical", heuristic=True)]
-    return [meet, canonical2], [BACKWARD, FORWARD], tags
+    return [meet, _canonical(cx, result)], [BACKWARD, FORWARD], tags
+
+
+def _case_step(field: MultivectorField, nxt: MultivectorField, current: SimplexSet,
+               known: IndexPair, p: int, heuristic_g: bool, index: int) -> TrackingStep:
+    """The case of one step and its pairs, all checked but the closing pair."""
+    cx = field.cx
+    move = classify_rearrangement(field, nxt)
+
+    def continuation(case, result, pair, hull_set=None) -> TrackingStep:
+        out, out_tags = _chain(field, current, pair, p, index)
+        back, back_tags = _chain(nxt, result, pair, p, index + 1)
+        return TrackingStep(index, case, move.kind, current, result, move,
+                            connecting_pair=pair, hull_set=hull_set,
+                            appended_pairs=out[1:] + back[-2::-1],
+                            appended_dirs=[FORWARD, BACKWARD] * 3,
+                            appended_tags=out_tags[1:] + back_tags[-2::-1])
+
+    merged = move.whole
+    if move.kind == "refinement" or merged <= current:
+        case = "a" if move.kind == "refinement" else "b"
+        return continuation(case, invariant_part(nxt, current, p), known)
+    if not merged & current:
+        return continuation("c", current, known)
+
+    hull_set = hull(nxt, current | merged)
+    result = invariant_part(nxt, hull_set, p)
+    if invariant_part(field, hull_set, p) == current:
+        return continuation("d", result, _canonical(cx, hull_set), hull_set)
+
+    # No continuation exists past this point; fall back to persistence.
+    ambient = cx.closure(current) | cx.closure(result)
+    if isolates(field, ambient, current, p) and isolates(nxt, ambient, result, p):
+        pairs, dirs, tags = _adjacency_chunk(field, nxt, current, result, ambient, p, index)
+        return TrackingStep(index, "f", move.kind, current, result, move, hull_set=hull_set,
+                            adjacency_set=ambient, appended_pairs=pairs, appended_dirs=dirs,
+                            appended_tags=tags, notes=("continuation broken",))
+
+    notes = ("continuation broken", "no common isolating set")
+    if not heuristic_g:
+        return TrackingStep(index, "g", move.kind, current, None, move, hull_set=hull_set,
+                            notes=notes, resolved=False)
+    pairs, dirs, tags = _naive_chunk(cx, current, result, index + 1)
+    middle = validate_pair_in_n(nxt, pairs[0].P, pairs[0].E, pairs[0].P)
+    notes += ("heuristic intersection emitted"
+              + ("" if middle else "; middle pair is not an index pair"),)
+    return TrackingStep(index, "g", move.kind, current, result, move, hull_set=hull_set,
+                        appended_pairs=pairs, appended_dirs=dirs, appended_tags=tags,
+                        notes=notes)
+
+
+def _step(field: MultivectorField, nxt: MultivectorField, current: SimplexSet,
+          known: IndexPair, p: int, heuristic_g: bool, index: int) -> TrackingStep:
+    """One step from `known`, the validated canonical pair of `current` under
+    `field`, to a closing pair validated here: the next step's `known` pair."""
+    step = _case_step(field, nxt, current, known, p, heuristic_g, index)
+    if step.resolved:
+        closing = step.appended_pairs[-1]
+        _require(validate_index_pair(nxt, closing.P, closing.E, step.result, p), "canonical pair")
+    return step
 
 
 def track_step(field: MultivectorField, nxt: MultivectorField, current: SimplexSet,
@@ -167,67 +220,12 @@ def track_step(field: MultivectorField, nxt: MultivectorField, current: SimplexS
     pairs it appends to a zigzag whose current end is the canonical pair of
     `current`.
     """
-    cx = field.cx
-    current = cx.check_subset(current)
+    current = field.cx.check_subset(current)
     if not current:
         raise PreconditionError("tracking needs a nonempty seed")
     if not is_isolated_invariant_set(field, current, p):
         raise PreconditionError("tracked set is not an isolated invariant set")
-    move = classify_rearrangement(field, nxt)
-    tag_cur, tag_nxt = step_index, step_index + 1
-
-    def continuation(case: str, result: SimplexSet, pair: IndexPair,
-                     hull_set=None) -> TrackingStep:
-        step = TrackingStep(step_index, case, move.kind, current, result, move,
-                            connecting_pair=pair, hull_set=hull_set)
-        out, out_tags = _chain(field, current, pair, p, tag_cur)
-        back, back_tags = _chain(nxt, result, pair, p, tag_nxt)
-        step.appended_pairs = out[1:] + back[-2::-1]
-        step.appended_dirs = [FORWARD, BACKWARD] * 3
-        step.appended_tags = out_tags[1:] + back_tags[-2::-1]
-        return step
-
-    if move.kind == "refinement":
-        result = invariant_part(nxt, current, p)
-        return continuation("a", result, canonical_index_pair(field, current, p))
-
-    merged = move.whole
-    if merged <= current:
-        result = invariant_part(nxt, current, p)
-        return continuation("b", result, canonical_index_pair(field, current, p))
-    if not merged & current:
-        result = frozenset(current)
-        return continuation("c", result, canonical_index_pair(field, current, p))
-
-    hull_set = hull(nxt, current | merged)
-    result = invariant_part(nxt, hull_set, p)
-    if invariant_part(field, hull_set, p) == current:
-        return continuation("d", result, canonical_index_pair(nxt, hull_set, p), hull_set)
-
-    # No continuation exists past this point; fall back to persistence.
-    ambient = cx.closure(current) | cx.closure(result)
-    if isolates(field, ambient, current, p) and isolates(nxt, ambient, result, p):
-        step = TrackingStep(step_index, "f", move.kind, current, result, move,
-                            hull_set=hull_set, adjacency_set=ambient,
-                            notes=("continuation broken",))
-        pairs, dirs, tags = _adjacency_chunk(field, nxt, current, result, ambient, p,
-                                             tag_cur, tag_nxt)
-        step.appended_pairs, step.appended_dirs, step.appended_tags = pairs, dirs, tags
-        return step
-
-    notes = ["continuation broken", "no common isolating set"]
-    step = TrackingStep(step_index, "g", move.kind, current,
-                        result if heuristic_g else None, move,
-                        hull_set=hull_set, resolved=heuristic_g)
-    if heuristic_g:
-        pairs, dirs, tags = _naive_chunk(cx, current, result, tag_nxt)
-        meet = pairs[0]
-        report = validate_index_pair(nxt, meet.P, meet.E, invariant_part(nxt, meet.body, p), p)
-        notes.append("heuristic intersection emitted"
-                     + ("" if report else "; middle pair is not an index pair"))
-        step.appended_pairs, step.appended_dirs, step.appended_tags = pairs, dirs, tags
-    step.notes = tuple(notes)
-    return step
+    return _step(field, nxt, current, _canonical(field.cx, current), p, heuristic_g, step_index)
 
 
 def run_protocol(fields: Sequence[MultivectorField], seed: SimplexSet,
@@ -247,15 +245,14 @@ def run_protocol(fields: Sequence[MultivectorField], seed: SimplexSet,
     if not is_isolated_invariant_set(fields[0], seed, p):
         raise PreconditionError("seed is not an isolated invariant set under the first field")
 
-    start = canonical_index_pair(fields[0], seed, p)
-    zz_pairs: list[IndexPair] = [start]
+    zz_pairs: list[IndexPair] = [_canonical(cx, seed)]
     zz_dirs: list[str] = []
     zz_tags: list[PairTag] = [PairTag(1, "canonical")]
     steps: list[TrackingStep] = []
     current = seed
     stopped = "completed"
     for i in range(len(fields) - 1):
-        step = track_step(fields[i], fields[i + 1], current, p, heuristic_g, i + 1)
+        step = _step(fields[i], fields[i + 1], current, zz_pairs[-1], p, heuristic_g, i + 1)
         steps.append(step)
         zz_pairs += step.appended_pairs
         zz_dirs += step.appended_dirs

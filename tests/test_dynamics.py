@@ -9,8 +9,8 @@ from mvtrack.dynamics import (IndexPair, canonical_index_pair, invariant_part,
 from mvtrack.fields import MultivectorField, intersect_fields
 
 from helpers import (brute_invariant_part, closed_subsets, grid_scene, random_complex,
-                     random_field, random_isolated_set, random_subset, scc_invariant_part,
-                     step_graph, strongly_connected_components)
+                     random_convex_compatible, random_field, random_isolated_set, random_subset,
+                     scc_invariant_part, step_graph, strongly_connected_components)
 
 
 def test_index_pair_type():
@@ -246,6 +246,59 @@ def test_canonical_index_pair_random():
             continue
         pair = canonical_index_pair(fld, subset)
         assert validate_index_pair(fld, pair.P, pair.E, subset)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_isolated_exactly_when_the_canonical_pair_is_an_index_pair(p):
+    """S is an isolated invariant set exactly when (cl S, mouth S) passes the
+    index-pair conditions for S: tracking checks the seed once and then only
+    validates each step's closing pair."""
+    rng = random.Random(60 + p)
+    isolated = non_convex = non_compatible = non_invariant = 0
+    for _ in range(300):
+        cx = random_complex(rng, max_size=14)
+        fld = random_field(rng, cx)
+        for subset in (random_subset(rng, cx.simplices), random_convex_compatible(rng, fld),
+                       invariant_part(fld, random_subset(rng, cx.simplices), p),
+                       invariant_part(fld, random_convex_compatible(rng, fld), p)):
+            expected = is_isolated_invariant_set(fld, subset, p)
+            report = validate_index_pair(fld, cx.closure(subset), cx.mouth(subset), subset, p)
+            assert bool(report) == expected
+            isolated += expected and bool(subset)
+            non_convex += not cx.is_convex(subset)
+            non_compatible += not fld.is_compatible(subset)
+            non_invariant += not is_invariant(fld, subset, p)
+    assert isolated >= 600
+    assert min(non_convex, non_compatible, non_invariant) >= 50, \
+        (non_convex, non_compatible, non_invariant)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_index_pair_in_a_closed_superset_is_an_index_pair(p):
+    """With P inside N, passing the conditions inside N implies passing them
+    inside P: the adjacency step checks its push-forward pairs only in N."""
+    rng = random.Random(70 + p)
+    passed = 0
+    for _ in range(100):
+        cx = random_complex(rng, max_size=12)
+        fld = random_field(rng, cx)
+        subset = random_isolated_set(rng, fld, p)
+        if subset is None:
+            continue
+        closed = closed_subsets(cx)
+        for nbhd in (cx.simplices, cx.closure(subset),
+                     cx.closure(subset | random_subset(rng, cx.simplices, max_size=4))):
+            pairs = [IndexPair(push_forward(fld, cx.closure(subset), nbhd),
+                               push_forward(fld, cx.mouth(subset), nbhd))]
+            inside = [c for c in closed if c <= nbhd]
+            for _ in range(10):
+                pset = rng.choice(inside)
+                pairs.append(IndexPair(pset, rng.choice([c for c in inside if c <= pset])))
+            for pair in pairs:
+                if validate_index_pair_in_n(fld, pair.P, pair.E, nbhd, subset, p):
+                    assert validate_index_pair(fld, pair.P, pair.E, subset, p)
+                    passed += 1
+    assert passed >= 400
 
 
 def test_index_pair_in_n(merging_saddles):

@@ -4,9 +4,10 @@ from pathlib import Path
 import pytest
 
 import mvtrack as mv
+from mvtrack import dynamics, tracking
 from mvtrack.complexes import simplex
 from mvtrack.dynamics import IndexPair, canonical_index_pair, invariant_part, isolates
-from mvtrack.fields import MultivectorField
+from mvtrack.fields import MultivectorField, intersect_fields
 from mvtrack.tracking import (ZigzagAssemblyError, _adjacency_chunk, _chain, _naive_chunk, hull,
                               run_protocol, track_step)
 from mvtrack.zigzag import BACKWARD, FORWARD, PairTag, PairZigzag
@@ -150,7 +151,7 @@ def test_adjacency_zigzag(merging_saddles):
 
     # identical sets and fields: everything constant, full barcode
     cx = merging_saddles.cx
-    pairs, dirs, _ = _adjacency_chunk(v1, v1, seed, seed, cx.closure(seed), 2, 1, 2)
+    pairs, dirs, _ = _adjacency_chunk(v1, v1, seed, seed, cx.closure(seed), 2, 1)
     same = PairZigzag(cx, [canonical_index_pair(v1, seed)] + pairs, dirs)
     assert mv.pair_zigzag_barcode(same).is_full()
 
@@ -261,10 +262,84 @@ def test_run_protocol_unresolved():
     assert any(tag.heuristic for tag in resolved.zigzag.tags)
 
 
+@pytest.mark.parametrize("name, invariant_parts",
+                         [("merging_saddles", 10), ("saddle_collision_nine", 23)])
+def test_run_protocol_checks_the_seed_once(name, invariant_parts, monkeypatch):
+    """Counts work, not time: the seed is checked once, and no step re-checks
+    the set it starts from or computes an invariant part only to compare it
+    with itself."""
+    scene = mv.load_scene(FIXTURES / f"{name}.json")
+    calls = {"invariant_part": 0, "is_isolated_invariant_set": 0}
+    for fn in (dynamics.invariant_part, dynamics.is_isolated_invariant_set):
+        def counted(*args, fn=fn, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        for module in (dynamics, tracking):
+            monkeypatch.setattr(module, fn.__name__, counted)
+    run_protocol(scene.fields, scene.seed)
+    assert calls["is_isolated_invariant_set"] == 1
+    assert calls["invariant_part"] <= invariant_parts
+
+
+@pytest.mark.parametrize("name", ["merging_saddles", "saddle_collision_nine", "unresolved_step"])
+def test_each_step_validates_its_closing_pair_once(name, monkeypatch):
+    """Within a step, the pair the zigzag ended on is not validated again
+    under the step's first field; the closing pair canonical(result) is
+    validated under the next field exactly once; and every other appended
+    pair is checked under the field of its tag, or the common refinement for
+    the meet of case f."""
+    scene = mv.load_scene(FIXTURES / f"{name}.json")
+    log = []
+    for fn in (tracking.validate_index_pair, tracking.validate_index_pair_in_n,
+               tracking.validate_pair_in_n):
+        def recorded(field, pset, eset, *rest, fn=fn):
+            log.append((fn.__name__, field, IndexPair(pset, eset), rest))
+            return fn(field, pset, eset, *rest)
+        monkeypatch.setattr(tracking, fn.__name__, recorded)
+    step_fn = tracking._step
+
+    def marked(*args):
+        log.append(None)
+        return step_fn(*args)
+
+    monkeypatch.setattr(tracking, "_step", marked)
+    trace = run_protocol(scene.fields, scene.seed, heuristic_g=True)
+    assert trace.stopped != "unresolved" and log[0] is None
+    cx = scene.cx
+    chunks = []
+    for entry in log:
+        if entry is None:
+            chunks.append([])
+        else:
+            chunks[-1].append(entry)
+    assert len(chunks) == len(trace.steps)
+    for step, checks in zip(trace.steps, chunks):
+        fld, nxt = scene.fields[step.index - 1], scene.fields[step.index]
+        start = IndexPair(cx.closure(step.current), cx.mouth(step.current))
+        closing = IndexPair(cx.closure(step.result), cx.mouth(step.result))
+        assert step.appended_pairs[-1] == closing
+
+        def validations(field, pair, subset):
+            return sum(fn == "validate_index_pair" and f is field and q == pair
+                       and args[0] == subset for fn, f, q, args in checks)
+
+        assert validations(fld, start, step.current) == 0
+        assert validations(nxt, closing, step.result) == 1
+        for pair, tag in zip(step.appended_pairs, step.appended_tags):
+            field = scene.fields[tag.field_index - 1]
+            if step.case == "f" and tag.role == "meet":
+                field = intersect_fields(fld, nxt)
+            assert (field is fld and pair == start) or any(
+                f == field and q == pair for _, f, q, _ in checks), (step.index, tag)
+
+
 def test_subset_or_superset_after_continuation():
     rng = random.Random(31)
     checked = 0
+    tries = 0
     while checked < 40:
+        tries += 1
+        assert tries <= 600, f"{checked} of 40 continuation steps in {tries - 1} attempts"
         cx = random_complex(rng, max_size=16)
         fld = random_field(rng, cx)
         if not mv.validate_field(fld):
@@ -341,7 +416,10 @@ def test_split_then_merge_back_continues_with_full_bars(p):
     rng = random.Random(70 + p)
     instances = [(scene.fields[0], scene.seed)
                  for scene in (mv.load_scene(FIXTURES / f"{name}.json") for name in SCENES)]
+    tries = 0
     while len(instances) < 40:
+        tries += 1
+        assert tries <= 400, f"{len(instances)} of 40 seeded fields in {tries - 1} attempts"
         cx = random_complex(rng, max_size=16)
         fld = random_field(rng, cx)
         seed = random_isolated_set(rng, fld, p) if mv.validate_field(fld) else None
@@ -367,7 +445,10 @@ def test_grid_scenes_give_the_same_barcode_at_p2_and_p3():
     small isolated set and for the invariant part of the whole grid."""
     rng = random.Random(47)
     checked = 0
+    tries = 0
     while checked < 12:
+        tries += 1
+        assert tries <= 60, f"{checked // 2} of 6 grid scenes with a seed in {tries - 1} attempts"
         scene = grid_scene(rng, n=4, steps=6)
         if scene is None:
             continue

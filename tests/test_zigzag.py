@@ -118,7 +118,10 @@ def test_reversing_a_pair_zigzag_mirrors_its_barcode(merging_saddles, nine_field
     rng = random.Random(46)
     zigzags = [mv.run_protocol(scene.fields, scene.seed).zigzag
                for scene in (merging_saddles, nine_fields)]
+    tries = 0
     while len(zigzags) < 14:
+        tries += 1
+        assert tries <= 120, f"{len(zigzags)} of 14 zigzags in {tries - 1} attempts"
         cx = random_complex(rng, n_vertices=5, n_maximal=3, max_dim=2, max_size=12)
         closed = closed_subsets(cx)
         pairs = [_random_pair(rng, closed)]
@@ -183,7 +186,10 @@ def test_naive_intersection_barcode_is_erratic(repeller_disk):
 def test_module_extraction_matches_oracle_on_real_zigzags():
     rng = random.Random(41)
     done = 0
+    tries = 0
     while done < 12:
+        tries += 1
+        assert tries <= 120, f"{done} of 12 zigzags of two or more pairs in {tries - 1} attempts"
         cx = random_complex(rng, n_vertices=5, n_maximal=3, max_dim=2, max_size=12)
         closed = closed_subsets(cx)
         pairs = [_random_pair(rng, closed)]
@@ -257,7 +263,10 @@ def test_semi_equal_inclusions_induce_isomorphisms():
     """Nested index pairs for one set sharing P or sharing E."""
     rng = random.Random(42)
     done = 0
+    tries = 0
     while done < 10:
+        tries += 1
+        assert tries <= 100, f"{done} of 10 grown index pairs in {tries - 1} attempts"
         cx = random_complex(rng, max_size=14)
         fld = random_field(rng, cx)
         if not mv.validate_field(fld):
