@@ -225,11 +225,12 @@ def cone_pair(cx: Complex, pset: Collection[Simplex], eset: Collection[Simplex],
         apex = max(cx.vertices, default=-1) + 1
     if (apex,) in cx.simplices:
         raise ValueError(f"apex {apex} collides with an existing vertex")
+    # P and E are closed with E <= P, so P, the apex and the joins s + apex
+    # for s in E form a closed set; a join needs sorting only below the apex
     coned = set(pset)
     coned.add((apex,))
-    for s in eset:
-        coned.add(simplex(s + (apex,)))
-    return Complex(coned)
+    coned.update(s + (apex,) if s[-1] < apex else simplex(s + (apex,)) for s in eset)
+    return Complex._closed(frozenset(coned))
 
 
 def reduced_betti(cx: Complex, p: int = 2) -> BettiVector:

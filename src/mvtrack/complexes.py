@@ -1,13 +1,18 @@
 """Finite simplicial complexes with face-poset queries.
 
 A simplex is a tuple of strictly increasing vertex ids.  A complex stores
-every simplex explicitly and precomputes closures and facet/cofacet
-adjacency: the dynamics layers are graph traversals over these relations,
-and at the scales this package targets every algorithm touches every
-simplex anyway.
+every simplex explicitly; the dynamics layers are graph traversals over the
+face relation, and at the scales this package targets every algorithm
+touches every simplex anyway.  The face tables are built on demand: the
+closure of a simplex on its first lookup, the cofacet and sorted tables on
+their first use.  A cone built for homology is read only through its
+simplices and dimension, so it never builds them.
 
-All types are immutable after construction and every operation is a pure
-function, so concurrent readers are safe.
+`from_maximal` and `cone_pair` produce sets that are normalized and closed
+by construction and hand them over unchecked; `Complex(simplices)` checks
+both.  The simplex set is immutable, and every table fill computes a value
+from it alone and stores it once, so a repeated or concurrent fill stores
+an equal value and readers are safe.
 """
 
 from __future__ import annotations
@@ -56,15 +61,22 @@ class Complex:
             for f in facets(s):
                 if f not in sset:
                     raise ValueError(f"not closed under faces: {f} missing (face of {s})")
+        self._adopt(sset)
+
+    def _adopt(self, sset: SimplexSet) -> None:
+        """Take a normalized, closed simplex set as this complex's own."""
         self.simplices = sset
-        self.dim = max((len(s) - 1 for s in sset), default=-1)
-        self._sorted = tuple(sorted(sset))
-        self._closure_of = {s: frozenset(proper_faces(s)) | {s} for s in sset}
-        cof: dict[Simplex, list[Simplex]] = {s: [] for s in sset}
-        for s in sset:
-            for f in facets(s):
-                cof[f].append(s)
-        self._cofacets = {s: tuple(sorted(v)) for s, v in cof.items()}
+        self.dim = max(map(len, sset), default=0) - 1
+        self._closure_of: dict[Simplex, SimplexSet] = {}
+        self._cofacets: dict[Simplex, tuple[Simplex, ...]] | None = None
+        self._sorted: tuple[Simplex, ...] | None = None
+
+    @classmethod
+    def _closed(cls, sset: SimplexSet) -> "Complex":
+        """A complex on a set the caller built normalized and closed."""
+        cx = cls.__new__(cls)
+        cx._adopt(sset)
+        return cx
 
     @classmethod
     def from_maximal(cls, maximal: Iterable[Iterable[int]]) -> "Complex":
@@ -72,9 +84,10 @@ class Complex:
         sset: set[Simplex] = set()
         for m in maximal:
             s = simplex(m)
-            sset.add(s)
-            sset.update(proper_faces(s))
-        return cls(sset)
+            if s not in sset:  # a member's faces are members already
+                sset.add(s)
+                sset.update(proper_faces(s))
+        return cls._closed(frozenset(sset))
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -97,37 +110,55 @@ class Complex:
         return tuple(sorted(s[0] for s in self.simplices if len(s) == 1))
 
     def sorted_simplices(self) -> tuple[Simplex, ...]:
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.simplices))
         return self._sorted
 
     def check_subset(self, subset: Collection[Simplex]) -> SimplexSet:
         """Normalize a collection of simplices, requiring membership in the complex."""
         out = frozenset(subset)
-        for s in out:
-            if s not in self.simplices:
-                raise ValueError(f"simplex {s} not in complex")
+        if not out <= self.simplices:
+            missing = next(s for s in out if s not in self.simplices)
+            raise ValueError(f"simplex {missing} not in complex")
         return out
 
     def cofacets(self, sigma: Simplex) -> tuple[Simplex, ...]:
+        if self._cofacets is None:
+            cof: dict[Simplex, list[Simplex]] = {s: [] for s in self.simplices}
+            for s in self.simplices:
+                for f in facets(s):
+                    cof[f].append(s)
+            self._cofacets = {s: tuple(sorted(v)) for s, v in cof.items()}
         return self._cofacets[sigma]
 
     def closure_of(self, sigma: Simplex) -> SimplexSet:
         """All faces of sigma, sigma included."""
-        return self._closure_of[sigma]
+        try:
+            return self._closure_of[sigma]
+        except KeyError:
+            if sigma not in self.simplices:
+                raise
+        out = self._closure_of[sigma] = frozenset(proper_faces(sigma)) | {sigma}
+        return out
+
+    def _closures(self, members: SimplexSet) -> list[SimplexSet]:
+        """closure_of of every member (all in the complex), in iteration order."""
+        table = self._closure_of
+        for s in members.difference(table):
+            self.closure_of(s)
+        return list(map(table.__getitem__, members))
 
     def closure(self, subset: Collection[Simplex]) -> SimplexSet:
         """Union of the closures of the members."""
         subset = self.check_subset(subset)
-        out: set[Simplex] = set()
-        for s in subset:
-            out |= self._closure_of[s]
-        return frozenset(out)
+        return frozenset().union(*self._closures(subset))
 
     def star(self, subset: Collection[Simplex]) -> SimplexSet:
         """Every simplex having a member as a face, the members included."""
         out = set(self.check_subset(subset))
         stack = list(out)
         while stack:
-            for c in self._cofacets[stack.pop()]:
+            for c in self.cofacets(stack.pop()):
                 if c not in out:
                     out.add(c)
                     stack.append(c)
@@ -140,7 +171,7 @@ class Complex:
 
     def is_closed(self, subset: Collection[Simplex]) -> bool:
         subset = self.check_subset(subset)
-        return all(f in subset for s in subset for f in facets(s))
+        return subset.issuperset(itertools.chain.from_iterable(self._closures(subset)))
 
     def is_convex(self, subset: Collection[Simplex]) -> bool:
         """True iff the set contains every simplex sandwiched between two members.
@@ -149,7 +180,7 @@ class Complex:
         inside it, so only mouth simplices can ever violate convexity.
         """
         subset = self.check_subset(subset)
-        for rho in self.mouth(subset):
-            if any(f in subset for f in proper_faces(rho)):
+        for faces in self._closures(self.mouth(subset)):
+            if not subset.isdisjoint(faces):
                 return False
         return True

@@ -25,6 +25,7 @@ A zigzag file replaces "fields"/"seed" with "pairs":
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -80,7 +81,25 @@ def _parse_simplex(raw, labels) -> Simplex:
 def _parse_simplex_set(raw, labels, what: str) -> list[Simplex]:
     if not isinstance(raw, list):
         raise SchemaError(f"{what} must be an array of simplices")
-    return [_parse_simplex(s, labels) for s in raw]
+    return _parse_plain(raw, labels) or [_parse_simplex(s, labels) for s in raw]
+
+
+def _parse_plain(raw: list, labels) -> Optional[list[Simplex]]:
+    """The simplices in one pass if every one is a non-empty array of ids, or
+    of labels in the table, with no vertex repeated; otherwise None, and the
+    caller parses simplex by simplex for the message."""
+    if not set(map(type, raw)) <= {list} or not all(raw):
+        return None
+    tokens = list(itertools.chain.from_iterable(raw))
+    kinds = set(map(type, tokens))
+    if kinds == {int}:
+        out = list(map(tuple, map(sorted, raw)))
+    elif kinds == {str} and labels and labels.keys() >= set(tokens):
+        get = labels.__getitem__
+        out = [tuple(sorted(map(get, s))) for s in raw]
+    else:
+        return None
+    return out if sum(map(len, map(set, out))) == len(tokens) else None
 
 
 def _parse_partition(raw, cx: Complex, labels, what: str) -> MultivectorField:

@@ -13,7 +13,8 @@ so only for small primes) instead of the library's sparse column reduction.
 The oracles take zigzag arrows as dense matrices; `sparse_arrows` and
 `dense_arrows` convert to and from the library's sparse columns.  The
 convexity oracle checks every multivector of a field, where the loader
-checks only what each atomic step adds.
+checks only what each atomic step adds.  `EagerComplex` is the former
+complex construction, which built every face table up front.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 import mvtrack as mv
 from mvtrack import algebra
-from mvtrack.complexes import facets
+from mvtrack.complexes import facets, proper_faces
 from mvtrack.zigzag import BACKWARD, FORWARD
 
 
@@ -378,6 +379,37 @@ def brute_invariant_part(fld, subset, p=2):
         if found:
             result.add(sigma)
     return frozenset(result)
+
+
+# ------------------------------------------------ eager complex oracle
+
+class EagerComplex:
+    """The former `Complex` construction: every simplex normalized and its
+    facets checked, then the sorted, closure and cofacet tables built in
+    full.  The library now adopts sets that are closed by construction and
+    fills these tables on demand."""
+
+    def __init__(self, simplices):
+        sset = frozenset(mv.simplex(s) for s in simplices)
+        for s in sset:
+            for f in facets(s):
+                if f not in sset:
+                    raise ValueError(f"not closed under faces: {f} missing (face of {s})")
+        self.simplices = sset
+        self.dim = max((len(s) - 1 for s in sset), default=-1)
+        self.sorted = tuple(sorted(sset))
+        self.closure_of = {s: frozenset(proper_faces(s)) | {s} for s in sset}
+        cof = {s: [] for s in sset}
+        for s in sset:
+            for f in facets(s):
+                cof[f].append(s)
+        self.cofacets = {s: tuple(sorted(v)) for s, v in cof.items()}
+
+
+def all_faces(maximal):
+    """Every non-empty face of the given simplices, by vertex subsets."""
+    return {face for m in maximal for k in range(1, len(set(m)) + 1)
+            for face in itertools.combinations(sorted(set(m)), k)}
 
 
 # ------------------------------------------------------- subset enumeration

@@ -8,6 +8,7 @@ runs nor writes anything under perfbench/.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import mvtrack.cli
@@ -25,14 +26,22 @@ def _tracer_targets():
 
 
 def test_traced_names_resolve_in_mvtrack():
+    """Each target resolves the way the tracer reads it: a function by module
+    attribute, a method as `cls.__dict__[meth]`, which must be a plain
+    function (not inherited, not a property or a static method), since the
+    wrapper calls it with the instance as its first argument."""
     targets = _tracer_targets()
     assert targets
     for module, attr, _metric, _kind in targets:
-        obj = importlib.import_module(f"mvtrack.{module}")
-        for part in attr.split("."):
-            assert hasattr(obj, part), f"mvtrack.{module}.{attr} is gone"
-            obj = getattr(obj, part)
-        assert callable(obj), f"mvtrack.{module}.{attr} is not callable"
+        home = importlib.import_module(f"mvtrack.{module}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            cls = getattr(home, cls_name, None)
+            assert isinstance(cls, type), f"mvtrack.{module}.{cls_name} is not a class"
+            assert inspect.isfunction(cls.__dict__.get(meth)), (
+                f"mvtrack.{module}.{attr} is not a plain function defined on {cls_name}")
+        else:
+            assert callable(getattr(home, attr, None)), f"mvtrack.{module}.{attr} is gone"
 
 
 def test_cli_binds_run_protocol():

@@ -454,6 +454,88 @@ def test_zigzag_pair_errors_are_prefixed_once():
     assert str(exc.value) == "pair 1: components must be closed"
 
 
+# Malformed simplices and the loader's message for each, wherever the
+# simplex appears: name -> (scene uses the label table, simplices, message).
+LOADER_LABELS = {"A": 0, "B": 1, "C": 2}
+MALFORMED_SIMPLICES = {
+    "boolean": (False, [[0, True]], "bad vertex True"),
+    "float": (False, [[0, 1.0]], "bad vertex 1.0"),
+    "null": (False, [[0, None]], "bad vertex None"),
+    "nested array": (False, [[0, [1]]], "bad vertex [1]"),
+    "boolean among labels": (True, [["A", True]], "bad vertex True"),
+    "unknown label": (True, [["A", "Z"]], "unknown vertex label 'Z'"),
+    "label without a table": (False, [["A", 1]], "unknown vertex label 'A'"),
+    "repeated id": (False, [[1, 1]], "repeated vertex 1 in simplex (1, 1)"),
+    "repeated label": (True, [["B", "B"]], "repeated vertex 1 in simplex (1, 1)"),
+    "label repeating an id": (True, [["A", 0]], "repeated vertex 0 in simplex (0, 0)"),
+    "empty": (False, [[]], "a simplex must be a non-empty array, got []"),
+    "not an array": (False, [5], "a simplex must be a non-empty array, got 5"),
+    "first of two faults": (False, [[0, 1], [2, 2], [0, False]],
+                            "repeated vertex 2 in simplex (2, 2)"),
+    "first of two label faults": (True, [["A", "C"], ["C", 0.5], ["A", "A"]],
+                                  "bad vertex 0.5"),
+}
+SIMPLEX_SPOTS = ["maximal", "field", "split", "merge", "seed", "pair p", "pair e"]
+
+
+def _doc_with(spot, simplices, labelled):
+    """A triangle scene, or zigzag file for the pair spots, with `simplices`
+    placed at `spot`; returns the loader to call and the document."""
+    tri = ["A", "B", "C"] if labelled else [0, 1, 2]
+    doc = {"maximal_simplices": [tri], "fields": [[]], "seed": []}
+    if labelled:
+        doc["vertices"] = dict(LOADER_LABELS)
+    if spot == "maximal":
+        doc["maximal_simplices"] += simplices
+    elif spot == "field":
+        doc["fields"] = [[simplices]]
+    elif spot == "split":
+        doc["fields"] = {"initial": [], "ops": [{"op": "split", "off": simplices}]}
+    elif spot == "merge":
+        doc["fields"] = {"initial": [], "ops": [{"op": "merge", "mvs": simplices + [tri[:1]]}]}
+    elif spot == "seed":
+        doc["seed"] = simplices
+    else:
+        del doc["fields"], doc["seed"]
+        pair = {"p": [tri], "e": []}
+        pair[spot[-1]] = simplices + pair[spot[-1]]
+        doc["pairs"] = [pair]
+        return zigzag_from_dict, doc
+    return scene_from_dict, doc
+
+
+@pytest.mark.parametrize("spot", SIMPLEX_SPOTS)
+def test_malformed_simplex_messages(spot):
+    for case, (labelled, simplices, message) in MALFORMED_SIMPLICES.items():
+        load, doc = _doc_with(spot, simplices, labelled)
+        with pytest.raises(SchemaError) as exc:
+            load(doc)
+        assert str(exc.value) == message, case
+
+
+def _outcome(load, doc):
+    try:
+        loaded = load(doc)
+    except SchemaError as exc:
+        return str(exc)
+    if load is zigzag_from_dict:
+        return [(pair.P, pair.E) for pair in loaded[0].pairs]
+    return (loaded.cx, [fld.parts() for fld in loaded.fields], loaded.seed)
+
+
+@pytest.mark.parametrize("spot,outcome", [
+    ("maximal", None), ("field", None), ("merge", None), ("seed", None),
+    ("split", "op 1: split piece must be a proper non-empty subset of the multivector"),
+    ("pair p", "pair 1: components must be closed"),
+    ("pair e", "pair 1: components must be closed")])
+def test_mixed_ids_and_labels_load_as_ids(spot, outcome):
+    mixed = _outcome(*_doc_with(spot, [["C", 0]], True))
+    assert mixed == _outcome(*_doc_with(spot, [[2, 0]], True))
+    assert isinstance(mixed, str) == (outcome is not None)
+    if outcome is not None:
+        assert mixed == outcome
+
+
 FUZZ_JUNK = [None, True, -1, 0, 3, 99, "x", "A", [], {}, [[]], [[0, 0]], [[0, 99]],
              {"op": "split", "off": []}, {"op": "merge", "mvs": [[1], [2]]}]
 FUZZ_SELECTORS = ["seed", "", "mv:1:", "mv:0:1", "mv:x:1", "set:1:", "set:9:1", "warp:1:1",

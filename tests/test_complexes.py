@@ -1,13 +1,23 @@
 import itertools
+import json
 import random
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mvtrack as mv
-from mvtrack.complexes import Complex, proper_faces, simplex
+from mvtrack import complexes
+from mvtrack.algebra import cone_pair
+from mvtrack.complexes import Complex, facets, proper_faces, simplex
+from mvtrack.io import load_scene
+from mvtrack.zigzag import pair_zigzag_barcode
 
-from helpers import random_complex, random_subset
+from helpers import EagerComplex, all_faces, random_complex, random_subset
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 
 def test_simplex_normalizes_and_validates():
@@ -146,3 +156,154 @@ def test_convex_iff_difference_of_closed_sets(data):
 
 def test_proper_faces_of_triangle():
     assert len(proper_faces((0, 1, 2))) == 6
+
+
+# ---------------------------------------------- trusted construction oracle
+
+MAXIMAL_LISTS = st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True),
+                         max_size=6)
+
+
+def _assert_tables_match(cx, oracle, rng):
+    """Every table of `cx` equals the eager oracle's, read in a random order
+    after a set-level query has filled part of the closure table."""
+    assert cx.simplices == oracle.simplices and cx.dim == oracle.dim
+    order = list(oracle.sorted)
+    rng.shuffle(order)
+    half = order[:len(order) // 2]
+    assert cx.closure(half) == frozenset().union(*(oracle.closure_of[s] for s in half))
+    for s in order + order:
+        assert cx.closure_of(s) == oracle.closure_of[s]
+        assert cx.cofacets(s) == oracle.cofacets[s]
+    assert cx.sorted_simplices() == oracle.sorted
+    assert cx.sorted_simplices() == oracle.sorted
+
+
+@settings(max_examples=150, deadline=None)
+@given(MAXIMAL_LISTS, st.randoms(use_true_random=False))
+def test_from_maximal_matches_the_eager_construction(maximal, rng):
+    faces = all_faces(maximal)
+    oracle = EagerComplex(faces)
+    for cx in (Complex.from_maximal(maximal), Complex(faces)):
+        _assert_tables_match(cx, oracle, rng)
+
+
+def _apex(rng, vertices, where):
+    """A vertex id outside `vertices`: above them, below them, or between."""
+    if where == "below":
+        return min(vertices, default=0) - rng.randint(1, 3)
+    gaps = [v for v in range(min(vertices, default=0), max(vertices, default=0))
+            if v not in vertices]
+    if where == "between" and gaps:
+        return rng.choice(gaps)
+    return max(vertices, default=-1) + rng.randint(1, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(MAXIMAL_LISTS, st.randoms(use_true_random=False),
+       st.sampled_from(["above", "below", "between"]))
+def test_cone_pair_equals_the_checked_cone(maximal, rng, where):
+    cx = Complex.from_maximal(maximal)
+    pset = cx.closure(random_subset(rng, cx.simplices))
+    eset = cx.closure(random_subset(rng, pset))
+    apex = _apex(rng, cx.vertices, where)
+    coned = pset | {(apex,)} | {tuple(sorted(s + (apex,))) for s in eset}
+    cone = cone_pair(cx, pset, eset, apex=apex)
+    checked = Complex(coned)
+    assert cone == checked and cone.dim == checked.dim
+    _assert_tables_match(cone, EagerComplex(coned), rng)
+
+
+def test_face_tables_reject_non_members():
+    cx = Complex.from_maximal([[0, 1, 2]])
+    outside = [(3,), (0, 3), (1, 0), (0, 1, 2, 3)]
+    for filled in (False, True):
+        if filled:
+            cx.closure(cx.simplices)
+            cx.cofacets((0,))
+        for sigma in outside:
+            for query in (cx.closure_of, cx.cofacets):
+                with pytest.raises(KeyError):
+                    query(sigma)
+
+
+def test_checked_constructor_keeps_its_messages():
+    for simplices, message in [
+            ([(1, 1)], "repeated vertex 1 in simplex (1, 1)"),
+            ([()], "a simplex needs at least one vertex"),
+            ([(0,), (0, 1)], "not closed under faces: (1,) missing (face of (0, 1))")]:
+        with pytest.raises(ValueError) as exc:
+            Complex(simplices)
+        assert str(exc.value) == message
+
+
+def test_check_subset_names_the_first_non_member():
+    cx = Complex.from_maximal([[0, 1, 2]])
+    for subset in ([(0,), (5,)], [(0, 1), (0, 5), (7,), (1, 0)], [(2, 9)]):
+        expected = next(s for s in frozenset(subset) if s not in cx.simplices)
+        with pytest.raises(ValueError) as exc:
+            cx.check_subset(subset)
+        assert str(exc.value) == f"simplex {expected} not in complex"
+    assert cx.check_subset([(0,), (0, 1)]) == {(0,), (0, 1)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(MAXIMAL_LISTS, st.randoms(use_true_random=False))
+def test_is_closed_matches_the_facet_definition(maximal, rng):
+    cx = Complex.from_maximal(maximal)
+    for _ in range(8):
+        subset = random_subset(rng, cx.simplices)
+        if rng.random() < 0.5:  # closures, and closures missing one face
+            subset = set(cx.closure(subset))
+            if subset and rng.random() < 0.5:
+                subset.discard(rng.choice(sorted(subset)))
+        by_definition = all(f in subset for s in subset for f in facets(s))
+        assert cx.is_closed(subset) == by_definition
+
+
+# ------------------------------------------------------------- work counts
+
+@pytest.fixture
+def face_calls(monkeypatch):
+    """Calls of each face enumerator, under every name an mvtrack module binds it to."""
+    calls = Counter()
+    modules = [m for name, m in sys.modules.items()
+               if name == "mvtrack" or name.startswith("mvtrack.")]
+    for name in ("facets", "proper_faces", "simplex"):
+        original = getattr(complexes, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_cones_enumerate_no_faces(nine_fields, face_calls):
+    """A cone is read only through its simplices and dimension: building it
+    normalizes nothing and fills no table.  The ambient complex fills each
+    closure at most once, so a second barcode enumerates no face at all."""
+    zz = mv.run_protocol(nine_fields.fields, nine_fields.seed).zigzag
+    face_calls.clear()
+    first = pair_zigzag_barcode(zz)
+    assert face_calls["facets"] == face_calls["simplex"] == 0
+    assert face_calls["proper_faces"] <= len(zz.cx)
+    face_calls.clear()
+    assert pair_zigzag_barcode(zz).bars == first.bars
+    assert sum(face_calls.values()) == 0
+
+
+@pytest.mark.parametrize("name", ["merging_saddles", "saddle_collision_nine"])
+def test_loading_builds_the_complex_once(name, face_calls):
+    """Each maximal simplex is normalized once and its faces never; each
+    closure is filled at most once, and the cofacet table at most once."""
+    path = FIXTURES / f"{name}.json"
+    maximal = len(json.loads(path.read_text(encoding="utf-8"))["maximal_simplices"])
+    scene = load_scene(path)
+    assert face_calls["simplex"] <= maximal
+    assert face_calls["proper_faces"] <= maximal + len(scene.cx)
+    assert face_calls["facets"] <= len(scene.cx)
