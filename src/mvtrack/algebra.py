@@ -218,15 +218,21 @@ def cone_pair(cx: Complex, pset: Collection[Simplex], eset: Collection[Simplex],
 
     Reduced homology of the result equals relative_homology(cx, P, E).
     Pass the same apex for every pair of a zigzag so that pair inclusions
-    become complex inclusions.
+    become complex inclusions.  Checks the pair and the apex; the zigzag
+    layer, whose pairs are checked when the zigzag is built, calls `_cone`.
     """
     pset, eset = _validate_pair(cx, pset, eset)
     if apex is None:
         apex = max(cx.vertices, default=-1) + 1
     if (apex,) in cx.simplices:
         raise ValueError(f"apex {apex} collides with an existing vertex")
-    # P and E are closed with E <= P, so P, the apex and the joins s + apex
-    # for s in E form a closed set; a join needs sorting only below the apex
+    return _cone(pset, eset, apex)
+
+
+def _cone(pset: frozenset, eset: frozenset, apex: int) -> Complex:
+    """`cone_pair` of a closed pair E <= P and an apex outside P, unchecked."""
+    # P, the apex and the joins s + apex for s in E form a closed set; a
+    # join needs sorting only below the apex
     coned = set(pset)
     coned.add((apex,))
     coned.update(s + (apex,) if s[-1] < apex else simplex(s + (apex,)) for s in eset)

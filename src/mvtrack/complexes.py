@@ -8,7 +8,7 @@ closure of a simplex on its first lookup, the cofacet and sorted tables on
 their first use.  A cone built for homology is read only through its
 simplices and dimension, so it never builds them.
 
-`from_maximal` and `cone_pair` produce sets that are normalized and closed
+`from_maximal` and `algebra._cone` produce sets that are normalized and closed
 by construction and hand them over unchecked; `Complex(simplices)` checks
 both.  The simplex set is immutable, and every table fill computes a value
 from it alone and stores it once, so a repeated or concurrent fill stores

@@ -242,23 +242,49 @@ def save_scene(scene: Scene, path):
         handle.write("\n")
 
 
+def _plain_key(raw) -> Optional[tuple]:
+    """A key for an array of simplices whose every token is an int or a str,
+    else None.  Two such arrays have equal keys exactly when they hold the
+    same tokens; a bool or a float may equal an int, so neither gets a key."""
+    if (isinstance(raw, list) and set(map(type, raw)) <= {list}
+            and set(map(type, itertools.chain.from_iterable(raw))) <= {int, str}):
+        return tuple(map(tuple, raw))
+    return None
+
+
 def zigzag_from_dict(doc: dict) -> tuple[PairZigzag, Optional[dict[str, int]]]:
+    """Load a zigzag file.  Each distinct `p` or `e` array is parsed once, and
+    each distinct set checked once for membership and closedness."""
     if not isinstance(doc, dict):
         raise SchemaError("zigzag file must be a JSON object")
     cx, labels = _parse_complex(doc)
     raw_pairs = doc.get("pairs")
     if not isinstance(raw_pairs, list) or not raw_pairs:
         raise SchemaError("'pairs' must be a non-empty array")
+    parsed: dict[tuple, frozenset] = {}
+    closed: set[frozenset] = set()
+
+    def simplex_set(raw, what: str) -> frozenset:
+        key = _plain_key(raw)
+        if key in parsed:
+            return parsed[key]
+        out = frozenset(_parse_simplex_set(raw, labels, what))
+        if key is not None:
+            parsed[key] = out
+        return out
+
     pairs = []
     for k, raw in enumerate(raw_pairs):
         if not isinstance(raw, dict) or "p" not in raw or "e" not in raw:
             raise SchemaError(f"pair {k + 1} must be an object with 'p' and 'e'")
-        pset = frozenset(_parse_simplex_set(raw["p"], labels, f"pair {k + 1} 'p'"))
-        eset = frozenset(_parse_simplex_set(raw["e"], labels, f"pair {k + 1} 'e'"))
+        pset = simplex_set(raw["p"], f"pair {k + 1} 'p'")
+        eset = simplex_set(raw["e"], f"pair {k + 1} 'e'")
         try:
-            cx.check_subset(pset)
-            if not cx.is_closed(pset) or not cx.is_closed(eset):
-                raise SchemaError("components must be closed")  # prefixed below
+            for part in (pset, eset):
+                if part not in closed:
+                    if not cx.is_closed(part):
+                        raise SchemaError("components must be closed")  # prefixed below
+                    closed.add(part)
             pairs.append(IndexPair(pset, eset))
         except ValueError as exc:
             raise SchemaError(f"pair {k + 1}: {exc}") from exc

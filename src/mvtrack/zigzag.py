@@ -2,7 +2,10 @@
 
 Each pair is realized as an absolute complex by coning its exit set from a
 shared apex, so pair inclusions become complex inclusions and a single
-machinery handles the whole zigzag.  The interval decomposition of each
+machinery handles the whole zigzag.  A zigzag repeats a few pairs many
+times: `PairZigzag` interns equal pairs and checks each distinct one when it
+is built, and `homology_module` builds one cone, one homology basis and one
+map per distinct pair or pair of pairs.  The interval decomposition of each
 per-dimension homology module comes from one left-to-right sweep (after
 Carlsson & de Silva, "Zigzag persistence", and Carlsson, de Silva & Morozov,
 "Zigzag persistent homology and real-valued functions").  The sweep keeps
@@ -34,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import (Column, HomologyBasis, _axpy, check_prime, cone_pair, induced_map,
+from .algebra import (Column, HomologyBasis, _axpy, _cone, check_prime, induced_map,
                       reduce_columns)
 from .complexes import Complex
 from .dynamics import IndexPair
@@ -84,7 +87,14 @@ class Barcode:
 
 
 class PairZigzag:
-    """An alternating inclusion sequence of index pairs over one complex."""
+    """An alternating inclusion sequence of index pairs over one complex.
+
+    Equal pairs are interned into one object: `distinct` holds the distinct
+    pairs in order of first occurrence, `at[i]` the distinct index of
+    position i, and `pairs` the pair at each position as a tuple.  Every
+    distinct P and E is checked once for membership in the complex and for
+    closedness, so the cones of `homology_module` need no further checks.
+    """
 
     def __init__(self, cx: Complex, pairs: Sequence[IndexPair],
                  directions: Optional[Sequence[str]] = None,
@@ -92,11 +102,23 @@ class PairZigzag:
         if not pairs:
             raise ValueError("a zigzag needs at least one pair")
         self.cx = cx
-        self.pairs = list(pairs)
-        for pair in self.pairs:
-            cx.check_subset(pair.P)
+        index: dict[IndexPair, int] = {}
+        self.at = tuple(index.setdefault(pair, len(index)) for pair in pairs)
+        self.distinct = tuple(index)
+        self.pairs = tuple(self.distinct[j] for j in self.at)
+        checked: set[frozenset] = set()
+        for j, pair in enumerate(self.distinct):
+            for name, part in (("P", pair.P), ("E", pair.E)):
+                if part not in checked:
+                    try:
+                        if not cx.is_closed(part):
+                            raise ValueError(f"{name} is not closed")
+                    except ValueError as exc:
+                        raise ValueError(f"pair {self.at.index(j) + 1}: {exc}") from exc
+                    checked.add(part)
         if directions is None:
-            directions = [self._infer(a, b) for a, b in zip(self.pairs, self.pairs[1:])]
+            directions = [self._infer(a, b, i) for i, (a, b) in
+                          enumerate(zip(self.pairs, self.pairs[1:]), 1)]
         self.directions = list(directions)
         if len(self.directions) != len(self.pairs) - 1:
             raise ValueError("need one direction per consecutive pair")
@@ -112,12 +134,12 @@ class PairZigzag:
             raise ValueError("need one tag per pair")
 
     @staticmethod
-    def _infer(a: IndexPair, b: IndexPair) -> str:
+    def _infer(a: IndexPair, b: IndexPair, k: int) -> str:
         if b.includes(a):
             return FORWARD
         if a.includes(b):
             return BACKWARD
-        raise ValueError("consecutive pairs are not nested either way")
+        raise ValueError(f"pairs {k} and {k + 1} are not nested either way")
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -189,31 +211,30 @@ def interval_multiplicities(dims: list[int], arrows: list[tuple[str, list[Column
 
 
 def homology_module(zz: PairZigzag, p: int = 2):
-    """Per-dimension (dims, arrows) of the coned-complex homology zigzag."""
+    """Per-dimension (dims, arrows) of the coned-complex homology zigzag.
+
+    Cones, homology bases and induced maps are built once per distinct pair
+    of `zz`, which has already checked every pair."""
     check_prime(p)
     apex = max(zz.cx.vertices, default=-1) + 1
-    cones: dict[IndexPair, Complex] = {}
-    bases: dict[IndexPair, HomologyBasis] = {}
-    for pair in zz.pairs:
-        if pair not in cones:
-            cones[pair] = cone_pair(zz.cx, pair.P, pair.E, apex=apex)
-            bases[pair] = HomologyBasis(cones[pair], p)
+    bases = [HomologyBasis(_cone(pair.P, pair.E, apex), p) for pair in zz.distinct]
     kmax = zz.cx.dim
     betti = []
-    for pair in zz.pairs:
-        bs = bases[pair].betti
+    for basis in bases:
+        bs = basis.betti
         # relative homology vanishes above the ambient dimension, so the cone
         # cannot carry anything there either
         if any(bs[kmax + 1:]):
             raise AssertionError("cone homology above the ambient dimension")
         betti.append(tuple(bs[k] if k < len(bs) else 0 for k in range(kmax + 1)))
+    betti = [betti[j] for j in zz.at]
     modules = []
-    map_cache: dict[tuple[IndexPair, IndexPair, int], list[Column]] = {}
+    map_cache: dict[tuple[int, int, int], list[Column]] = {}
     for k in range(kmax + 1):
         dims = [bt[k] for bt in betti]
         arrows: list[tuple[str, list[Column]]] = []
         for i, direction in enumerate(zz.directions):
-            a, b = zz.pairs[i], zz.pairs[i + 1]
+            a, b = zz.at[i], zz.at[i + 1]
             small, big = (a, b) if direction == FORWARD else (b, a)
             key = (small, big, k)
             cols = map_cache.get(key)

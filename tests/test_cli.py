@@ -536,6 +536,77 @@ def test_mixed_ids_and_labels_load_as_ids(spot, outcome):
         assert mixed == outcome
 
 
+def _barcode_of(tmp_path, capsys, doc):
+    """`barcode` on a zigzag document: (exit code, stdout)."""
+    path = tmp_path / "zz.json"
+    path.write_text(json.dumps(doc))
+    return run(capsys, "barcode", str(path))
+
+
+# Pair 2 repeats pair 1's `p` or `e` under ==, with a token that is not an id.
+LOOKALIKE_PAIRS = {
+    "p boolean": ([[0, 1], [0], [1]], [[1]], [[0, True], [0], [1]], [[1]], "bad vertex True"),
+    "p float": ([[0, 1], [0], [1]], [[1]], [[0, 1.0], [0], [1]], [[1]], "bad vertex 1.0"),
+    "p boolean among labels": ([["A", 1], ["A"], [1]], [[1]], [["A", True], ["A"], [1]], [[1]],
+                               "bad vertex True"),
+    "e boolean": ([[0, 1], [0], [1]], [[1]], [[0, 1], [0], [1]], [[True]], "bad vertex True"),
+    "e float": ([[0, 1], [0], [1]], [[1]], [[0, 1], [0], [1]], [[1.0]], "bad vertex 1.0"),
+    "e boolean among labels": ([[0, 1], [0], [1]], [["A", 1], ["A"], [1]], [[0, 1], [0], [1]],
+                               [["A", True], ["A"], [1]], "bad vertex True"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOOKALIKE_PAIRS))
+def test_repeated_arrays_are_not_reused_across_token_types(tmp_path, capsys, case):
+    """A `p` or `e` array equal to an earlier one under ==, but holding a
+    boolean or a float, fails as it does on its own."""
+    p1, e1, p2, e2, message = LOOKALIKE_PAIRS[case]
+    doc = {"vertices": dict(LOADER_LABELS), "maximal_simplices": [[0, 1, 2]],
+           "pairs": [{"p": p1, "e": e1}, {"p": p2, "e": e2}]}
+    assert p1 == p2 and e1 == e2
+    with pytest.raises(SchemaError) as exc:
+        zigzag_from_dict(doc)
+    assert str(exc.value) == message
+    assert _barcode_of(tmp_path, capsys, doc) == (2, f"FAIL: {message}\n")
+
+
+# Zigzag files with several faults and the one named, as the loader named it
+# before it parsed and checked each distinct array once.
+MULTI_FAULT_ZIGZAGS = {
+    "not nested, then not closed": (
+        [{"p": [[0, 1], [0], [1]], "e": []}, {"p": [[1, 2], [1], [2]], "e": []},
+         {"p": [[0, 1]], "e": []}],
+        "pair 3: components must be closed"),
+    "e outside the complex": (
+        [{"p": [[0, 1], [0], [1]], "e": [[7]]}],
+        "pair 1: simplex (7,) not in complex"),
+    "not closed, then a bad vertex": (
+        [{"p": [[0, 1]], "e": []}, {"p": [[0, True]], "e": []}],
+        "pair 1: components must be closed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_FAULT_ZIGZAGS))
+def test_zigzag_loader_names_the_first_fault(tmp_path, capsys, case):
+    pairs, message = MULTI_FAULT_ZIGZAGS[case]
+    doc = {"maximal_simplices": [[0, 1, 2]], "pairs": pairs}
+    with pytest.raises(SchemaError) as exc:
+        zigzag_from_dict(doc)
+    assert str(exc.value) == message
+    assert _barcode_of(tmp_path, capsys, doc) == (2, f"FAIL: {message}\n")
+
+
+def test_pairs_not_nested_are_named(tmp_path, capsys):
+    edge = {"p": [[0, 1], [0], [1]], "e": []}
+    other = {"p": [[1, 2], [1], [2]], "e": []}
+    doc = {"maximal_simplices": [[0, 1, 2]], "pairs": [edge, edge, other, edge]}
+    message = "pairs 2 and 3 are not nested either way"
+    with pytest.raises(SchemaError) as exc:
+        zigzag_from_dict(doc)
+    assert str(exc.value) == message
+    assert _barcode_of(tmp_path, capsys, doc) == (2, f"FAIL: {message}\n")
+
+
 FUZZ_JUNK = [None, True, -1, 0, 3, 99, "x", "A", [], {}, [[]], [[0, 0]], [[0, 99]],
              {"op": "split", "off": []}, {"op": "merge", "mvs": [[1], [2]]}]
 FUZZ_SELECTORS = ["seed", "", "mv:1:", "mv:0:1", "mv:x:1", "set:1:", "set:9:1", "warp:1:1",

@@ -1,8 +1,11 @@
+import json
 import random
 
 import pytest
 
 import mvtrack as mv
+from mvtrack import cli, io, zigzag
+from mvtrack.cli import main
 from mvtrack.dynamics import IndexPair
 from mvtrack.zigzag import (BACKWARD, FORWARD, Bar, PairZigzag, homology_module,
                             interval_multiplicities, pair_zigzag_barcode)
@@ -183,13 +186,96 @@ def test_naive_intersection_barcode_is_erratic(repeller_disk):
     assert induced_map_rank(cx, meet, left, FORWARD) == (0, 0, 0)
 
 
-def test_module_extraction_matches_oracle_on_real_zigzags():
-    rng = random.Random(41)
+def _zigzag_doc(zz):
+    """A zigzag file holding the pairs of `zz` in full, one entry per position."""
+    cx = zz.cx
+    return {"maximal_simplices": [list(s) for s in cx.sorted_simplices() if not cx.cofacets(s)],
+            "pairs": [{"p": [list(s) for s in sorted(pr.P)], "e": [list(s) for s in sorted(pr.E)]}
+                      for pr in zz.pairs]}
+
+
+def test_barcode_parses_and_checks_each_distinct_set_once(nine_fields, tmp_path, monkeypatch,
+                                                          capsys):
+    """Counts work, not time, on the tracked saddle_collision_nine zigzag
+    written out position by position and read back by `barcode`: one parse per
+    distinct array, and one closedness check per distinct set in the loader
+    and in `PairZigzag`, none in `homology_module`."""
+    tracked = mv.run_protocol(nine_fields.fields, nine_fields.seed).zigzag
+    doc = _zigzag_doc(tracked)
+    path = tmp_path / "zz.json"
+    path.write_text(json.dumps(doc))
+    arrays = {json.dumps(pr[key]) for pr in doc["pairs"] for key in ("p", "e")}
+    sets = {part for pr in tracked.pairs for part in (pr.P, pr.E)}
+    assert len(doc["pairs"]) > 2 * len(arrays)
+    bars = pair_zigzag_barcode(PairZigzag(tracked.cx, tracked.pairs, tracked.directions))
+
+    phase = ["loader"]
+    closed_calls = {"loader": [], "PairZigzag": [], "homology_module": []}
+    parses = []
+
+    def during(name, fn):
+        def wrapped(*args, **kwargs):
+            outer, phase[0] = phase[0], name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase[0] = outer
+        return wrapped
+
+    def is_closed(cx, subset):
+        closed_calls[phase[0]].append(frozenset(subset))
+        return original_is_closed(cx, subset)
+
+    def parse_plain(raw, labels):
+        parses.append(raw)
+        return original_parse_plain(raw, labels)
+
+    original_is_closed, original_parse_plain = mv.Complex.is_closed, io._parse_plain
+    monkeypatch.setattr(mv.Complex, "is_closed", is_closed)
+    monkeypatch.setattr(io, "_parse_plain", parse_plain)
+    monkeypatch.setattr(PairZigzag, "__init__", during("PairZigzag", PairZigzag.__init__))
+    monkeypatch.setattr(zigzag, "homology_module",
+                        during("homology_module", zigzag.homology_module))
+    assert main(["barcode", str(path)]) == 0
+    assert capsys.readouterr().out == cli.barcode_text(bars) + "\n"
+    assert len(parses) == len(arrays) + 1
+    for name in ("loader", "PairZigzag"):
+        assert sorted(map(sorted, closed_calls[name])) == sorted(map(sorted, sets)), name
+    assert closed_calls["homology_module"] == []
+
+
+def test_pair_zigzag_interns_equal_pairs(nine_fields):
+    zz = mv.run_protocol(nine_fields.fields, nine_fields.seed).zigzag
+    loaded, _ = io.zigzag_from_dict(_zigzag_doc(zz))
+    for one in (zz, loaded):
+        assert isinstance(one.pairs, tuple) and len(one.pairs) == len(zz)
+        assert len(set(one.distinct)) == len(one.distinct) < len(one.pairs)
+        assert all(pr is one.distinct[j] for pr, j in zip(one.pairs, one.at))
+        assert list(dict.fromkeys(one.at)) == list(range(len(one.distinct)))
+    assert loaded.pairs == zz.pairs and loaded.at == zz.at
+
+
+def test_pair_zigzag_rejects_bad_pairs_at_their_first_position(triangle):
+    good = IndexPair(triangle.closure({(0, 1)}), frozenset({(0,)}))
+    open_p = IndexPair(frozenset({(0, 1), (0,)}), frozenset({(0,)}))
+    open_e = IndexPair(triangle.closure({(0, 1)}), frozenset({(0, 1), (0,)}))
+    outside = IndexPair(frozenset({(0,), (7,)}), frozenset())
+    for bad, message in ((open_p, "P is not closed"), (open_e, "E is not closed"),
+                         (outside, "simplex (7,) not in complex")):
+        copy = IndexPair(frozenset(list(bad.P)), frozenset(list(bad.E)))
+        with pytest.raises(ValueError) as exc:
+            PairZigzag(triangle, [good, good, copy, good, bad])
+        assert str(exc.value) == f"pair 3: {message}"
+
+
+def _random_pair_sequences(rng, count):
+    """`count` random sequences of two or more adjacent pairs, each with its complex."""
     done = 0
     tries = 0
-    while done < 12:
+    while done < count:
         tries += 1
-        assert tries <= 120, f"{done} of 12 zigzags of two or more pairs in {tries - 1} attempts"
+        assert tries <= 10 * count, \
+            f"{done} of {count} zigzags of two or more pairs in {tries - 1} attempts"
         cx = random_complex(rng, n_vertices=5, n_maximal=3, max_dim=2, max_size=12)
         closed = closed_subsets(cx)
         pairs = [_random_pair(rng, closed)]
@@ -198,14 +284,32 @@ def test_module_extraction_matches_oracle_on_real_zigzags():
             if nxt is None:
                 break
             pairs.append(nxt)
-        if len(pairs) < 2:
-            continue
-        zz = PairZigzag(cx, pairs)
-        _, modules = homology_module(zz, 2)
+        if len(pairs) >= 2:
+            done += 1
+            yield cx, pairs
+
+
+def test_module_extraction_matches_oracle_on_real_zigzags():
+    for cx, pairs in _random_pair_sequences(random.Random(41), 12):
+        _, modules = homology_module(PairZigzag(cx, pairs), 2)
         for dims, arrows in modules:
             assert interval_multiplicities(dims, arrows, 2) \
                 == oracle_multiplicities(dims, dense_arrows(dims, arrows), 2)
-        done += 1
+
+
+def test_shared_and_copied_pairs_give_one_barcode():
+    """Up and back again, once sharing each pair object and once with equal
+    copies: one interned pair per distinct pair, and the same bars."""
+    for cx, pairs in _random_pair_sequences(random.Random(41), 12):
+        shared = pairs + pairs[-2::-1]
+        copies = [IndexPair(frozenset(list(pr.P)), frozenset(list(pr.E))) for pr in shared]
+        assert not any(a is b for a, b in zip(shared, copies))
+        zigzags = [PairZigzag(cx, seq) for seq in (shared, copies)]
+        assert zigzags[0].at == zigzags[1].at
+        assert len(zigzags[1].distinct) == len(set(pairs))
+        for p in (2, 3):
+            assert pair_zigzag_barcode(zigzags[0], p).bars \
+                == pair_zigzag_barcode(zigzags[1], p).bars
 
 
 def _random_pair(rng, closed):
