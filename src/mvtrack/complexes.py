@@ -6,7 +6,8 @@ face relation, and at the scales this package targets every algorithm
 touches every simplex anyway.  The face tables are built on demand: the
 closure of a simplex on its first lookup, the cofacet and sorted tables on
 their first use.  A cone built for homology is read only through its
-simplices and dimension, so it never builds them.
+simplices and dimension, so it never builds them, and `is_convex` works
+from facets and reads no table.
 
 `from_maximal` and `algebra._cone` produce sets that are normalized and closed
 by construction and hand them over unchecked; `Complex(simplices)` checks
@@ -174,13 +175,17 @@ class Complex:
         return subset.issuperset(itertools.chain.from_iterable(self._closures(subset)))
 
     def is_convex(self, subset: Collection[Simplex]) -> bool:
-        """True iff the set contains every simplex sandwiched between two members.
-
-        A violation needs some rho outside the set with a coface and a face
-        inside it, so only mouth simplices can ever violate convexity.
+        """True iff no simplex outside the set lies between two members,
+        i.e. iff no member tau has a facet f outside it with a proper face
+        in it.  Such an f lies between; conversely, for g < rho < tau with
+        rho outside, the last simplex outside along a facet chain from rho
+        up to tau is such an f.  Members with at most two vertices have no
+        such f.  No closure table is read or filled.
         """
         subset = self.check_subset(subset)
-        for faces in self._closures(self.mouth(subset)):
-            if not subset.isdisjoint(faces):
-                return False
+        for tau in subset:
+            if len(tau) > 2:
+                for f in facets(tau):
+                    if f not in subset and not subset.isdisjoint(proper_faces(f)):
+                        return False
         return True

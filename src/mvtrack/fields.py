@@ -34,10 +34,13 @@ class MultivectorField:
     __slots__ = ("cx", "_assign", "_parts", "_criticality", "_ids", "_report")
 
     def __init__(self, cx: Complex, parts: Iterable[Collection[Simplex]]):
+        self._partition(cx, map(cx.check_subset, parts))
+
+    def _partition(self, cx: Complex, parts: Iterable[SimplexSet]) -> None:
+        """Adopt `parts`, frozensets of members of cx, as a partition of cx."""
         assign: dict[Simplex, Simplex] = {}
         part_map: dict[Simplex, SimplexSet] = {}
-        for raw in parts:
-            part = cx.check_subset(raw)
+        for part in parts:
             if not part:
                 continue
             ident = min(part)
@@ -64,12 +67,18 @@ class MultivectorField:
     @classmethod
     def from_parts(cls, cx: Complex, parts: Iterable[Collection[Simplex]],
                    complete_singletons: bool = False) -> "MultivectorField":
-        """Build a field; optionally treat unlisted simplices as singletons."""
-        listed = [frozenset(cx.check_subset(p)) for p in parts]
+        """Build a field; optionally treat unlisted simplices as singletons.
+        A non-member in any part is named before an overlap."""
+        listed = list(map(frozenset, parts))
+        used = frozenset().union(*listed)
+        if not used <= cx.simplices:
+            for part in listed:
+                cx.check_subset(part)  # raises, naming the first non-member
         if complete_singletons:
-            used = set().union(*listed) if listed else set()
             listed.extend(frozenset([s]) for s in sorted(cx.simplices - used))
-        return cls(cx, listed)
+        field = cls.__new__(cls)
+        field._partition(cx, listed)
+        return field
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, MultivectorField)

@@ -17,7 +17,10 @@ field: {"op": "split", "off": [<simplex>, ...]} splits the multivector
 containing the listed simplices, {"op": "merge", "mvs": [<simplex>,
 <simplex>]} merges the two containing multivectors.
 
-Fields after the first are checked only by the multivectors their atomic step adds.
+A list-form field is parsed in one pass over all its multivectors, falling
+back to one multivector at a time for the message when that pass fails.
+Fields after the first are checked only by the multivectors their atomic
+step adds; an op is its own step, and list-form steps are classified.
 
 A zigzag file replaces "fields"/"seed" with "pairs":
 [{"p": [...], "e": [...]}, ...]; inclusion directions are inferred.
@@ -32,7 +35,8 @@ from typing import Optional
 
 from .complexes import Complex, Simplex, simplex
 from .dynamics import IndexPair
-from .fields import MultivectorField, classify_rearrangement, validate_field
+from .fields import (AtomicRearrangement, MultivectorField, classify_rearrangement,
+                     validate_field)
 from .zigzag import PairZigzag
 
 
@@ -105,14 +109,27 @@ def _parse_plain(raw: list, labels) -> Optional[list[Simplex]]:
 def _parse_partition(raw, cx: Complex, labels, what: str) -> MultivectorField:
     if not isinstance(raw, list):
         raise SchemaError(f"{what} must be an array of multivectors")
-    parts = [_parse_simplex_set(mv, labels, f"{what} multivector") for mv in raw]
+    flat = (_parse_plain(list(itertools.chain.from_iterable(raw)), labels)
+            if set(map(type, raw)) <= {list} else None)
+    if flat is None:
+        parts = [_parse_simplex_set(mv, labels, f"{what} multivector") for mv in raw]
+    else:
+        simplices = iter(flat)
+        parts = [list(itertools.islice(simplices, len(mv))) for mv in raw]
     try:
         return MultivectorField.from_parts(cx, parts, complete_singletons=True)
     except ValueError as exc:
         raise SchemaError(f"{what}: {exc}") from exc
 
 
-def _apply_op(field: MultivectorField, op, labels, what: str) -> MultivectorField:
+def _halves(kind: str, a: frozenset, b: frozenset) -> AtomicRearrangement:
+    """The step that splits a | b into a and b, or merges them."""
+    return AtomicRearrangement(kind, a | b, tuple(sorted((a, b), key=min)))
+
+
+def _apply_op(field: MultivectorField, op, labels,
+              what: str) -> tuple[MultivectorField, AtomicRearrangement]:
+    """The field the op makes from `field`, and the op as an atomic step."""
     if not isinstance(op, dict) or "op" not in op:
         raise SchemaError(f"{what} must be an object with an 'op' member")
     kind = op["op"]
@@ -124,12 +141,14 @@ def _apply_op(field: MultivectorField, op, labels, what: str) -> MultivectorFiel
             idents = {field.mv_id(s) for s in off}
             if len(idents) != 1:
                 raise SchemaError(f"{what}: split pieces span several multivectors")
-            return field.split(idents.pop(), off)
+            ident = idents.pop()
+            return field.split(ident, off), _halves("refinement", off, field.part(ident) - off)
         if kind == "merge":
             members = _parse_simplex_set(op.get("mvs"), labels, f"{what} 'mvs'")
             if len(members) != 2:
                 raise SchemaError(f"{what}: merge needs exactly two member simplices")
-            return field.merge(field.mv_id(members[0]), field.mv_id(members[1]))
+            a, b = field.mv_id(members[0]), field.mv_id(members[1])
+            return field.merge(a, b), _halves("coarsening", field.part(a), field.part(b))
     except KeyError as exc:
         raise SchemaError(f"{what}: simplex {exc} not in complex") from exc
     except SchemaError:
@@ -162,13 +181,15 @@ def scene_from_dict(doc: dict, check_atomic: bool = True) -> Scene:
     cx, labels = _parse_complex(doc)
     raw_fields = doc.get("fields")
     fields: list[MultivectorField] = []
+    steps: dict[int, AtomicRearrangement] = {}  # field index -> the op that made it
     if isinstance(raw_fields, dict):
         fields.append(_parse_partition(raw_fields.get("initial"), cx, labels, "initial field"))
         ops = raw_fields.get("ops", [])
         if not isinstance(ops, list):
             raise SchemaError("'ops' must be an array")
         for k, op in enumerate(ops):
-            fields.append(_apply_op(fields[-1], op, labels, f"op {k + 1}"))
+            fld, steps[k + 1] = _apply_op(fields[-1], op, labels, f"op {k + 1}")
+            fields.append(fld)
     elif isinstance(raw_fields, list):
         for k, raw in enumerate(raw_fields):
             fields.append(_parse_partition(raw, cx, labels, f"field {k + 1}"))
@@ -178,8 +199,8 @@ def scene_from_dict(doc: dict, check_atomic: bool = True) -> Scene:
         raise SchemaError("scene needs at least one field")
     not_atomic = None  # the first non-atomic step, raised after every convexity check
     for k, fld in enumerate(fields):
-        step = None
-        if check_atomic and k:
+        step = steps.get(k)
+        if step is None and check_atomic and k:
             try:
                 step = classify_rearrangement(fields[k - 1], fld)
             except ValueError as exc:
@@ -210,6 +231,8 @@ def _read_json(path):
         raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("invalid JSON: nested too deeply") from exc
 
 
 def load_scene(path, check_atomic: bool = True) -> Scene:

@@ -12,8 +12,9 @@ over windows; the homology oracles use dense row elimination (numpy int64,
 so only for small primes) instead of the library's sparse column reduction.
 The oracles take zigzag arrows as dense matrices; `sparse_arrows` and
 `dense_arrows` convert to and from the library's sparse columns.  The
-convexity oracle checks every multivector of a field, where the loader
-checks only what each atomic step adds.  `EagerComplex` is the former
+convexity oracle decides convexity from the mouth, where the library reads
+facets, and checks every multivector of a field, where the loader checks
+only what each atomic step adds.  `EagerComplex` is the former
 complex construction, which built every face table up front.
 """
 
@@ -183,15 +184,23 @@ def grid_scene(rng, n=4, steps=4, p=2):
     return None if seed is None else (fields, seed)
 
 
-# ------------------------------------------------------ convexity oracle
+# ------------------------------------------------------ convexity oracles
+
+def mouth_is_convex(cx, subset):
+    """The former `Complex.is_convex`: only a mouth simplex (in cl(A) \\ A)
+    can lie between two members, so A is convex iff no mouth simplex has a
+    face in A.  It fills the closure table of every member and mouth simplex."""
+    subset = cx.check_subset(subset)
+    return all(subset.isdisjoint(cx.closure_of(rho)) for rho in cx.mouth(subset))
+
 
 def full_convexity_report(fld):
-    """Check every multivector for convexity, in part-id order, with neither
-    the report stored on the field nor its cached ids."""
+    """Check every multivector with the mouth oracle, in part-id order, with
+    neither the report stored on the field nor its cached ids."""
     problems = []
     for ident in sorted({fld.mv_id(s) for s in fld.cx.simplices}):
         part = fld.part(ident)
-        if not fld.cx.is_convex(part):
+        if not mouth_is_convex(fld.cx, part):
             problems.append(f"multivector {sorted(part)} is not convex")
     return mv.CheckReport(not problems, tuple(problems))
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import mvtrack as mv
-from mvtrack import cli, tracking
+from mvtrack import cli, io as mvio, tracking
 from mvtrack.algebra import MAX_PRIME
 from mvtrack.cli import main
 from mvtrack.io import (Scene, SchemaError, load_scene, load_zigzag, save_scene,
@@ -665,3 +665,146 @@ def test_every_verb_survives_mutated_fixtures(tmp_path, capsys):
                 code = exc.code
             capsys.readouterr()
             assert code in (0, 2, 3), (argv, doc)
+
+
+# Multi-multivector fields with a fault, and what the loader made of them
+# before it parsed each field in one pass and checked membership once.
+FIELD_FAULTS = {
+    "overlap, then a non-member": (
+        False, [[[0], [0, 1]], [[0, 1], [1]], [[7]]], "field 1: simplex (7,) not in complex"),
+    "non-member, then overlap": (
+        False, [[[7]], [[0], [0, 1]], [[0, 1], [1]]], "field 1: simplex (7,) not in complex"),
+    "overlap": (
+        False, [[[0], [0, 1]], [[0, 1], [1]]],
+        "field 1: simplex (0, 1) assigned to two multivectors"),
+    "shared minimum": (
+        False, [[[0], [0, 1]], [[0], [0, 2]]], "field 1: duplicate multivector identifier (0,)"),
+    "bad vertex in a later multivector": (
+        False, [[[0], [0, 1]], [[1], [1, True]]], "bad vertex True"),
+    "a multivector not an array": (
+        False, [[[0]], 5, [[1, 1]]], "field 1 multivector must be an array of simplices"),
+    "repeated vertex, then a bad vertex": (
+        False, [[[0], [0, 1]], [[2, 2]], [[0, None]]], "repeated vertex 2 in simplex (2, 2)"),
+    "unknown label in a later multivector": (
+        True, [[["A"], ["A", "B"]], [["C"], ["C", "Z"]]], "unknown vertex label 'Z'"),
+    "empty simplex in a later multivector": (
+        False, [[[0], [0, 1]], [[1], []]], "a simplex must be a non-empty array, got []"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_FAULTS))
+def test_list_form_field_names_the_first_fault(tmp_path, capsys, case):
+    labelled, field, message = FIELD_FAULTS[case]
+    doc = {"maximal_simplices": [["A", "B", "C"] if labelled else [0, 1, 2]],
+           "fields": [field], "seed": []}
+    if labelled:
+        doc["vertices"] = dict(LOADER_LABELS)
+    with pytest.raises(SchemaError) as exc:
+        scene_from_dict(doc)
+    assert str(exc.value) == message
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "validate", str(path)) == (2, f"FAIL: {message}\n")
+
+
+def test_public_constructor_names_an_overlap_before_a_later_non_member(triangle):
+    """`MultivectorField(cx, parts)` checks part by part, `from_parts` checks
+    membership first; each keeps the fault it named before."""
+    parts = [[(0,), (0, 1)], [(0, 1), (1,)], [(7,)]]
+    with pytest.raises(ValueError, match=r"^simplex \(0, 1\) assigned to two multivectors$"):
+        mv.MultivectorField(triangle, parts)
+    with pytest.raises(ValueError, match=r"^simplex \(7,\) not in complex$"):
+        mv.MultivectorField.from_parts(triangle, parts, complete_singletons=True)
+
+
+@pytest.mark.parametrize("field", [
+    [[["A"], ["A", "B"]], [[2], [1, 2]]],
+    [[["A"], ["A", 1]], [["C"], ["B", "C"]]],
+    [[], [[0], [0, 1]], []]], ids=["labels then ids", "mixed tokens", "empty multivectors"])
+def test_fields_mixing_token_kinds_load_as_when_parsed_alone(field):
+    """A field whose multivectors cannot be parsed in one pass loads as its
+    multivectors parsed one by one, with labels resolved to ids."""
+    def ids(raw):
+        return [[LOADER_LABELS.get(v, v) for v in s] for s in raw]
+
+    doc = {"vertices": dict(LOADER_LABELS), "maximal_simplices": [["A", "B", "C"]],
+           "fields": [field], "seed": []}
+    plain = dict(doc, fields=[[ids(part) for part in field]])
+    assert scene_from_dict(doc).fields == scene_from_dict(plain).fields
+
+
+@pytest.mark.parametrize("verb", ["validate", "barcode"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, verb):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    assert run(capsys, verb, str(path)) == (2, "FAIL: invalid JSON: nested too deeply\n")
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        (load_scene if verb == "validate" else load_zigzag)(path)
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    """`main` builds its parser once per process, and a run of calls through
+    it, a rejected one included, prints what a fresh parser would."""
+    scene = str(FIXTURES / "merging_saddles.json")
+    zigzag = str(FIXTURES / "repeller_pairs_in_n.json")
+    calls = [("validate", scene), ("conley", scene, "seed", "--format", "json"),
+             ("conley", scene, "--field-char", "4"), ("barcode", zigzag),
+             ("validate", scene, "--verbose", "--field-char", "3"),
+             ("conley", scene, "seed", "--field-char", "3")]
+
+    def outcome(parse, argv):
+        try:
+            code = parse(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    builds = []
+    original = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    shared = [outcome(main, argv) for argv in calls]
+    assert len(builds) == 1
+
+    def fresh_main(argv):
+        args = original().parse_args(argv)
+        return args.func(args)
+
+    assert shared == [outcome(fresh_main, argv) for argv in calls]
+    assert shared[2][0] == ("exit", 2) and "must be prime, got 4" in shared[2][2]
+    assert [code for code, _, _ in shared[3:]] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("name", SCENES)
+def test_loading_and_validating_fill_no_closure_table(name):
+    """Convexity is decided from facets, so loading a scene, validating its
+    fields and checking its seed's convexity read no closure table."""
+    scene = load_scene(FIXTURES / f"{name}.json")
+    assert all(mv.validate_field(fld) for fld in scene.fields)
+    scene.cx.is_convex(scene.seed)
+    scene.fields[0].is_compatible(scene.seed)
+    assert scene.cx._closure_of == {}
+
+
+@pytest.mark.parametrize("name,form", [
+    ("merging_saddles", "list"), ("repeller_disk", "list"),
+    ("saddle_collision_nine", "ops"), ("unresolved_step", "ops")])
+def test_only_list_form_steps_are_classified(monkeypatch, name, form):
+    """An ops-form load takes each step from its op; a list-form load finds
+    each of its fields - 1 steps by diffing the fields."""
+    calls = []
+    original = mvio.classify_rearrangement
+
+    def counted(field, other):
+        calls.append(1)
+        return original(field, other)
+
+    monkeypatch.setattr(mvio, "classify_rearrangement", counted)
+    scene = load_scene(FIXTURES / f"{name}.json")
+    assert len(calls) == (len(scene.fields) - 1 if form == "list" else 0)

@@ -15,7 +15,7 @@ from mvtrack.complexes import Complex, facets, proper_faces, simplex
 from mvtrack.io import load_scene
 from mvtrack.zigzag import pair_zigzag_barcode
 
-from helpers import EagerComplex, all_faces, random_complex, random_subset
+from helpers import EagerComplex, all_faces, mouth_is_convex, random_complex, random_subset
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -98,6 +98,7 @@ COMPLEXES = [
     Complex.from_maximal([[0, 1, 2]]),
     Complex.from_maximal([[0, 1, 2], [1, 2, 3], [3, 4]]),
     Complex.from_maximal([[0, 1], [1, 2], [0, 2]]),
+    Complex.from_maximal([[0, 1, 2, 3]]),
 ]
 
 
@@ -152,6 +153,33 @@ def test_convex_iff_difference_of_closed_sets(data):
     closed = _closed_family(cx)
     brute = any(subset <= c and subset == c - d for c in closed for d in closed)
     assert cx.is_convex(subset) == brute
+
+
+def test_is_convex_matches_the_mouth_oracle_at_dimension_3():
+    """Subsets of random complexes of dimension up to 3: random ones, and a
+    member tau with a face of codimension 2 or 3 while some or all simplices
+    between them are dropped.  Both verdicts must occur."""
+    verdicts = Counter()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def check(rng):
+        cx = random_complex(rng, max_dim=3)
+        tall = [s for s in cx.simplices if len(s) > 2]
+        for _ in range(8):
+            subset = set(random_subset(rng, cx.simplices))
+            if tall and rng.random() < 0.6:
+                tau = rng.choice(tall)
+                g = tuple(sorted(rng.sample(tau, rng.randint(1, len(tau) - 2))))
+                between = [s for s in proper_faces(tau) if set(g) < set(s)]
+                subset |= {g, tau}
+                subset -= set(rng.sample(between, rng.randint(1, len(between))))
+            verdict = cx.is_convex(subset)
+            assert verdict == mouth_is_convex(cx, subset)
+            verdicts[verdict] += 1
+
+    check()
+    assert verdicts[True] >= 100 and verdicts[False] >= 100
 
 
 def test_proper_faces_of_triangle():

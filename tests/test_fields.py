@@ -4,6 +4,7 @@ import random
 import pytest
 
 import mvtrack as mv
+from mvtrack import io as mvio
 from mvtrack.fields import (MultivectorField, NotAtomicError, classify_rearrangement,
                             intersect_fields, refinement_path, rearrangement_path,
                             validate_field)
@@ -205,6 +206,58 @@ def test_stored_reports_match_the_full_check_on_atomic_sequences():
             with pytest.raises(SchemaError) as exc:
                 scene_from_dict(doc)
             assert str(exc.value) == f"field {len(fields)}: " + "; ".join(report.problems)
+    assert failures >= 15
+
+
+def _ops_doc(rng, cx, fields):
+    """The sequence as an ops-form scene: a split names either half, a merge
+    one random member of each half, in either order."""
+    ops = []
+    for before, after in zip(fields, fields[1:]):
+        step = classify_rearrangement(before, after)
+        halves = rng.sample(step.parts, 2)
+        if step.kind == "refinement":
+            ops.append({"op": "split", "off": [list(s) for s in sorted(halves[0])]})
+        else:
+            ops.append({"op": "merge", "mvs": [list(rng.choice(sorted(h))) for h in halves]})
+    initial = [[list(s) for s in sorted(part)] for part in fields[0].parts() if len(part) > 1]
+    return {"maximal_simplices": [list(s) for s in cx.sorted_simplices()],
+            "fields": {"initial": initial, "ops": ops}, "seed": []}
+
+
+def test_ops_form_steps_are_the_classified_steps(monkeypatch):
+    """The loader takes each ops-form step from its op.  The step it validates
+    with equals classify_rearrangement of the two fields, and the fields and
+    the first fault named match the list-form load of the same sequence."""
+    rng = random.Random(37)
+    seen = []
+    original = mvio.validate_field
+
+    def recording(fld, step=None):
+        seen.append(step)
+        return original(fld, step)
+
+    monkeypatch.setattr(mvio, "validate_field", recording)
+    failures = 0
+    for trial in range(60):
+        cx = grid_complex(2) if trial % 4 == 0 else random_complex(rng, max_size=18)
+        start = MultivectorField(cx, [cx.simplices]) if trial % 3 == 0 else random_field(rng, cx)
+        fields = _random_atomic_sequence(rng, start, 8)
+        steps = [None] + [classify_rearrangement(a, b) for a, b in zip(fields, fields[1:])]
+        listed = scene_to_dict(Scene(cx, fields, frozenset()))
+        seen.clear()
+        try:
+            assert scene_from_dict(_ops_doc(rng, cx, fields)).fields == fields
+            fault = None
+        except SchemaError as exc:
+            fault = str(exc)
+        assert seen and seen == steps[:len(seen)]
+        if fault is not None:
+            failures += 1
+            assert fault.startswith(f"field {len(seen)}: ")
+            with pytest.raises(SchemaError) as by_list:
+                scene_from_dict(listed)
+            assert str(by_list.value) == fault
     assert failures >= 15
 
 
