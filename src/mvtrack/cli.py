@@ -18,8 +18,8 @@ import json
 import sys
 from pathlib import Path
 
-from .algebra import check_prime, relative_homology
-from .dynamics import PreconditionError, is_invariant
+from .algebra import check_prime
+from .dynamics import PreconditionError, conley_index, is_invariant
 from .fields import NotAtomicError, rearrangement_path, validate_field
 from .io import Scene, SchemaError, load_scene, load_zigzag, save_scene
 from .tracking import run_protocol
@@ -172,12 +172,12 @@ def cmd_conley(args) -> int:
         _emit(f"FAIL: {exc}", None)
         return FAIL
     fld = scene.fields[idx - 1]
-    cx = scene.cx
-    if not (cx.is_convex(subset) and fld.is_compatible(subset)):
+    try:
+        betti = conley_index(fld, subset, args.field_char)
+    except PreconditionError:
         _emit("FAIL: selected set is not convex and compatible, its closure/mouth "
               "pair is not an index pair", None)
         return FAIL
-    betti = relative_homology(cx, cx.closure(subset), cx.mouth(subset), args.field_char)
     isolated = bool(subset) and is_invariant(fld, subset, args.field_char)
     if args.format == "json":
         _emit(_dump({"field": idx, "size": len(subset), "betti": list(betti),

@@ -7,13 +7,17 @@ non-vanishing of the relative homology of (closure, mouth) and is cached per
 (piece, characteristic), and the sorted ids and validate_field's convexity
 report are stored; every fill is idempotent, so concurrent readers are safe.
 Splits and merges derive their result from the parent's tables and keep the
-criticality of untouched pieces.
+criticality of untouched pieces, as does `successor`, which builds the field a
+list of parts makes when it is one split or merge away.  A field records the
+step that made it, set by any of these, or else by the first
+classify_rearrangement diff.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Collection, Iterable, Optional
+from typing import Collection, Iterable
 
 from .algebra import relative_homology
 from .complexes import Complex, Simplex, SimplexSet
@@ -28,10 +32,13 @@ class MultivectorField:
 
     The constructor enforces that the parts partition the complex; convexity
     is checked separately by validate_field so that offending parts can be
-    reported rather than merely rejected.
+    reported rather than merely rejected.  `_step` is None or (weak reference
+    to the parent, the AtomicRearrangement that made this field from it); a
+    record whose parent is gone is dropped when next read, and none is pickled.
     """
 
-    __slots__ = ("cx", "_assign", "_parts", "_criticality", "_ids", "_report")
+    __slots__ = ("cx", "_assign", "_parts", "_criticality", "_ids", "_report", "_step",
+                 "__weakref__")
 
     def __init__(self, cx: Complex, parts: Iterable[Collection[Simplex]]):
         self._partition(cx, map(cx.check_subset, parts))
@@ -56,9 +63,15 @@ class MultivectorField:
             raise ValueError(f"not a partition: {sorted(missing)[0]} unassigned")
         self._adopt(cx, assign, part_map, {})
 
-    def _adopt(self, cx: Complex, assign: dict, parts: dict, criticality: dict) -> None:
+    def _adopt(self, cx: Complex, assign: dict, parts: dict, criticality: dict,
+               step: tuple | None = None) -> None:
         self.cx, self._assign, self._parts, self._criticality = cx, assign, parts, criticality
-        self._ids = self._report = None
+        self._ids, self._report, self._step = None, None, step
+
+    def __getstate__(self):
+        """Every slot but the step record: a weak reference cannot be pickled."""
+        state = {name: getattr(self, name) for name in self.__slots__[:-2]}
+        return None, {**state, "_step": None}
 
     @classmethod
     def singleton_field(cls, cx: Complex) -> "MultivectorField":
@@ -138,19 +151,36 @@ class MultivectorField:
         off = frozenset(off)
         if not off or not off < part:
             raise ValueError("split piece must be a proper non-empty subset of the multivector")
-        return self._replace((ident,), (off, part - off))
+        halves = (off, part - off) if ident in off else (part - off, off)
+        return self._replace(AtomicRearrangement("refinement", part, halves))
 
     def merge(self, ident_a: Simplex, ident_b: Simplex) -> "MultivectorField":
         """Atomic coarsening merging two multivectors into one."""
         if ident_a == ident_b:
             raise ValueError("cannot merge a multivector with itself")
-        return self._replace((ident_a, ident_b), (self._parts[ident_a] | self._parts[ident_b],))
+        a, b = self._parts[ident_a], self._parts[ident_b]
+        halves = (a, b) if ident_a < ident_b else (b, a)
+        return self._replace(AtomicRearrangement("coarsening", a | b, halves))
 
-    def _replace(self, gone: tuple[Simplex, ...],
-                 born: tuple[SimplexSet, ...]) -> "MultivectorField":
-        """The field whose parts `gone` give way to `born`, which covers the
-        same simplices.  Criticality entries of every gone id are dropped: the
-        half of a split that keeps the minimum keeps its id, not its content."""
+    def successor(self, parts: Collection[SimplexSet]) -> "MultivectorField | None":
+        """The field the frozensets `parts` make, every simplex they leave out
+        a singleton, when it is one split or merge away from this field: then
+        it is built from this field by that step, which it records.  None
+        otherwise, the parts being checked no further."""
+        listed = [part for part in parts if part]
+        if len(set(listed)) < len(listed):
+            return None
+        step = _atomic(*_change(self, listed))
+        return step and self._replace(step)
+
+    def _replace(self, step: AtomicRearrangement) -> "MultivectorField":
+        """The field `step` makes from this one, recording `step`.  Criticality
+        entries of every replaced id are dropped: the half of a split that
+        keeps the minimum keeps its id, not its content."""
+        if step.kind == "refinement":
+            gone, born = (min(step.whole),), step.parts
+        else:
+            gone, born = tuple(map(min, step.parts)), (step.whole,)
         assign = dict(self._assign)
         parts = dict(self._parts)
         for ident in gone:
@@ -163,7 +193,7 @@ class MultivectorField:
         criticality = {key: crit for key, crit in self._criticality.items()
                        if key[0] not in gone}
         child = object.__new__(MultivectorField)
-        child._adopt(self.cx, assign, parts, criticality)
+        child._adopt(self.cx, assign, parts, criticality, (weakref.ref(self), step))
         return child
 
 
@@ -177,21 +207,21 @@ class CheckReport:
         return self.ok
 
 
-def validate_field(field: MultivectorField,
-                   step: Optional[AtomicRearrangement] = None) -> CheckReport:
+def validate_field(field: MultivectorField) -> CheckReport:
     """Check that every part is convex, naming offenders in part-id order
     (partition is enforced at construction).  Disconnected parts are
     deliberately accepted.  The report is stored on the field.
 
-    `step`, if given, must be the atomic rearrangement that made `field` from
-    a field that passed: only the parts it added are then checked."""
+    A field that records the step that made it from a parent which is alive
+    and whose stored report is ok is checked only by the parts the step
+    added; any other field is checked part by part."""
     if field._report is None:
-        if step is None:
+        record = _record(field)
+        if record is None or not record[0]._report:
             checked = field.parts()
-        elif step.kind == "refinement":
-            checked = step.parts
         else:
-            checked = (step.whole,)
+            step = record[1]
+            checked = step.parts if step.kind == "refinement" else (step.whole,)
         problems = tuple(f"multivector {sorted(part)} is not convex"
                          for part in checked if not field.cx.is_convex(part))
         field._report = CheckReport(not problems, problems)
@@ -215,25 +245,61 @@ def classify_rearrangement(field: MultivectorField,
                            other: MultivectorField) -> AtomicRearrangement:
     """Classify `other` as an atomic refinement or coarsening of `field`.
 
+    This is the step `other` records when its parent is `field`; otherwise a
+    diff of the parts, which `other` records if it records no step yet.
     Raises NotAtomicError when the fields are equal, on different complexes,
     or differ by anything other than one split or one merge.
     """
+    record = _record(other)
+    if record is not None and record[0] is field:
+        return record[1]
     if field.cx != other.cx:
         raise NotAtomicError("fields live on different complexes")
+    gone, born = _change(field, other._parts.values())
+    step = _atomic(gone, born)
+    if step is None:
+        raise NotAtomicError(
+            f"fields differ by {len(gone)} removed / {len(born)} added multivectors")
+    if record is None:
+        other._step = (weakref.ref(field), step)
+    return step
+
+
+def _record(field: MultivectorField):
+    """(parent, step) as `field` records them, or None.  A record whose parent
+    is gone is dropped, so that it keeps none of the parent's sets alive."""
+    parent = field._step and field._step[0]()
+    if parent is None:
+        field._step = None
+        return None
+    return parent, field._step[1]
+
+
+def _change(field: MultivectorField, parts: Collection[SimplexSet]):
+    """The parts of `field` that `parts` drop and the parts they add, every
+    simplex `parts` leave out being a singleton."""
+    new = set(parts)
+    used = frozenset().union(*new)
     old = set(field._parts.values())
-    new = set(other._parts.values())
-    gone = sorted(old - new, key=sorted)
-    born = sorted(new - old, key=sorted)
+    gone = [part for part in old - new if len(part) > 1 or part <= used]
+    born = new - old
+    born.update(frozenset([s]) for part in gone for s in part - used)
+    return gone, born
+
+
+def _atomic(gone: Collection[SimplexSet],
+            born: Collection[SimplexSet]) -> AtomicRearrangement | None:
+    """The split or merge that replaces the parts `gone` by the parts `born`
+    of a partition, if it is one; halves in part-id order."""
     if len(gone) == 1 and len(born) == 2:
-        whole, (a, b) = gone[0], born
-        if a | b == whole:
+        (whole,), (a, b) = gone, sorted(born, key=min)
+        if a | b == whole and a.isdisjoint(b):
             return AtomicRearrangement("refinement", whole, (a, b))
     if len(gone) == 2 and len(born) == 1:
-        (a, b), whole = gone, born[0]
+        (a, b), (whole,) = sorted(gone, key=min), born
         if a | b == whole:
             return AtomicRearrangement("coarsening", whole, (a, b))
-    raise NotAtomicError(
-        f"fields differ by {len(gone)} removed / {len(born)} added multivectors")
+    return None
 
 
 def _maximal_elements(field: MultivectorField, part: SimplexSet) -> list[Simplex]:

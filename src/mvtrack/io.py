@@ -19,8 +19,10 @@ containing the listed simplices, {"op": "merge", "mvs": [<simplex>,
 
 A list-form field is parsed in one pass over all its multivectors, falling
 back to one multivector at a time for the message when that pass fails.
-Fields after the first are checked only by the multivectors their atomic
-step adds; an op is its own step, and list-form steps are classified.
+Each field records the step that made it: an op records itself, and a
+list-form field one split or merge away from the field before is built from
+that field by the step (`MultivectorField.successor`).  Fields after the
+first are then checked only by the multivectors their step adds.
 
 A zigzag file replaces "fields"/"seed" with "pairs":
 [{"p": [...], "e": [...]}, ...]; inclusion directions are inferred.
@@ -35,8 +37,7 @@ from typing import Optional
 
 from .complexes import Complex, Simplex, simplex
 from .dynamics import IndexPair
-from .fields import (AtomicRearrangement, MultivectorField, classify_rearrangement,
-                     validate_field)
+from .fields import MultivectorField, classify_rearrangement, validate_field
 from .zigzag import PairZigzag
 
 
@@ -106,30 +107,27 @@ def _parse_plain(raw: list, labels) -> Optional[list[Simplex]]:
     return out if sum(map(len, map(set, out))) == len(tokens) else None
 
 
-def _parse_partition(raw, cx: Complex, labels, what: str) -> MultivectorField:
+def _parse_partition(raw, cx: Complex, labels, what: str,
+                     prev: Optional[MultivectorField] = None) -> MultivectorField:
+    """The field `raw` lists, built from `prev` when one split or merge apart."""
     if not isinstance(raw, list):
         raise SchemaError(f"{what} must be an array of multivectors")
     flat = (_parse_plain(list(itertools.chain.from_iterable(raw)), labels)
             if set(map(type, raw)) <= {list} else None)
     if flat is None:
-        parts = [_parse_simplex_set(mv, labels, f"{what} multivector") for mv in raw]
+        parts = [frozenset(_parse_simplex_set(mv, labels, f"{what} multivector")) for mv in raw]
     else:
         simplices = iter(flat)
-        parts = [list(itertools.islice(simplices, len(mv))) for mv in raw]
+        parts = [frozenset(itertools.islice(simplices, len(mv))) for mv in raw]
     try:
-        return MultivectorField.from_parts(cx, parts, complete_singletons=True)
+        return ((prev and prev.successor(parts))
+                or MultivectorField.from_parts(cx, parts, complete_singletons=True))
     except ValueError as exc:
         raise SchemaError(f"{what}: {exc}") from exc
 
 
-def _halves(kind: str, a: frozenset, b: frozenset) -> AtomicRearrangement:
-    """The step that splits a | b into a and b, or merges them."""
-    return AtomicRearrangement(kind, a | b, tuple(sorted((a, b), key=min)))
-
-
-def _apply_op(field: MultivectorField, op, labels,
-              what: str) -> tuple[MultivectorField, AtomicRearrangement]:
-    """The field the op makes from `field`, and the op as an atomic step."""
+def _apply_op(field: MultivectorField, op, labels, what: str) -> MultivectorField:
+    """The field the op makes from `field`."""
     if not isinstance(op, dict) or "op" not in op:
         raise SchemaError(f"{what} must be an object with an 'op' member")
     kind = op["op"]
@@ -141,14 +139,12 @@ def _apply_op(field: MultivectorField, op, labels,
             idents = {field.mv_id(s) for s in off}
             if len(idents) != 1:
                 raise SchemaError(f"{what}: split pieces span several multivectors")
-            ident = idents.pop()
-            return field.split(ident, off), _halves("refinement", off, field.part(ident) - off)
+            return field.split(idents.pop(), off)
         if kind == "merge":
             members = _parse_simplex_set(op.get("mvs"), labels, f"{what} 'mvs'")
             if len(members) != 2:
                 raise SchemaError(f"{what}: merge needs exactly two member simplices")
-            a, b = field.mv_id(members[0]), field.mv_id(members[1])
-            return field.merge(a, b), _halves("coarsening", field.part(a), field.part(b))
+            return field.merge(field.mv_id(members[0]), field.mv_id(members[1]))
     except KeyError as exc:
         raise SchemaError(f"{what}: simplex {exc} not in complex") from exc
     except SchemaError:
@@ -181,31 +177,29 @@ def scene_from_dict(doc: dict, check_atomic: bool = True) -> Scene:
     cx, labels = _parse_complex(doc)
     raw_fields = doc.get("fields")
     fields: list[MultivectorField] = []
-    steps: dict[int, AtomicRearrangement] = {}  # field index -> the op that made it
     if isinstance(raw_fields, dict):
         fields.append(_parse_partition(raw_fields.get("initial"), cx, labels, "initial field"))
         ops = raw_fields.get("ops", [])
         if not isinstance(ops, list):
             raise SchemaError("'ops' must be an array")
         for k, op in enumerate(ops):
-            fld, steps[k + 1] = _apply_op(fields[-1], op, labels, f"op {k + 1}")
-            fields.append(fld)
+            fields.append(_apply_op(fields[-1], op, labels, f"op {k + 1}"))
     elif isinstance(raw_fields, list):
         for k, raw in enumerate(raw_fields):
-            fields.append(_parse_partition(raw, cx, labels, f"field {k + 1}"))
+            fields.append(_parse_partition(raw, cx, labels, f"field {k + 1}",
+                                           fields[-1] if fields and check_atomic else None))
     else:
         raise SchemaError("'fields' must be an array or an initial/ops object")
     if not fields:
         raise SchemaError("scene needs at least one field")
     not_atomic = None  # the first non-atomic step, raised after every convexity check
     for k, fld in enumerate(fields):
-        step = steps.get(k)
-        if step is None and check_atomic and k:
+        if check_atomic and k:
             try:
-                step = classify_rearrangement(fields[k - 1], fld)
+                classify_rearrangement(fields[k - 1], fld)
             except ValueError as exc:
                 not_atomic = not_atomic or (k, exc)
-        report = validate_field(fld, step)
+        report = validate_field(fld)
         if not report:
             raise SchemaError(f"field {k + 1}: " + "; ".join(report.problems))
     if not_atomic:

@@ -16,6 +16,8 @@ is an isolated invariant set exactly when that pair is an index pair for it,
 so `run_protocol` checks the seed once and no step re-checks its start.
 Every other pair a step appends, its closing pair canonical(result) last, is
 validated once; a failure raises, since it signals a bug, not bad input.
+A step reads its rearrangement from the next field's record where there is
+one, and appends pairs only: `PairZigzag` infers every arrow from its pairs.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .dynamics import (IndexPair, PreconditionError, invariant_part, is_isolated
                        validate_pair_in_n)
 from .fields import (AtomicRearrangement, CheckReport, MultivectorField,
                      classify_rearrangement, intersect_fields, validate_field)
-from .zigzag import BACKWARD, FORWARD, Barcode, PairTag, PairZigzag, pair_zigzag_barcode
+from .zigzag import Barcode, PairTag, PairZigzag, pair_zigzag_barcode
 
 
 class ZigzagAssemblyError(RuntimeError):
@@ -74,7 +76,6 @@ class TrackingStep:
     hull_set: Optional[SimplexSet] = None
     adjacency_set: Optional[SimplexSet] = None
     appended_pairs: list = dc_field(default_factory=list)
-    appended_dirs: list = dc_field(default_factory=list)
     appended_tags: list = dc_field(default_factory=list)
     notes: tuple = ()
     resolved: bool = True
@@ -140,17 +141,16 @@ def _adjacency_chunk(field: MultivectorField, nxt: MultivectorField,
              "intersected pair under the common refinement")
     tags = [PairTag(index, "pushforward"), PairTag(index + 1, "meet"),
             PairTag(index + 1, "pushforward"), PairTag(index + 1, "canonical")]
-    return [pf1, meet, pf2, _canonical(nxt.cx, result)], [FORWARD, BACKWARD] * 2, tags
+    return [pf1, meet, pf2, _canonical(nxt.cx, result)], tags
 
 
 def _naive_chunk(cx: Complex, current: SimplexSet, result: SimplexSet,
                  tag_nxt: int):
-    """canonical(S) >= raw meet <= canonical(S'), flagged heuristic."""
+    """canonical(S) >= raw meet <= canonical(S'), the meet tagged naive-meet."""
     meet = IndexPair(cx.closure(current) & cx.closure(result),
                      cx.mouth(current) & cx.mouth(result))
-    tags = [PairTag(tag_nxt, "naive-meet", heuristic=True),
-            PairTag(tag_nxt, "canonical", heuristic=True)]
-    return [meet, _canonical(cx, result)], [BACKWARD, FORWARD], tags
+    tags = [PairTag(tag_nxt, "naive-meet"), PairTag(tag_nxt, "canonical")]
+    return [meet, _canonical(cx, result)], tags
 
 
 def _case_step(field: MultivectorField, nxt: MultivectorField, current: SimplexSet,
@@ -165,7 +165,6 @@ def _case_step(field: MultivectorField, nxt: MultivectorField, current: SimplexS
         return TrackingStep(index, case, move.kind, current, result, move,
                             connecting_pair=pair, hull_set=hull_set,
                             appended_pairs=out[1:] + back[-2::-1],
-                            appended_dirs=[FORWARD, BACKWARD] * 3,
                             appended_tags=out_tags[1:] + back_tags[-2::-1])
 
     merged = move.whole
@@ -183,22 +182,21 @@ def _case_step(field: MultivectorField, nxt: MultivectorField, current: SimplexS
     # No continuation exists past this point; fall back to persistence.
     ambient = cx.closure(current) | cx.closure(result)
     if isolates(field, ambient, current, p) and isolates(nxt, ambient, result, p):
-        pairs, dirs, tags = _adjacency_chunk(field, nxt, current, result, ambient, p, index)
+        pairs, tags = _adjacency_chunk(field, nxt, current, result, ambient, p, index)
         return TrackingStep(index, "f", move.kind, current, result, move, hull_set=hull_set,
-                            adjacency_set=ambient, appended_pairs=pairs, appended_dirs=dirs,
-                            appended_tags=tags, notes=("continuation broken",))
+                            adjacency_set=ambient, appended_pairs=pairs, appended_tags=tags,
+                            notes=("continuation broken",))
 
     notes = ("continuation broken", "no common isolating set")
     if not heuristic_g:
         return TrackingStep(index, "g", move.kind, current, None, move, hull_set=hull_set,
                             notes=notes, resolved=False)
-    pairs, dirs, tags = _naive_chunk(cx, current, result, index + 1)
+    pairs, tags = _naive_chunk(cx, current, result, index + 1)
     middle = validate_pair_in_n(nxt, pairs[0].P, pairs[0].E, pairs[0].P)
     notes += ("heuristic intersection emitted"
               + ("" if middle else "; middle pair is not an index pair"),)
     return TrackingStep(index, "g", move.kind, current, result, move, hull_set=hull_set,
-                        appended_pairs=pairs, appended_dirs=dirs, appended_tags=tags,
-                        notes=notes)
+                        appended_pairs=pairs, appended_tags=tags, notes=notes)
 
 
 def _step(field: MultivectorField, nxt: MultivectorField, current: SimplexSet,
@@ -246,7 +244,6 @@ def run_protocol(fields: Sequence[MultivectorField], seed: SimplexSet,
         raise PreconditionError("seed is not an isolated invariant set under the first field")
 
     zz_pairs: list[IndexPair] = [_canonical(cx, seed)]
-    zz_dirs: list[str] = []
     zz_tags: list[PairTag] = [PairTag(1, "canonical")]
     steps: list[TrackingStep] = []
     current = seed
@@ -255,7 +252,6 @@ def run_protocol(fields: Sequence[MultivectorField], seed: SimplexSet,
         step = _step(fields[i], fields[i + 1], current, zz_pairs[-1], p, heuristic_g, i + 1)
         steps.append(step)
         zz_pairs += step.appended_pairs
-        zz_dirs += step.appended_dirs
         zz_tags += step.appended_tags
         if not step.resolved:
             stopped = "unresolved"
@@ -264,6 +260,6 @@ def run_protocol(fields: Sequence[MultivectorField], seed: SimplexSet,
         if not current:
             stopped = "emptied"
             break
-    zigzag = PairZigzag(cx, zz_pairs, zz_dirs, zz_tags)
+    zigzag = PairZigzag(cx, zz_pairs, zz_tags)
     barcode = pair_zigzag_barcode(zigzag, p)
     return TrackingTrace(cx, list(fields), seed, steps, zigzag, barcode, stopped)

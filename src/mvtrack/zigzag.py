@@ -2,7 +2,10 @@
 
 Each pair is realized as an absolute complex by coning its exit set from a
 shared apex, so pair inclusions become complex inclusions and a single
-machinery handles the whole zigzag.  A zigzag repeats a few pairs many
+machinery handles the whole zigzag.  Each arrow's direction is inferred
+from the two pairs it joins; where they are equal the identity points
+forward.  An identity arrow is an isomorphism, so reversing it (by its
+inverse) leaves the interval decomposition unchanged.  A zigzag repeats a few pairs many
 times: `PairZigzag` interns equal pairs and checks each distinct one when it
 is built, and `homology_module` builds one cone, one homology basis and one
 map per distinct pair or pair of pairs.  The interval decomposition of each
@@ -51,7 +54,6 @@ class PairTag:
     """Bookkeeping attached to one zigzag position."""
     field_index: Optional[int] = None   # 1-based index into the tracked field sequence
     role: str = ""                      # e.g. canonical / pushforward / meet / connecting
-    heuristic: bool = False
 
 
 @dataclass(frozen=True)
@@ -94,10 +96,11 @@ class PairZigzag:
     position i, and `pairs` the pair at each position as a tuple.  Every
     distinct P and E is checked once for membership in the complex and for
     closedness, so the cones of `homology_module` need no further checks.
+    `directions[i]` is FORWARD when pair i is included in pair i+1, else
+    BACKWARD; consecutive pairs not nested either way are rejected.
     """
 
     def __init__(self, cx: Complex, pairs: Sequence[IndexPair],
-                 directions: Optional[Sequence[str]] = None,
                  tags: Optional[Sequence[PairTag]] = None):
         if not pairs:
             raise ValueError("a zigzag needs at least one pair")
@@ -116,19 +119,8 @@ class PairZigzag:
                     except ValueError as exc:
                         raise ValueError(f"pair {self.at.index(j) + 1}: {exc}") from exc
                     checked.add(part)
-        if directions is None:
-            directions = [self._infer(a, b, i) for i, (a, b) in
-                          enumerate(zip(self.pairs, self.pairs[1:]), 1)]
-        self.directions = list(directions)
-        if len(self.directions) != len(self.pairs) - 1:
-            raise ValueError("need one direction per consecutive pair")
-        for i, (a, b, d) in enumerate(zip(self.pairs, self.pairs[1:], self.directions)):
-            if d == FORWARD and not b.includes(a):
-                raise ValueError(f"claimed inclusion fails at position {i + 1}")
-            if d == BACKWARD and not a.includes(b):
-                raise ValueError(f"claimed inclusion fails at position {i + 1}")
-            if d not in (FORWARD, BACKWARD):
-                raise ValueError(f"unknown direction {d!r}")
+        self.directions = [self._infer(a, b, i) for i, (a, b) in
+                           enumerate(zip(self.pairs, self.pairs[1:]), 1)]
         self.tags = list(tags) if tags is not None else [PairTag() for _ in self.pairs]
         if len(self.tags) != len(self.pairs):
             raise ValueError("need one tag per pair")

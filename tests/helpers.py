@@ -14,8 +14,10 @@ The oracles take zigzag arrows as dense matrices; `sparse_arrows` and
 `dense_arrows` convert to and from the library's sparse columns.  The
 convexity oracle decides convexity from the mouth, where the library reads
 facets, and checks every multivector of a field, where the loader checks
-only what each atomic step adds.  `EagerComplex` is the former
-complex construction, which built every face table up front.
+only what each atomic step adds.  The rearrangement oracle diffs the parts
+of two fields, where the library reads the step a field records.
+`EagerComplex` is the former complex construction, which built every face
+table up front.
 """
 
 from __future__ import annotations
@@ -203,6 +205,22 @@ def full_convexity_report(fld):
         if not mouth_is_convex(fld.cx, part):
             problems.append(f"multivector {sorted(part)} is not convex")
     return mv.CheckReport(not problems, tuple(problems))
+
+
+def diff_rearrangement(field, other):
+    """The former `classify_rearrangement`: the one split or merge that takes
+    `field` to `other`, found by diffing their parts."""
+    if field.cx != other.cx:
+        raise mv.NotAtomicError("fields live on different complexes")
+    old, new = set(field.parts()), set(other.parts())
+    gone = sorted(old - new, key=sorted)
+    born = sorted(new - old, key=sorted)
+    if len(gone) == 1 and len(born) == 2 and born[0] | born[1] == gone[0]:
+        return mv.AtomicRearrangement("refinement", gone[0], tuple(born))
+    if len(gone) == 2 and len(born) == 1 and gone[0] | gone[1] == born[0]:
+        return mv.AtomicRearrangement("coarsening", born[0], tuple(gone))
+    raise mv.NotAtomicError(
+        f"fields differ by {len(gone)} removed / {len(born)} added multivectors")
 
 
 # ----------------------------------------------- invariant-part oracles

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import mvtrack as mv
-from mvtrack import cli, io as mvio, tracking
+from mvtrack import cli, fields as mvfields, tracking
 from mvtrack.algebra import MAX_PRIME
 from mvtrack.cli import main
 from mvtrack.io import (Scene, SchemaError, load_scene, load_zigzag, save_scene,
@@ -797,14 +797,25 @@ def test_loading_and_validating_fill_no_closure_table(name):
     ("saddle_collision_nine", "ops"), ("unresolved_step", "ops")])
 def test_only_list_form_steps_are_classified(monkeypatch, name, form):
     """An ops-form load takes each step from its op; a list-form load finds
-    each of its fields - 1 steps by diffing the fields."""
-    calls = []
-    original = mvio.classify_rearrangement
+    each of its fields - 1 steps once, by comparing a field's parts with the
+    field before, and builds the field from that one.  Every loaded field
+    records its step, so tracking the scene looks for no step, and shares
+    every multivector but those its step adds with the field before."""
+    found = []
+    original = mvfields._atomic
 
-    def counted(field, other):
-        calls.append(1)
-        return original(field, other)
+    def counted(gone, born):
+        found.append(1)
+        return original(gone, born)
 
-    monkeypatch.setattr(mvio, "classify_rearrangement", counted)
+    monkeypatch.setattr(mvfields, "_atomic", counted)
     scene = load_scene(FIXTURES / f"{name}.json")
-    assert len(calls) == (len(scene.fields) - 1 if form == "list" else 0)
+    assert len(found) == (len(scene.fields) - 1 if form == "list" else 0)
+    assert all(fld._step for fld in scene.fields[1:])
+    found.clear()
+    mv.run_protocol(scene.fields, scene.seed)
+    assert found == []
+    for a, b in zip(scene.fields, scene.fields[1:]):
+        added = 2 if mv.classify_rearrangement(a, b).kind == "refinement" else 1
+        shared = {id(part) for part in a.parts()} & {id(part) for part in b.parts()}
+        assert len(shared) == len(b) - added

@@ -1,17 +1,20 @@
+import gc
 import itertools
+import pickle
 import random
 
 import pytest
 
 import mvtrack as mv
 from mvtrack import io as mvio
+from mvtrack.dynamics import PreconditionError
 from mvtrack.fields import (MultivectorField, NotAtomicError, classify_rearrangement,
                             intersect_fields, refinement_path, rearrangement_path,
                             validate_field)
 from mvtrack.io import Scene, SchemaError, scene_from_dict, scene_to_dict
 
-from helpers import (full_convexity_report, grid_complex, random_coarsening, random_complex,
-                     random_field, random_gradient_field, random_refinement)
+from helpers import (diff_rearrangement, full_convexity_report, grid_complex, random_coarsening,
+                     random_complex, random_field, random_gradient_field, random_refinement)
 
 
 def test_partition_is_enforced(triangle):
@@ -180,22 +183,166 @@ def _random_atomic_sequence(rng, fld, steps):
     return fields
 
 
+def _random_start(rng, trial):
+    cx = grid_complex(2) if trial % 4 == 0 else random_complex(rng, max_size=18)
+    return MultivectorField(cx, [cx.simplices]) if trial % 3 == 0 else random_field(rng, cx)
+
+
+def _outcome(classify, field, other):
+    try:
+        return classify(field, other)
+    except NotAtomicError as exc:
+        return str(exc)
+
+
+def test_classify_rearrangement_matches_the_part_diff():
+    """Fields made by split and merge, which record their steps, and the same
+    fields rebuilt from their parts, which record none, classify as the part
+    diff does, in both directions and for pairs two steps apart; asking again
+    gives the same answer."""
+    rng = random.Random(41)
+    for trial in range(60):
+        made = _random_atomic_sequence(rng, _random_start(rng, trial), 8)
+        rebuilt = [MultivectorField(fld.cx, fld.parts()) for fld in made]
+        for fields in (made, rebuilt) * 2:
+            for i, j in itertools.permutations(range(len(fields)), 2):
+                if abs(i - j) <= 2:
+                    a, b = fields[i], fields[j]
+                    expected = _outcome(diff_rearrangement, a, b)
+                    assert _outcome(classify_rearrangement, a, b) == expected
+        assert all(fld._step is not None for fld in made[1:] + rebuilt[1:])
+
+
+def _listing(rng, fld):
+    """fld's parts as a scene might list them: shuffled, some singletons left
+    out, an empty part here and there."""
+    parts = [part for part in fld.parts() if len(part) > 1 or rng.random() < 0.5]
+    parts += [frozenset()] * rng.randrange(2)
+    rng.shuffle(parts)
+    return parts
+
+
+def _tampered(rng, parts, cx):
+    """One fault or far step in a listing: a part listed twice, a simplex in
+    two parts, a non-member, or a part merged with another."""
+    parts = list(parts)
+    fault = rng.randrange(4)
+    if fault == 0 and parts:
+        parts.append(rng.choice(parts))
+    elif fault == 1 and len(parts) > 1:
+        a, b = rng.sample(range(len(parts)), 2)
+        parts[a] = parts[a] | {min(parts[b] or cx.simplices)}
+    elif fault == 2:
+        parts.append(frozenset({(10 ** 6,)}))
+    elif len(parts) > 1:
+        a, b = rng.sample(range(len(parts)), 2)
+        parts[a], parts[b] = parts[a] | parts[b], frozenset()
+    return parts
+
+
+def test_successor_is_the_field_its_parts_make():
+    """successor(parts) is None, or the field from_parts makes of the same
+    parts, recording the step the part diff finds; a listing of the next
+    field of an atomic sequence always gives that field."""
+    rng = random.Random(53)
+    built = 0
+    for trial in range(60):
+        fields = _random_atomic_sequence(rng, _random_start(rng, trial), 6)
+        for a, b in itertools.pairwise(fields):
+            listed = _listing(rng, b)
+            got = a.successor(listed)
+            assert got == b and got._step[0]() is a
+            assert got._step[1] == diff_rearrangement(a, b)
+            others = (_tampered(rng, listed, a.cx), _listing(rng, a), _listing(rng, fields[0]))
+            for parts in others:
+                got = a.successor(parts)
+                if got is not None:
+                    built += 1
+                    assert got == MultivectorField.from_parts(a.cx, parts,
+                                                              complete_singletons=True)
+                    assert got._step[1] == diff_rearrangement(a, got)
+    assert built > 20
+
+
+def test_a_non_convex_field_fails_the_protocol_precondition(triangle):
+    """A field's report comes from its own parts however it was made, so
+    `run_protocol` names the non-convex multivector of field 1."""
+    singles = MultivectorField.singleton_field(triangle)
+    assert validate_field(singles)
+    def listed():
+        return MultivectorField.from_parts(triangle, [[(0,), (0, 1, 2)]],
+                                           complete_singletons=True)
+    classified = listed()
+    classify_rearrangement(singles, classified)
+    merged = singles.merge((0,), (0, 1, 2))
+    for bad in (listed(), classified, merged):
+        with pytest.raises(PreconditionError) as exc:
+            mv.run_protocol([bad, singles], frozenset({(1, 2)}))
+        assert str(exc.value) == "field 1: multivector [(0,), (0, 1, 2)] is not convex"
+        assert validate_field(bad) == full_convexity_report(bad)
+
+
+@pytest.mark.parametrize("parent_state", ["never validated", "failed", "collected"])
+def test_a_child_is_checked_in_full_unless_its_parent_passed(triangle, monkeypatch,
+                                                             parent_state):
+    """A child is checked by the parts its step added only when its parent is
+    alive and passed; otherwise every part is checked, so a fault the step
+    did not touch is still found."""
+    checked = []
+    original = mv.Complex.is_convex
+
+    def counted(cx, subset):
+        checked.append(frozenset(subset))
+        return original(cx, subset)
+
+    monkeypatch.setattr(mv.Complex, "is_convex", counted)
+    good = MultivectorField.singleton_field(triangle)
+    assert validate_field(good)
+    checked.clear()
+    assert validate_field(good.merge((1,), (1, 2))) and len(checked) == 1
+
+    parent = MultivectorField.from_parts(triangle, [[(0,), (0, 1, 2)]],
+                                         complete_singletons=True)
+    if parent_state == "failed":
+        assert not validate_field(parent)
+    child = parent.merge((1,), (1, 2))
+    if parent_state == "collected":
+        del parent
+        gc.collect()
+        assert child._step[0]() is None
+    checked.clear()
+    report = validate_field(child)
+    assert not report and report == full_convexity_report(child)
+    assert sorted(checked, key=sorted) == sorted(child.parts(), key=sorted)
+    assert (child._step is None) == (parent_state == "collected")
+
+
+def test_a_field_made_by_a_step_pickles_without_its_record(triangle):
+    """The step record holds a weak reference, which cannot be pickled; a
+    pickled field leaves the record out and keeps everything else."""
+    parent = MultivectorField.singleton_field(triangle)
+    child = parent.merge((0,), (0, 1))
+    assert validate_field(child)
+    copy = pickle.loads(pickle.dumps(child))
+    assert copy == child and copy._step is None and copy._report == child._report
+    assert classify_rearrangement(parent, copy) == classify_rearrangement(parent, child)
+
+
 def test_stored_reports_match_the_full_check_on_atomic_sequences():
-    """validate_field given each step, and the loader on the same sequence,
-    report exactly what checking every multivector reports, in order."""
+    """validate_field on each field of an atomic sequence, and the loader on
+    the same sequence, report exactly what checking every multivector
+    reports, in order."""
     rng = random.Random(29)
     failures = 0
     for trial in range(60):
-        cx = grid_complex(2) if trial % 4 == 0 else random_complex(rng, max_size=18)
-        start = MultivectorField(cx, [cx.simplices]) if trial % 3 == 0 else random_field(rng, cx)
-        fields = _random_atomic_sequence(rng, start, 8)
-        for k, fld in enumerate(fields):
-            step = classify_rearrangement(fields[k - 1], fld) if k else None
-            report = validate_field(fld, step)
+        fields = _random_atomic_sequence(rng, _random_start(rng, trial), 8)
+        cx = fields[0].cx
+        for fld in fields:
+            report = validate_field(fld)
             assert report == full_convexity_report(fld)
             assert validate_field(fld) is report
             if not report:
-                fields = fields[:k + 1]
+                fields = fields[:fields.index(fld) + 1]
                 break
         doc = scene_to_dict(Scene(cx, fields, frozenset()))
         if report:
@@ -226,24 +373,24 @@ def _ops_doc(rng, cx, fields):
 
 
 def test_ops_form_steps_are_the_classified_steps(monkeypatch):
-    """The loader takes each ops-form step from its op.  The step it validates
-    with equals classify_rearrangement of the two fields, and the fields and
-    the first fault named match the list-form load of the same sequence."""
+    """The loader takes each ops-form step from its op.  The step each field
+    records when it is validated equals the part diff of the two fields, and
+    the fields and the first fault named match the list-form load of the same
+    sequence."""
     rng = random.Random(37)
     seen = []
     original = mvio.validate_field
 
-    def recording(fld, step=None):
-        seen.append(step)
-        return original(fld, step)
+    def recording(fld):
+        seen.append(fld._step and fld._step[1])
+        return original(fld)
 
     monkeypatch.setattr(mvio, "validate_field", recording)
     failures = 0
     for trial in range(60):
-        cx = grid_complex(2) if trial % 4 == 0 else random_complex(rng, max_size=18)
-        start = MultivectorField(cx, [cx.simplices]) if trial % 3 == 0 else random_field(rng, cx)
-        fields = _random_atomic_sequence(rng, start, 8)
-        steps = [None] + [classify_rearrangement(a, b) for a, b in zip(fields, fields[1:])]
+        fields = _random_atomic_sequence(rng, _random_start(rng, trial), 8)
+        cx = fields[0].cx
+        steps = [None] + [diff_rearrangement(a, b) for a, b in zip(fields, fields[1:])]
         listed = scene_to_dict(Scene(cx, fields, frozenset()))
         seen.clear()
         try:

@@ -104,14 +104,14 @@ def test_track_step_case_g():
     heur = track_step(fld, nxt, seed, heuristic_g=True)
     assert heur.case == "g" and heur.resolved
     assert len(heur.appended_pairs) == 2
-    assert all(tag.heuristic for tag in heur.appended_tags)
+    assert [tag.role for tag in heur.appended_tags] == ["naive-meet", "canonical"]
     assert any("not an index pair" in note for note in heur.notes)
 
 
 def _step_zigzag(field, current, step):
     """The zigzag one step appends, from the canonical pair of `current` on."""
     return PairZigzag(field.cx, [canonical_index_pair(field, current)] + step.appended_pairs,
-                      step.appended_dirs, [PairTag(step.index, "canonical")] + step.appended_tags)
+                      [PairTag(step.index, "canonical")] + step.appended_tags)
 
 
 def test_continuation_to_zigzag_single(merging_saddles):
@@ -127,9 +127,12 @@ def test_continuation_to_zigzag_chain(nine_fields):
     assert [step.case for step in trace.steps] == list("daa")
     assert len(trace.zigzag) == 1 + 6 * len(trace.steps)
     for step in trace.steps:
-        # canonical <= push-forward >= meet <= connecting pair >= meet' ...
         assert step.appended_pairs[2] == step.connecting_pair
-        assert step.appended_dirs == [FORWARD, BACKWARD] * 3
+    # canonical <= push-forward >= meet <= connecting pair >= meet' ..., where
+    # the two pairs differ; an identity arrow may point either way
+    shape = [FORWARD, BACKWARD] * 3 * len(trace.steps)
+    zz = trace.zigzag
+    assert all(d == shape[i] for i, d in enumerate(zz.directions) if zz.at[i] != zz.at[i + 1])
     assert trace.barcode.is_full()
     pair = trace.steps[0].connecting_pair
     first = mv.relative_homology(fields[0].cx, pair.P, pair.E)
@@ -151,8 +154,8 @@ def test_adjacency_zigzag(merging_saddles):
 
     # identical sets and fields: everything constant, full barcode
     cx = merging_saddles.cx
-    pairs, dirs, _ = _adjacency_chunk(v1, v1, seed, seed, cx.closure(seed), 2, 1)
-    same = PairZigzag(cx, [canonical_index_pair(v1, seed)] + pairs, dirs)
+    pairs, _ = _adjacency_chunk(v1, v1, seed, seed, cx.closure(seed), 2, 1)
+    same = PairZigzag(cx, [canonical_index_pair(v1, seed)] + pairs)
     assert mv.pair_zigzag_barcode(same).is_full()
 
     # case g: the union of closures does not isolate both sets
@@ -185,7 +188,7 @@ def test_connect_push_forward_pair(repeller_disk):
     pair = IndexPair(cx.simplices, frozenset(cx.simplices - center))
     chain, tags = _chain(fld, center, pair, 2, 1)
     assert chain[0] == canonical_index_pair(fld, center) and chain[-1] == pair
-    zz = PairZigzag(cx, chain[::-1], [BACKWARD, FORWARD, BACKWARD], tags[::-1])
+    zz = PairZigzag(cx, chain[::-1], tags[::-1])
     assert mv.pair_zigzag_barcode(zz).is_full()
 
 
@@ -194,7 +197,7 @@ def test_naive_intersection_zigzag(merging_saddles):
     step = track_step(fld, nxt, seed, heuristic_g=True)
     zz = _step_zigzag(fld, seed, step)
     assert len(zz) == 3
-    assert zz.tags[1].heuristic
+    assert zz.tags[1].role == "naive-meet"
     middle = zz.pairs[1]
     assert not mv.validate_index_pair(nxt, middle.P, middle.E,
                                       invariant_part(nxt, middle.body))
@@ -202,15 +205,15 @@ def test_naive_intersection_zigzag(merging_saddles):
 
     cx = merging_saddles.cx
     seed = merging_saddles.seed
-    pairs, dirs, _ = _naive_chunk(cx, seed, seed, 2)
-    constant = PairZigzag(cx, [IndexPair(cx.closure(seed), cx.mouth(seed))] + pairs, dirs)
+    pairs, _ = _naive_chunk(cx, seed, seed, 2)
+    constant = PairZigzag(cx, [IndexPair(cx.closure(seed), cx.mouth(seed))] + pairs)
     assert mv.pair_zigzag_barcode(constant).is_full()
 
     # disjoint closures: the middle pair is empty and every bar dies
     strip = mv.Complex.from_maximal([[0, 1], [2, 3]])
     left, right = frozenset({(0, 1)}), frozenset({(2, 3)})
-    pairs, dirs, _ = _naive_chunk(strip, left, right, 2)
-    zz = PairZigzag(strip, [IndexPair(strip.closure(left), strip.mouth(left))] + pairs, dirs)
+    pairs, _ = _naive_chunk(strip, left, right, 2)
+    zz = PairZigzag(strip, [IndexPair(strip.closure(left), strip.mouth(left))] + pairs)
     barcode = mv.pair_zigzag_barcode(zz)
     assert barcode.betti_per_position[1] == (0, 0)
     assert all(b.birth == b.death for b in barcode.bars)
@@ -259,7 +262,7 @@ def test_run_protocol_unresolved():
     assert trace.stopped == "unresolved"
     resolved = run_protocol([fld, nxt], seed, heuristic_g=True)
     assert resolved.stopped == "completed"
-    assert any(tag.heuristic for tag in resolved.zigzag.tags)
+    assert any(tag.role == "naive-meet" for tag in resolved.zigzag.tags)
 
 
 @pytest.mark.parametrize("name, invariant_parts",

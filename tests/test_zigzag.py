@@ -27,8 +27,6 @@ def test_pair_zigzag_checks_inclusions(triangle):
     b = IndexPair(triangle.simplices, frozenset({(0,)}))
     zz = PairZigzag(triangle, [a, b])
     assert zz.directions == [FORWARD]
-    with pytest.raises(ValueError):
-        PairZigzag(triangle, [a, b], [BACKWARD])
     c = IndexPair(triangle.closure({(1, 2)}), frozenset())
     with pytest.raises(ValueError):
         PairZigzag(triangle, [a, c])
@@ -110,9 +108,44 @@ def test_reversing_a_module_mirrors_its_intervals():
         assert interval_multiplicities(*_reversed_module(dims, arrows), p) == mirrored
 
 
+def _with_identities(rng, dims, arrows):
+    """The module with some positions repeated, each copy joined to the
+    original by a forward identity arrow, and the indices of those arrows."""
+    out_dims, out_arrows, identities = [], [], []
+    for i, dim in enumerate(dims):
+        if i:
+            out_arrows.append(arrows[i - 1])
+        out_dims.append(dim)
+        while rng.random() < 0.4:
+            identities.append(len(out_arrows))
+            out_arrows.append((FORWARD, [{r: 1} for r in range(dim)]))
+            out_dims.append(dim)
+    return out_dims, out_arrows, identities
+
+
+def test_flipping_identity_arrows_keeps_the_intervals():
+    """An identity arrow between equal positions gives the same interval
+    decomposition pointing either way, so a zigzag may infer its direction."""
+    rng = random.Random(47)
+    flipped = 0
+    for trial in range(150):
+        p = (2, 3)[trial % 2]
+        dims, arrows = random_module(rng, rng.randint(1, 8), max_dim=3, p=p, degenerate=0.3)
+        dims, arrows, identities = _with_identities(rng, dims, sparse_arrows(arrows))
+        expected = interval_multiplicities(dims, arrows, p)
+        for _ in range(3):
+            flips = [i for i in identities if rng.random() < 0.5]
+            turned = list(arrows)
+            for i in flips:
+                turned[i] = (BACKWARD, arrows[i][1])
+            assert interval_multiplicities(dims, turned, p) == expected
+            flipped += bool(flips) and bool(dims[flips[0]])
+    assert flipped >= 100
+
+
 def _mirrored_bars(zz, p):
     n = len(zz)
-    rev = PairZigzag(zz.cx, zz.pairs[::-1], [SWAP[d] for d in reversed(zz.directions)])
+    rev = PairZigzag(zz.cx, zz.pairs[::-1])
     bars = sorted((b.dim, b.birth, b.death) for b in pair_zigzag_barcode(rev, p).bars)
     return sorted((k, n + 1 - d, n + 1 - b) for k, b, d in bars)
 
@@ -207,7 +240,7 @@ def test_barcode_parses_and_checks_each_distinct_set_once(nine_fields, tmp_path,
     arrays = {json.dumps(pr[key]) for pr in doc["pairs"] for key in ("p", "e")}
     sets = {part for pr in tracked.pairs for part in (pr.P, pr.E)}
     assert len(doc["pairs"]) > 2 * len(arrays)
-    bars = pair_zigzag_barcode(PairZigzag(tracked.cx, tracked.pairs, tracked.directions))
+    bars = pair_zigzag_barcode(PairZigzag(tracked.cx, tracked.pairs))
 
     phase = ["loader"]
     closed_calls = {"loader": [], "PairZigzag": [], "homology_module": []}
