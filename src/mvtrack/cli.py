@@ -196,7 +196,7 @@ def trace_doc(scene: Scene, trace) -> dict:
         steps.append({
             "index": st.index,
             "case": st.case,
-            "kind": st.kind,
+            "kind": st.rearrangement.kind,
             "set_size": len(st.current),
             "result_size": len(st.result) if st.result is not None else None,
             "result": sorted(scene.format_simplex(s) for s in st.result or ()),
@@ -239,7 +239,7 @@ def cmd_track(args) -> int:
         lines = []
         for st in trace.steps:
             result = len(st.result) if st.result is not None else "-"
-            lines.append(f"step {st.index}: case {st.case} ({st.kind}), "
+            lines.append(f"step {st.index}: case {st.case} ({st.rearrangement.kind}), "
                          f"|S| {len(st.current)} -> {result}"
                          + (f"  [{'; '.join(st.notes)}]" if st.notes else ""))
         lines.append(f"stopped: {trace.stopped}; zigzag of {len(trace.zigzag)} pairs")

@@ -14,10 +14,12 @@ Loop invariant: the zigzag ends on a validated canonical pair (closure,
 mouth) of the tracked set under the field the next step starts from.  A set
 is an isolated invariant set exactly when that pair is an index pair for it,
 so `run_protocol` checks the seed once and no step re-checks its start.
-Every other pair a step appends, its closing pair canonical(result) last, is
-validated once; a failure raises, since it signals a bug, not bad input.
-A step reads its rearrangement from the next field's record where there is
-one, and appends pairs only: `PairZigzag` infers every arrow from its pairs.
+Continuation is by definition: S continues to S' when one pair (P,E)
+isolates S under the first field and S' is the invariant part of P \\ E
+under the next.  Every other pair a step appends is checked once per field,
+for the conditions that can fail; a failure raises, since it signals a bug,
+not bad input.  A step reads its rearrangement from the next field's record
+where there is one, and appends pairs only: `PairZigzag` infers every arrow.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ from typing import Optional, Sequence
 
 from .complexes import Complex, SimplexSet
 from .dynamics import (IndexPair, PreconditionError, invariant_part, is_isolated_invariant_set,
-                       isolates, push_forward, validate_index_pair, validate_index_pair_in_n,
-                       validate_pair_in_n)
-from .fields import (AtomicRearrangement, CheckReport, MultivectorField,
+                       isolates, push_forward, validate_index_pair_in_n, validate_pair_in_n)
+from .fields import (AtomicRearrangement, MultivectorField,
                      classify_rearrangement, intersect_fields, validate_field)
 from .zigzag import Barcode, PairTag, PairZigzag, pair_zigzag_barcode
 
@@ -38,19 +39,12 @@ class ZigzagAssemblyError(RuntimeError):
     """A constructed pair failed validation; indicates an internal bug."""
 
 
-def _require(report: CheckReport, what: str):
-    if not report:
-        raise ZigzagAssemblyError(f"{what}: " + "; ".join(report.problems))
-
-
 def hull(field: MultivectorField, subset: SimplexSet) -> SimplexSet:
     """Minimal convex and compatible superset, by alternating the two closures.
 
     The convex hull of A is closure(A) & star(A): the simplices lying between
-    two members.  Both closure operators only add simplices, so the loop
-    terminates at the least fixed point, which is the intersection of all
-    convex compatible supersets.
-    """
+    two members.  Both operators only add simplices, so the loop ends at the
+    least fixed point, the intersection of all convex compatible supersets."""
     cx = field.cx
     out = cx.check_subset(subset)
     while True:
@@ -68,7 +62,6 @@ class TrackingStep:
     """One protocol step: which case fired and what it contributed."""
     index: int
     case: str
-    kind: str
     current: SimplexSet
     result: Optional[SimplexSet]
     rearrangement: AtomicRearrangement
@@ -101,51 +94,68 @@ def _push_forward_pair(field: MultivectorField, pair: IndexPair, nbhd: SimplexSe
     return IndexPair(push_forward(field, pair.P, nbhd), push_forward(field, pair.E, nbhd))
 
 
-_CHAIN = (("canonical", "canonical pair"), ("pushforward", "push-forward pair"),
-          ("meet", "intersected pair"), ("connecting", "connecting pair"))
+def _check(field: MultivectorField, pair: IndexPair, subset: Optional[SimplexSet], p: int,
+           what: str, nbhd: Optional[SimplexSet] = None):
+    """`pair` as an index pair for `subset` inside `nbhd` (P by default).
+
+    The fourth condition, Inv(P \\ E) = subset, is checked only where it can
+    fail.  Every set a step checks pairs for is invariant under that field,
+    and the invariant part is idempotent, so the condition holds for a body
+    equal to `subset`; `subset` None means it holds by construction."""
+    n = pair.P if nbhd is None else nbhd
+    if subset is None or pair.body == subset:
+        report = validate_pair_in_n(field, pair.P, pair.E, n)
+    else:
+        report = validate_index_pair_in_n(field, pair.P, pair.E, n, subset, p)
+    if not report:
+        raise ZigzagAssemblyError(f"{what}: " + "; ".join(report.problems))
 
 
-def _chain(field: MultivectorField, subset: SimplexSet, pair: IndexPair,
-           p: int, tag: int) -> tuple[list[IndexPair], list[PairTag]]:
+_CHAIN = ("canonical", "pushforward", "meet", "connecting")
+
+
+def _chain(field: MultivectorField, subset: SimplexSet, pair: IndexPair, p: int, tag: int,
+           start: Optional[IndexPair] = None) -> tuple[list[IndexPair], list[PairTag]]:
     """canonical(S) <= pf-pair >= meet <= (P,E), each an index pair for S.
 
-    Read backwards, the chain connects (P,E) down to canonical(S), which is
-    validated elsewhere: as the zigzag's end before a step, or as a step's
-    closing pair.  Each other distinct pair is validated once, by first label."""
+    The connecting pair (P,E) needs no fourth condition: S is the invariant
+    part of its body by definition of S' under the next field, and by the
+    hull test of case d under the first.  Each distinct pair but `start`, the
+    zigzag's validated end, is checked once, from (P,E) back."""
     canonical = _canonical(field.cx, subset)
     pf_pair = _push_forward_pair(field, canonical, pair.P)
     chain = [canonical, pf_pair, IndexPair(pair.P & pf_pair.P, pair.E & pf_pair.E), pair]
-    seen = {canonical}
-    for (_, label), candidate in zip(_CHAIN[1:], chain[1:]):
+    seen = {start}
+    for role, candidate in reversed(list(zip(_CHAIN, chain))):
         if candidate not in seen:
             seen.add(candidate)
-            _require(validate_index_pair(field, candidate.P, candidate.E, subset, p), label)
-    return chain, [PairTag(tag, role) for role, _ in _CHAIN]
+            _check(field, candidate, None if candidate is pair else subset, p, f"{role} pair")
+    return chain, [PairTag(tag, role) for role in _CHAIN]
 
 
-def _adjacency_chunk(field: MultivectorField, nxt: MultivectorField,
-                     current: SimplexSet, result: SimplexSet, ambient: SimplexSet,
-                     p: int, index: int):
+def _adjacency_chunk(field: MultivectorField, nxt: MultivectorField, current: SimplexSet,
+                     result: SimplexSet, ambient: SimplexSet, p: int, index: int):
     """canonical(S) <= pf >= meet <= pf' >= canonical(S'), pairs after canonical(S).
 
     A push-forward pair is an index pair once it passes in the common
-    isolating set, which contains it.  The meet encodes the invariant part of
-    its own body, so only its closedness, images and exits can fail."""
+    isolating set, and so in its own P: canonical(S') is checked only where
+    it differs from pf'.  The meet encodes the invariant part of its body."""
     pf1 = _push_forward_pair(field, _canonical(field.cx, current), ambient)
-    pf2 = _push_forward_pair(nxt, _canonical(nxt.cx, result), ambient)
+    closing = _canonical(nxt.cx, result)
+    pf2 = _push_forward_pair(nxt, closing, ambient)
     meet = IndexPair(pf1.P & pf2.P, pf1.E & pf2.E)
     for fld, pf, subset in ((field, pf1, current), (nxt, pf2, result)):
-        _require(validate_index_pair_in_n(fld, pf.P, pf.E, ambient, subset, p),
-                 "push-forward pair in the common isolating set")
-    _require(validate_pair_in_n(intersect_fields(field, nxt), meet.P, meet.E, ambient),
-             "intersected pair under the common refinement")
+        _check(fld, pf, subset, p, "push-forward pair in the common isolating set", ambient)
+    _check(intersect_fields(field, nxt), meet, None, p,
+           "intersected pair under the common refinement", ambient)
+    if closing != pf2:
+        _check(nxt, closing, result, p, "canonical pair")
     tags = [PairTag(index, "pushforward"), PairTag(index + 1, "meet"),
             PairTag(index + 1, "pushforward"), PairTag(index + 1, "canonical")]
-    return [pf1, meet, pf2, _canonical(nxt.cx, result)], tags
+    return [pf1, meet, pf2, closing], tags
 
 
-def _naive_chunk(cx: Complex, current: SimplexSet, result: SimplexSet,
-                 tag_nxt: int):
+def _naive_chunk(cx: Complex, current: SimplexSet, result: SimplexSet, tag_nxt: int):
     """canonical(S) >= raw meet <= canonical(S'), the meet tagged naive-meet."""
     meet = IndexPair(cx.closure(current) & cx.closure(result),
                      cx.mouth(current) & cx.mouth(result))
@@ -153,71 +163,58 @@ def _naive_chunk(cx: Complex, current: SimplexSet, result: SimplexSet,
     return [meet, _canonical(cx, result)], tags
 
 
-def _case_step(field: MultivectorField, nxt: MultivectorField, current: SimplexSet,
-               known: IndexPair, p: int, heuristic_g: bool, index: int) -> TrackingStep:
-    """The case of one step and its pairs, all checked but the closing pair."""
+def _step(field: MultivectorField, nxt: MultivectorField, current: SimplexSet,
+          known: IndexPair, p: int, heuristic_g: bool, index: int) -> TrackingStep:
+    """One step from `known`, the validated canonical pair of `current` under
+    `field`, to canonical(result) under `nxt`.  Continuation connects through
+    `known` in cases a-c, and through canonical(hull) in case d."""
     cx = field.cx
     move = classify_rearrangement(field, nxt)
+    merged, hull_set, pair = move.whole, None, known
+    if move.kind == "refinement" or merged <= current or not merged & current:
+        case = "a" if move.kind == "refinement" else "b" if merged <= current else "c"
+    else:
+        hull_set = hull(nxt, current | merged)
+        case = "d" if invariant_part(field, hull_set, p) == current else "f"
+        pair = _canonical(cx, hull_set) if case == "d" else None
 
-    def continuation(case, result, pair, hull_set=None) -> TrackingStep:
-        out, out_tags = _chain(field, current, pair, p, index)
+    if pair is not None:
+        result = invariant_part(nxt, pair.body, p)
+        if case == "c" and result != current:
+            raise ZigzagAssemblyError("case c: a merge outside the set changed its invariant part")
+        out, out_tags = _chain(field, current, pair, p, index, known)
         back, back_tags = _chain(nxt, result, pair, p, index + 1)
-        return TrackingStep(index, case, move.kind, current, result, move,
-                            connecting_pair=pair, hull_set=hull_set,
-                            appended_pairs=out[1:] + back[-2::-1],
+        return TrackingStep(index, case, current, result, move, connecting_pair=pair,
+                            hull_set=hull_set, appended_pairs=out[1:] + back[-2::-1],
                             appended_tags=out_tags[1:] + back_tags[-2::-1])
 
-    merged = move.whole
-    if move.kind == "refinement" or merged <= current:
-        case = "a" if move.kind == "refinement" else "b"
-        return continuation(case, invariant_part(nxt, current, p), known)
-    if not merged & current:
-        return continuation("c", current, known)
-
-    hull_set = hull(nxt, current | merged)
-    result = invariant_part(nxt, hull_set, p)
-    if invariant_part(field, hull_set, p) == current:
-        return continuation("d", result, _canonical(cx, hull_set), hull_set)
-
     # No continuation exists past this point; fall back to persistence.
+    result = invariant_part(nxt, hull_set, p)
     ambient = cx.closure(current) | cx.closure(result)
     if isolates(field, ambient, current, p) and isolates(nxt, ambient, result, p):
         pairs, tags = _adjacency_chunk(field, nxt, current, result, ambient, p, index)
-        return TrackingStep(index, "f", move.kind, current, result, move, hull_set=hull_set,
+        return TrackingStep(index, "f", current, result, move, hull_set=hull_set,
                             adjacency_set=ambient, appended_pairs=pairs, appended_tags=tags,
                             notes=("continuation broken",))
 
     notes = ("continuation broken", "no common isolating set")
     if not heuristic_g:
-        return TrackingStep(index, "g", move.kind, current, None, move, hull_set=hull_set,
+        return TrackingStep(index, "g", current, None, move, hull_set=hull_set,
                             notes=notes, resolved=False)
     pairs, tags = _naive_chunk(cx, current, result, index + 1)
+    _check(nxt, pairs[-1], result, p, "canonical pair")
     middle = validate_pair_in_n(nxt, pairs[0].P, pairs[0].E, pairs[0].P)
     notes += ("heuristic intersection emitted"
               + ("" if middle else "; middle pair is not an index pair"),)
-    return TrackingStep(index, "g", move.kind, current, result, move, hull_set=hull_set,
+    return TrackingStep(index, "g", current, result, move, hull_set=hull_set,
                         appended_pairs=pairs, appended_tags=tags, notes=notes)
-
-
-def _step(field: MultivectorField, nxt: MultivectorField, current: SimplexSet,
-          known: IndexPair, p: int, heuristic_g: bool, index: int) -> TrackingStep:
-    """One step from `known`, the validated canonical pair of `current` under
-    `field`, to a closing pair validated here: the next step's `known` pair."""
-    step = _case_step(field, nxt, current, known, p, heuristic_g, index)
-    if step.resolved:
-        closing = step.appended_pairs[-1]
-        _require(validate_index_pair(nxt, closing.P, closing.E, step.result, p), "canonical pair")
-    return step
 
 
 def track_step(field: MultivectorField, nxt: MultivectorField, current: SimplexSet,
                p: int = 2, heuristic_g: bool = False, step_index: int = 1) -> TrackingStep:
-    """Apply one protocol step for the rearrangement `field` -> `nxt`.
-
-    The returned step records the fired case, the new invariant set, and the
-    pairs it appends to a zigzag whose current end is the canonical pair of
-    `current`.
-    """
+    """Apply one protocol step for the rearrangement `field` -> `nxt`: the
+    fired case, the new invariant set, and the pairs it appends to a zigzag
+    ending on the canonical pair of `current`."""
     current = field.cx.check_subset(current)
     if not current:
         raise PreconditionError("tracking needs a nonempty seed")

@@ -17,7 +17,9 @@ facets, and checks every multivector of a field, where the loader checks
 only what each atomic step adds.  The rearrangement oracle diffs the parts
 of two fields, where the library reads the step a field records.
 `EagerComplex` is the former complex construction, which built every face
-table up front.
+table up front.  `reference_protocol` is the tracking protocol rebuilt from
+these oracles and the paper's definitions, with every emitted pair checked
+against all four index-pair conditions.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ import numpy as np
 import mvtrack as mv
 from mvtrack import algebra
 from mvtrack.complexes import facets, proper_faces
-from mvtrack.zigzag import BACKWARD, FORWARD
+from mvtrack.dynamics import IndexPair
+from mvtrack.zigzag import BACKWARD, FORWARD, PairTag, PairZigzag, pair_zigzag_barcode
 
 
 # ---------------------------------------------------------------- generators
@@ -486,6 +489,149 @@ def isolated_invariant_sets(fld, p=2):
             if fld.cx.is_convex(union) and mv.is_invariant(fld, union, p):
                 out.append(union)
     return out
+
+
+# ------------------------------------------------------ reference protocol
+# Built from the oracles above and the paper's definitions; it takes nothing
+# from mvtrack.tracking or mvtrack.dynamics but the IndexPair data type.
+
+def fixpoint_hull(fld, seed):
+    """Least convex compatible superset, by iterating the two definitions:
+    add the multivector of every member, then every simplex lying between two
+    members (by vertex sets).  `brute_hull` enumerates every subset, so it is
+    this oracle's oracle on small complexes."""
+    out = frozenset(seed)
+    while True:
+        grown = [set(s) for s in out.union(*(fld.part_of(s) for s in out))]
+        grown = frozenset(s for s in fld.cx.simplices
+                          if any(a <= set(s) for a in grown) and any(set(s) <= b for b in grown))
+        if grown == out:
+            return out
+        out = grown
+
+
+def oracle_pair_problems(fld, pair, subset, p=2, nbhd=None):
+    """The failed conditions of `pair` as an index pair for `subset` inside
+    `nbhd` (P by default): closedness, images, exits, re-entry into N outside
+    P, and, unless `subset` is None, Inv(P \\ E) = subset by `scc_invariant_part`."""
+    pset, eset = pair.P, pair.E
+    n = pset if nbhd is None else frozenset(nbhd)
+    checks = [("closedness", all(all_faces(x) <= x for x in (pset, eset, n)) and pset <= n),
+              ("images", all(fld.fmap(s) <= n for s in pset - eset)),
+              ("exits", all(fld.fmap(s) & n <= eset for s in eset)),
+              ("re-entry", all(fld.fmap(s) & n <= pset for s in pset)),
+              ("invariant part", subset is None
+               or scc_invariant_part(fld, pset - eset, p) == subset)]
+    return [name for name, ok in checks if not ok]
+
+
+def oracle_isolates(fld, nbhd, subset):
+    """N isolates S: N is closed, the image of S lies in N, and no path of
+    the step graph on N leaves S and comes back."""
+    if not all_faces(nbhd) <= nbhd or not all(fld.fmap(s) <= nbhd for s in subset):
+        return False
+    adj = step_graph(fld, nbhd)
+    leaving = {t for s in subset for t in adj[s]} - subset
+    return not _reachable(adj, leaving) & subset
+
+
+def _pushed(fld, pair, nbhd):
+    adj = step_graph(fld, nbhd)
+    return IndexPair(_reachable(adj, pair.P), _reachable(adj, pair.E))
+
+
+def reference_protocol(fields, seed, p=2, heuristic_g=False):
+    """The tracking protocol from the definitions, as `run_protocol`'s oracle.
+
+    Each step is classified by diffing parts.  Continuation (cases a-d) takes
+    one pair (P, E) isolating S under the first field, and S' = Inv(P \\ E)
+    under the next: the canonical pair of S in cases a-c, of the hull in case
+    d once the hull's invariant part is S.  Failing that, case f connects
+    through push-forwards in cl S | cl S' when it isolates both, and case g
+    is unresolved or, with `heuristic_g`, emits the raw meet.  The pairs and
+    tags are those of `run_protocol`; every pair but the naive meet is
+    checked in full, the meet of case f under the common refinement.
+    Returns (steps, stopped, barcode), a step being (case, result, pairs, tags).
+    """
+    cx = fields[0].cx
+
+    def canonical(subset):
+        closure = frozenset(all_faces(subset))
+        return IndexPair(closure, closure - subset)
+
+    checked = {}  # each distinct check once; holding the field keeps its id unique
+
+    def check(fld, pair, subset, what, nbhd=None):
+        key = (id(fld), pair, subset, nbhd)
+        if key not in checked:
+            checked[key] = fld
+            problems = oracle_pair_problems(fld, pair, subset, p, nbhd)
+            assert not problems, f"step {index}: {what} fails {problems}"
+
+    def chain(fld, subset, pair):
+        pushed = _pushed(fld, canonical(subset), pair.P)
+        out = [canonical(subset), pushed, IndexPair(pair.P & pushed.P, pair.E & pushed.E), pair]
+        for pr in out:
+            check(fld, pr, subset, "chain pair")
+        return out
+
+    index, current = 0, frozenset(seed)
+    check(fields[0], canonical(current), current, "seed")
+    pairs, tags, steps, stopped = [canonical(current)], [PairTag(1, "canonical")], [], "completed"
+    for index, (fld, nxt) in enumerate(zip(fields, fields[1:]), start=1):
+        move = diff_rearrangement(fld, nxt)
+        merged, connecting = move.whole, None
+        if move.kind == "refinement" or merged <= current or not merged & current:
+            case = "a" if move.kind == "refinement" else "b" if merged <= current else "c"
+            connecting = canonical(current)
+        else:
+            hull_set = fixpoint_hull(nxt, current | merged)
+            if scc_invariant_part(fld, hull_set, p) == current:
+                case, connecting = "d", canonical(hull_set)
+        if connecting is not None:
+            result = scc_invariant_part(nxt, connecting.P - connecting.E, p)
+            assert case != "c" or result == current, f"step {index}: case c changed the set"
+            out, back = chain(fld, current, connecting), chain(nxt, result, connecting)
+            new = out[1:] + back[-2::-1]
+            roles = [(0, "pushforward"), (0, "meet"), (0, "connecting"),
+                     (1, "meet"), (1, "pushforward"), (1, "canonical")]
+        else:
+            result = scc_invariant_part(nxt, hull_set, p)
+            closing = canonical(result)
+            ambient = canonical(current).P | closing.P
+            if oracle_isolates(fld, ambient, current) and oracle_isolates(nxt, ambient, result):
+                case = "f"
+                pf1, pf2 = _pushed(fld, canonical(current), ambient), _pushed(nxt, closing, ambient)
+                check(fld, pf1, current, "push-forward pair", ambient)
+                check(nxt, pf2, result, "push-forward pair", ambient)
+                groups = {}
+                for s in cx.simplices:
+                    groups.setdefault((fld.mv_id(s), nxt.mv_id(s)), []).append(s)
+                meet = IndexPair(pf1.P & pf2.P, pf1.E & pf2.E)
+                check(mv.MultivectorField.from_parts(cx, groups.values()), meet, None,
+                      "meet", ambient)
+                check(nxt, closing, result, "canonical pair")
+                new = [pf1, meet, pf2, closing]
+                roles = [(0, "pushforward"), (1, "meet"), (1, "pushforward"), (1, "canonical")]
+            elif heuristic_g:
+                case = "g"
+                check(nxt, closing, result, "canonical pair")
+                new = [IndexPair(canonical(current).P & closing.P,
+                                 canonical(current).E & closing.E), closing]
+                roles = [(1, "naive-meet"), (1, "canonical")]
+            else:
+                steps.append(("g", None, [], []))
+                stopped = "unresolved"
+                break
+        new_tags = [PairTag(index + shift, role) for shift, role in roles]
+        steps.append((case, result, new, new_tags))
+        pairs += new
+        tags += new_tags
+        current = result
+        if not current:
+            stopped = "emptied"
+            break
+    return steps, stopped, pair_zigzag_barcode(PairZigzag(cx, pairs, tags), p)
 
 
 # ------------------------------------------------ dense elimination oracle

@@ -47,7 +47,7 @@ def test_criterion_02_nine_field_collision():
     start = time.time()
     scene = load_scene(FIXTURES / "saddle_collision_nine.json")
     trace = run_protocol(scene.fields, scene.seed)
-    kinds = [s.kind for s in trace.steps]
+    kinds = [s.rearrangement.kind for s in trace.steps]
     assert kinds == ["coarsening", "refinement", "refinement", "coarsening",
                      "coarsening", "refinement", "coarsening", "refinement"]
     assert [s.case for s in trace.steps] == list("daaccafa")

@@ -12,8 +12,9 @@ from mvtrack.tracking import (ZigzagAssemblyError, _adjacency_chunk, _chain, _na
                               run_protocol, track_step)
 from mvtrack.zigzag import BACKWARD, FORWARD, PairTag, PairZigzag
 
-from helpers import (brute_hull, grid_scene, random_complex, random_field,
-                     random_isolated_set, random_refinement, random_subset)
+from helpers import (brute_hull, dense_relative_betti, fixpoint_hull, grid_scene, random_complex,
+                     random_field, random_isolated_set, random_refinement, random_subset,
+                     reference_protocol, scc_invariant_part)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 SCENES = ("merging_saddles", "repeller_disk", "saddle_collision_nine", "unresolved_step")
@@ -34,14 +35,14 @@ def test_hull_matches_brute_force():
         cx = random_complex(rng, n_vertices=5, n_maximal=2, max_dim=2, max_size=10)
         fld = random_field(rng, cx)
         seed = random_subset(rng, cx.simplices, max_size=6)
-        assert hull(fld, seed) == brute_hull(fld, seed)
+        assert hull(fld, seed) == brute_hull(fld, seed) == fixpoint_hull(fld, seed)
 
 
 def test_track_step_cases(merging_saddles):
     v1, v2, v3 = merging_saddles.fields
     seed = merging_saddles.seed
     step = track_step(v1, v2, seed, step_index=1)
-    assert step.case == "a" and step.kind == "refinement"
+    assert step.case == "a" and step.rearrangement.kind == "refinement"
     assert step.connecting_pair == canonical_index_pair(v1, seed)
     step2 = track_step(v2, v3, step.result, step_index=2)
     assert step2.case == "f" and "continuation broken" in step2.notes
@@ -177,7 +178,8 @@ def test_connect_pair_to_canonical(merging_saddles):
     bigger = IndexPair(cx.simplices, frozenset(cx.simplices
                                                - invariant_part(v1, cx.simplices)))
     assert not mv.validate_index_pair(v1, bigger.P, bigger.E, seed)
-    with pytest.raises(ZigzagAssemblyError):
+    # the meet's body is not the seed, so its fourth condition is computed
+    with pytest.raises(ZigzagAssemblyError, match="meet pair: invariant part of P"):
         _chain(v1, seed, bigger, 2, 1)
 
 
@@ -266,7 +268,7 @@ def test_run_protocol_unresolved():
 
 
 @pytest.mark.parametrize("name, invariant_parts",
-                         [("merging_saddles", 10), ("saddle_collision_nine", 23)])
+                         [("merging_saddles", 4), ("saddle_collision_nine", 11)])
 def test_run_protocol_checks_the_seed_once(name, invariant_parts, monkeypatch):
     """Counts work, not time: the seed is checked once, and no step re-checks
     the set it starts from or computes an invariant part only to compare it
@@ -286,15 +288,17 @@ def test_run_protocol_checks_the_seed_once(name, invariant_parts, monkeypatch):
 
 @pytest.mark.parametrize("name", ["merging_saddles", "saddle_collision_nine", "unresolved_step"])
 def test_each_step_validates_its_closing_pair_once(name, monkeypatch):
-    """Within a step, the pair the zigzag ended on is not validated again
-    under the step's first field; the closing pair canonical(result) is
-    validated under the next field exactly once; and every other appended
+    """Within a step, the pair the zigzag ended on is not checked again in
+    its own P under the step's first field; the closing pair canonical(result) is
+    checked under the next field exactly once; the connecting pair is checked
+    under the next field, and under the first only in case d; no pair is
+    checked twice under one field; the fourth condition is computed only for
+    a pair whose body is not the set it is checked for; and every appended
     pair is checked under the field of its tag, or the common refinement for
     the meet of case f."""
     scene = mv.load_scene(FIXTURES / f"{name}.json")
     log = []
-    for fn in (tracking.validate_index_pair, tracking.validate_index_pair_in_n,
-               tracking.validate_pair_in_n):
+    for fn in (tracking.validate_index_pair_in_n, tracking.validate_pair_in_n):
         def recorded(field, pset, eset, *rest, fn=fn):
             log.append((fn.__name__, field, IndexPair(pset, eset), rest))
             return fn(field, pset, eset, *rest)
@@ -322,18 +326,37 @@ def test_each_step_validates_its_closing_pair_once(name, monkeypatch):
         closing = IndexPair(cx.closure(step.result), cx.mouth(step.result))
         assert step.appended_pairs[-1] == closing
 
-        def validations(field, pair, subset):
-            return sum(fn == "validate_index_pair" and f is field and q == pair
-                       and args[0] == subset for fn, f, q, args in checks)
+        def checked(field, pair, in_p=False):
+            return sum(f is field and q == pair and not (in_p and args[0] != q.P)
+                       for _, f, q, args in checks)
 
-        assert validations(fld, start, step.current) == 0
-        assert validations(nxt, closing, step.result) == 1
+        assert checked(fld, start, in_p=True) == 0
+        assert checked(nxt, closing) == 1
+        if step.connecting_pair is not None:
+            assert checked(nxt, step.connecting_pair) == 1
+            assert checked(fld, step.connecting_pair) == (step.case == "d")
+        assert len({(id(f), q) for _, f, q, _ in checks}) == len(checks)
+        for fn, _, pair, args in checks:
+            if fn == "validate_index_pair_in_n":
+                assert pair.body != args[1]
         for pair, tag in zip(step.appended_pairs, step.appended_tags):
             field = scene.fields[tag.field_index - 1]
             if step.case == "f" and tag.role == "meet":
                 field = intersect_fields(fld, nxt)
             assert (field is fld and pair == start) or any(
                 f == field and q == pair for _, f, q, _ in checks), (step.index, tag)
+
+
+def test_case_c_raises_when_its_set_changes(merging_saddles, monkeypatch):
+    """A merge outside the tracked set leaves its invariant part alone, so
+    an S' that differs from S in case c is a bug, and raises."""
+    v1 = merging_saddles.fields[0]
+    seed = merging_saddles.seed
+    outside = v1.merge(v1.mv_id((0,)), v1.mv_id((0, 1)))
+    assert track_step(v1, outside, seed).case == "c"
+    monkeypatch.setattr(tracking, "invariant_part", lambda field, subset, p=2: frozenset())
+    with pytest.raises(ZigzagAssemblyError, match="case c"):
+        track_step(v1, outside, seed)
 
 
 def test_subset_or_superset_after_continuation():
@@ -462,3 +485,51 @@ def test_grid_scenes_give_the_same_barcode_at_p2_and_p3():
             assert two.stopped == three.stopped
             assert _bars(two) == _bars(three)
             checked += 1
+
+
+def _agrees_with_reference(fields, seed, p, heuristic_g):
+    """run_protocol against reference_protocol: per step the case, result,
+    appended pairs and tags, then the stop and the bars.  A run of cases a-d
+    only is continuation, a special case of persistence: every bar is full,
+    and every result has the seed's Conley index.  Returns the cases."""
+    trace = run_protocol(fields, seed, p, heuristic_g)
+    steps, stopped, barcode = reference_protocol(fields, seed, p, heuristic_g)
+    assert [(s.case, s.result, s.appended_pairs, s.appended_tags) for s in trace.steps] == steps
+    assert trace.stopped == stopped
+    assert _bars(trace) == [(b.dim, b.birth, b.death) for b in barcode.bars]
+    cases = [case for case, *_ in steps]
+    if all(case in "abcd" for case in cases):
+        cx = fields[0].cx
+        assert barcode.is_full()
+        index = dense_relative_betti(cx, cx.closure(seed), cx.mouth(seed), p)
+        for _, result, _, _ in steps:
+            assert dense_relative_betti(cx, cx.closure(result), cx.mouth(result), p) == index
+    return cases
+
+
+@pytest.mark.parametrize("heuristic_g", [False, True])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", SCENES)
+def test_reference_protocol_agrees_on_the_fixtures(name, p, heuristic_g):
+    scene = mv.load_scene(FIXTURES / f"{name}.json")
+    _agrees_with_reference(scene.fields, scene.seed, p, heuristic_g)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_reference_protocol_agrees_on_random_grid_scenes(p):
+    """30 random grid scenes, tracked from a small isolated set and from the
+    invariant part of the whole grid, with heuristic g on."""
+    rng = random.Random(100 + p)
+    cases = []
+    scenes = tries = 0
+    while scenes < 30:
+        tries += 1
+        assert tries <= 150, f"{scenes} of 30 grid scenes with a seed in {tries - 1} attempts"
+        scene = grid_scene(rng, n=4, steps=6, p=p)
+        if scene is None:
+            continue
+        fields, seed = scene
+        for start in (seed, scc_invariant_part(fields[0], fields[0].cx.simplices, p)):
+            cases += _agrees_with_reference(fields, start, p, True)
+        scenes += 1
+    assert set("abcd") <= set(cases), sorted(set(cases))
