@@ -18,7 +18,7 @@ from typing import Collection
 
 from .algebra import relative_homology
 from .complexes import Simplex, SimplexSet
-from .fields import CheckReport, MultivectorField
+from .fields import AtomicRearrangement, CheckReport, MultivectorField
 
 
 class PreconditionError(ValueError):
@@ -103,6 +103,31 @@ def invariant_part(field: MultivectorField, subset: Collection[Simplex],
             if not succ[c]:
                 stack.append(c)
     return frozenset(s for members in blocks.values() for s in members)
+
+
+def _repair(field: MultivectorField, subset: SimplexSet, move: AtomicRearrangement,
+            p: int = 2) -> SimplexSet:
+    """invariant_part(field, subset) for a set invariant under the field that
+    `move` made `field` from.  A block of a part the move keeps is the same
+    set, as critical, and each neighbour it had under the old field lies in
+    another block, so only the blocks of the parts the move adds can start
+    the peel.  A popped block is peeled unless critical or left with a
+    successor (a face) and a predecessor (a coface in the set) among the
+    blocks kept; a peeled block pushes its neighbours, the only blocks that
+    can lose one."""
+    cx, peeled = field.cx, set()
+    stack = [min(part) for part in (move.parts if move.kind == "refinement" else (move.whole,))
+             if not part.isdisjoint(subset)]
+    while stack:
+        b = stack.pop()
+        if b not in peeled and not field.is_critical(b, p):
+            members = field.part(b) & subset
+            succ = {field.mv_id(t) for s in members for t in cx.closure_of(s) if t in subset}
+            pred = {field.mv_id(t) for s in members for t in cx.star((s,)) if t in subset}
+            if not succ - peeled - {b} or not pred - peeled - {b}:
+                peeled.add(b)
+                stack += (succ | pred) - peeled
+    return subset.difference(*map(field.part, peeled))
 
 
 def is_invariant(field: MultivectorField, subset: Collection[Simplex], p: int = 2) -> bool:

@@ -16,10 +16,13 @@ is an isolated invariant set exactly when that pair is an index pair for it,
 so `run_protocol` checks the seed once and no step re-checks its start.
 Continuation is by definition: S continues to S' when one pair (P,E)
 isolates S under the first field and S' is the invariant part of P \\ E
-under the next.  Every other pair a step appends is checked once per field,
-for the conditions that can fail; a failure raises, since it signals a bug,
-not bad input.  A step reads its rearrangement from the next field's record
-where there is one, and appends pairs only: `PairZigzag` infers every arrow.
+under the next.  In cases a-c that pair is canonical(S): S' is the peel
+repaired from the blocks the step touches, and the chains under the first
+field, and under the next where S' = S, need no push-forward.  Every other
+pair a step appends is checked once per field, for the conditions that can
+fail; a failure raises, since it signals a bug, not bad input.  A step reads
+its rearrangement from the next field's record where there is one, and
+appends pairs only: `PairZigzag` infers every arrow.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 from .complexes import Complex, SimplexSet
-from .dynamics import (IndexPair, PreconditionError, invariant_part, is_isolated_invariant_set,
-                       isolates, push_forward, validate_index_pair_in_n, validate_pair_in_n)
+from .dynamics import (IndexPair, PreconditionError, _repair, invariant_part,
+                       is_isolated_invariant_set, isolates, push_forward,
+                       validate_index_pair_in_n, validate_pair_in_n)
 from .fields import (AtomicRearrangement, MultivectorField,
                      classify_rearrangement, intersect_fields, validate_field)
 from .zigzag import Barcode, PairTag, PairZigzag, pair_zigzag_barcode
@@ -90,8 +94,9 @@ def _canonical(cx: Complex, subset: SimplexSet) -> IndexPair:
 
 
 def _push_forward_pair(field: MultivectorField, pair: IndexPair, nbhd: SimplexSet) -> IndexPair:
-    """`pair` pushed forward inside the closed set `nbhd`."""
-    return IndexPair(push_forward(field, pair.P, nbhd), push_forward(field, pair.E, nbhd))
+    """`pair` pushed forward inside the closed set `nbhd` (P = `nbhd` stays as it is)."""
+    pushed_p = nbhd if pair.P == nbhd else push_forward(field, pair.P, nbhd)
+    return IndexPair(pushed_p, push_forward(field, pair.E, nbhd))
 
 
 def _check(field: MultivectorField, pair: IndexPair, subset: Optional[SimplexSet], p: int,
@@ -121,9 +126,12 @@ def _chain(field: MultivectorField, subset: SimplexSet, pair: IndexPair, p: int,
     The connecting pair (P,E) needs no fourth condition: S is the invariant
     part of its body by definition of S' under the next field, and by the
     hull test of case d under the first.  Each distinct pair but `start`, the
-    zigzag's validated end, is checked once, from (P,E) back."""
+    zigzag's validated end, is checked once, from (P,E) back.  If (P,E) is
+    canonical(S) the chain is (P,E) four times: pushed inside P, P is P and E
+    is E by the exit condition, of the loop invariant under the first field
+    and checked below under the next."""
     canonical = _canonical(field.cx, subset)
-    pf_pair = _push_forward_pair(field, canonical, pair.P)
+    pf_pair = pair if canonical == pair else _push_forward_pair(field, canonical, pair.P)
     chain = [canonical, pf_pair, IndexPair(pair.P & pf_pair.P, pair.E & pf_pair.E), pair]
     seen = {start}
     for role, candidate in reversed(list(zip(_CHAIN, chain))):
@@ -179,7 +187,8 @@ def _step(field: MultivectorField, nxt: MultivectorField, current: SimplexSet,
         pair = _canonical(cx, hull_set) if case == "d" else None
 
     if pair is not None:
-        result = invariant_part(nxt, pair.body, p)
+        result = (invariant_part(nxt, pair.body, p) if case == "d"
+                  else _repair(nxt, current, move, p))
         if case == "c" and result != current:
             raise ZigzagAssemblyError("case c: a merge outside the set changed its invariant part")
         out, out_tags = _chain(field, current, pair, p, index, known)

@@ -17,9 +17,11 @@ facets, and checks every multivector of a field, where the loader checks
 only what each atomic step adds.  The rearrangement oracle diffs the parts
 of two fields, where the library reads the step a field records.
 `EagerComplex` is the former complex construction, which built every face
-table up front.  `reference_protocol` is the tracking protocol rebuilt from
-these oracles and the paper's definitions, with every emitted pair checked
-against all four index-pair conditions.
+table up front, and `kahn_gradient_field` the former gradient-field
+generator, which checked every candidate pair by a pass over the complex.
+`reference_protocol` is the tracking protocol rebuilt from these oracles and
+the paper's definitions, with every emitted pair checked against all four
+index-pair conditions.
 """
 
 from __future__ import annotations
@@ -156,7 +158,32 @@ def _has_closed_path(cx, matched):
 
 def random_gradient_field(rng, cx):
     """A gradient field: singletons and (facet, cofacet) pairs of an acyclic
-    matching, grown greedily from the facet pairs in random order."""
+    matching, grown greedily from the facet pairs in random order.  The Hasse
+    diagram, each edge pointing down except along a matched pair, is kept
+    acyclic across candidates: turning the edge tau -> rho upward closes a
+    cycle iff tau reaches rho without it."""
+    candidates = [(rho, tau) for tau in sorted(cx.simplices) for rho in facets(tau)]
+    rng.shuffle(candidates)
+    succ = {s: set(facets(s)) for s in cx.simplices}
+    matched = {}
+    used = set()
+    for rho, tau in candidates:
+        if rho in used or tau in used:
+            continue
+        succ[tau].discard(rho)
+        if rho in _reachable(succ, [tau]):
+            succ[tau].add(rho)
+        else:
+            succ[rho].add(tau)
+            matched[rho] = tau
+            used |= {rho, tau}
+    return mv.MultivectorField.from_parts(cx, [[rho, tau] for rho, tau in matched.items()],
+                                          complete_singletons=True)
+
+
+def kahn_gradient_field(rng, cx):
+    """The former `random_gradient_field`, the oracle for it: one Kahn pass
+    over the whole complex per candidate pair."""
     candidates = [(rho, tau) for tau in sorted(cx.simplices) for rho in facets(tau)]
     rng.shuffle(candidates)
     matched = {}

@@ -1,15 +1,17 @@
 import random
+from collections import Counter
 
 import pytest
 
 import mvtrack as mv
-from mvtrack.dynamics import (IndexPair, canonical_index_pair, invariant_part,
+from mvtrack.dynamics import (IndexPair, _repair, canonical_index_pair, invariant_part,
                               is_invariant, is_isolated_invariant_set, isolates, push_forward, validate_index_pair,
                               validate_index_pair_in_n)
-from mvtrack.fields import MultivectorField, intersect_fields
+from mvtrack.fields import MultivectorField, classify_rearrangement, intersect_fields
 
-from helpers import (brute_invariant_part, closed_subsets, grid_scene, random_complex,
-                     random_convex_compatible, random_field, random_isolated_set, random_subset,
+from helpers import (brute_invariant_part, closed_subsets, grid_complex, grid_scene,
+                     random_coarsening, random_complex, random_convex_compatible, random_field,
+                     random_gradient_field, random_isolated_set, random_refinement, random_subset,
                      scc_invariant_part, step_graph, strongly_connected_components)
 
 
@@ -110,6 +112,60 @@ def test_invariant_part_against_scc_oracle_on_grid_scenes():
                 assert invariant_part(fld, subset) == scc_invariant_part(fld, subset)
                 cycles += _has_cycle_of_blocks(fld, subset)
     assert cycles
+
+
+def _moves(rng, fld, subset, p):
+    """Random splits and merges, and every convex merge of a critical block
+    of the set with a multivector next to it: such a merge can make a source
+    or a sink of the set regular, and starts the longest peels."""
+    cx = fld.cx
+    for ident in fld.ids():  # filled before the moves, whose fields inherit it
+        fld.is_critical(ident, p)
+    moves = [move(rng, fld) for move in (random_refinement, random_coarsening) for _ in range(2)]
+    for a in sorted({fld.mv_id(s) for s in subset}):
+        if fld.is_critical(a, p):
+            near = {fld.mv_id(t) for s in fld.part(a)
+                    for t in cx.closure_of(s).union(cx.cofacets(s))}
+            moves += [fld.merge(a, b) for b in sorted(near - {a})
+                      if cx.is_convex(fld.part(a) | fld.part(b))]
+    return [nxt for nxt in moves if nxt is not None]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_repair_matches_the_full_peel(p):
+    """After one split or merge, the peel repaired from the touched blocks
+    gives the invariant part of a set S = Inv(X) for random X, as the full
+    peel and the former reduction do, and on small complexes as the
+    definition does; with moves inside, straddling and disjoint from S, and
+    repairs that peel one block and ten."""
+    rng = random.Random(60 + p)
+    where, peeled, by_definition = Counter(), [], 0
+
+    def check(fld, brute):
+        nonlocal by_definition
+        subset = invariant_part(fld, random_subset(rng, fld.cx.simplices), p)
+        for nxt in _moves(rng, fld, subset, p):
+            move = classify_rearrangement(fld, nxt)
+            repaired = _repair(nxt, subset, move, p)
+            assert repaired == invariant_part(nxt, subset, p) == scc_invariant_part(nxt, subset, p)
+            if brute and len(subset) <= 6:  # the search grows with the cycles in a block
+                assert repaired == brute_invariant_part(nxt, subset, p)
+                by_definition += 1
+            where["inside" if move.whole <= subset else
+                  "disjoint" if move.whole.isdisjoint(subset) else "straddling"] += 1
+            peeled.append(len({nxt.mv_id(s) for s in subset - repaired}))
+
+    for _ in range(150):
+        cx = random_complex(rng, n_vertices=5, n_maximal=3, max_dim=2, max_size=12)
+        check(random_field(rng, cx, merges=rng.randint(0, 4)), True)
+    assert max(peeled) >= 1
+    tries = 0
+    while max(peeled) < 10:
+        tries += 1
+        assert tries <= 60, f"no repair peeled ten blocks in {tries - 1} grid fields"
+        check(random_gradient_field(rng, grid_complex(8)), False)
+    assert len(where) == 3 and min(where.values()) >= 20 and by_definition >= 200, where
+    assert sum(count >= 1 for count in peeled) >= 10
 
 
 def _flow_down_a_path(n):

@@ -13,8 +13,9 @@ from mvtrack.fields import (MultivectorField, NotAtomicError, classify_rearrange
                             validate_field)
 from mvtrack.io import Scene, SchemaError, scene_from_dict, scene_to_dict
 
-from helpers import (diff_rearrangement, full_convexity_report, grid_complex, random_coarsening,
-                     random_complex, random_field, random_gradient_field, random_refinement)
+from helpers import (diff_rearrangement, full_convexity_report, grid_complex, kahn_gradient_field,
+                     random_coarsening, random_complex, random_field, random_gradient_field,
+                     random_refinement)
 
 
 def test_partition_is_enforced(triangle):
@@ -434,3 +435,16 @@ def test_split_and_merge_match_fields_built_from_scratch():
                 assert crit == fresh.is_critical(ident, p)
             checked += 1
     assert checked >= 100
+
+
+def test_random_gradient_field_matches_the_kahn_generator():
+    """The generator that keeps one Hasse graph and tests each candidate by
+    one search builds the field the former one built with a Kahn pass per
+    candidate, from the same random state."""
+    gradient = 0
+    for seed in range(60):
+        cx = grid_complex(1 + seed % 4) if seed % 3 else random_complex(random.Random(seed))
+        fld = random_gradient_field(random.Random(seed), cx)
+        assert fld == kahn_gradient_field(random.Random(seed), cx)
+        gradient += any(len(part) == 2 for part in fld.parts())
+    assert gradient >= 50
