@@ -6,8 +6,11 @@ barcode), barcode (standalone zigzag file), rearrange-path (atomic path
 between the first and last field of a scene).
 
 Exit codes: 0 success, 2 validation failure, 3 protocol stopped at an
-unresolved step.  Output is byte-deterministic for a fixed input and
-configuration; there is no floating point anywhere.
+unresolved step.  A verb raises on bad input, and `main` owns exit 2: a
+SchemaError, PreconditionError or NotAtomicError becomes one `FAIL:` line,
+or the `{"ok": false, "error": ...}` document of `validate --format json`.
+Output is byte-deterministic for a fixed input and configuration; there is
+no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -112,12 +115,7 @@ def _parse_selector(scene: Scene, selector: str):
 
 
 def cmd_validate(args) -> int:
-    try:
-        scene = load_scene(args.scene)
-    except SchemaError as exc:
-        report = {"ok": False, "error": str(exc)}
-        _emit(_dump(report) if args.format == "json" else f"FAIL: {exc}", None)
-        return FAIL
+    scene = load_scene(args.scene)
     p = args.field_char
     entries = []
     ok = True
@@ -165,19 +163,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_conley(args) -> int:
-    try:
-        scene = load_scene(args.scene)
-        idx, subset = _parse_selector(scene, args.selector)
-    except SchemaError as exc:
-        _emit(f"FAIL: {exc}", None)
-        return FAIL
+    scene = load_scene(args.scene)
+    idx, subset = _parse_selector(scene, args.selector)
     fld = scene.fields[idx - 1]
     try:
         betti = conley_index(fld, subset, args.field_char)
     except PreconditionError:
-        _emit("FAIL: selected set is not convex and compatible, its closure/mouth "
-              "pair is not an index pair", None)
-        return FAIL
+        raise PreconditionError("selected set is not convex and compatible, its "
+                                "closure/mouth pair is not an index pair") from None
     isolated = bool(subset) and is_invariant(fld, subset, args.field_char)
     if args.format == "json":
         _emit(_dump({"field": idx, "size": len(subset), "betti": list(betti),
@@ -211,17 +204,9 @@ def trace_doc(scene: Scene, trace) -> dict:
 
 
 def cmd_track(args) -> int:
-    try:
-        scene = load_scene(args.scene)
-    except SchemaError as exc:
-        _emit(f"FAIL: {exc}", None)
-        return FAIL
-    try:
-        trace = run_protocol(scene.fields, scene.seed, p=args.field_char,
-                             heuristic_g=args.heuristic_g)
-    except (PreconditionError, NotAtomicError) as exc:
-        _emit(f"FAIL: {exc}", None)
-        return FAIL
+    scene = load_scene(args.scene)
+    trace = run_protocol(scene.fields, scene.seed, p=args.field_char,
+                         heuristic_g=args.heuristic_g)
     tdoc = trace_doc(scene, trace)
     bdoc = barcode_doc(trace.barcode)
     if args.out:
@@ -254,11 +239,7 @@ def cmd_track(args) -> int:
 
 
 def cmd_barcode(args) -> int:
-    try:
-        zz, _labels = load_zigzag(args.zigzag)
-    except SchemaError as exc:
-        _emit(f"FAIL: {exc}", None)
-        return FAIL
+    zz, _labels = load_zigzag(args.zigzag)
     barcode = pair_zigzag_barcode(zz, args.field_char)
     text = _dump(barcode_doc(barcode)) if args.format == "json" else barcode_text(barcode)
     try:
@@ -269,14 +250,9 @@ def cmd_barcode(args) -> int:
 
 
 def cmd_rearrange_path(args) -> int:
-    try:
-        scene = load_scene(args.scene, check_atomic=False)
-    except SchemaError as exc:
-        _emit(f"FAIL: {exc}", None)
-        return FAIL
+    scene = load_scene(args.scene, check_atomic=False)
     if len(scene.fields) < 2:
-        _emit("FAIL: need a scene with at least two fields", None)
-        return FAIL
+        raise SchemaError("need a scene with at least two fields")
     path = rearrangement_path(scene.fields[0], scene.fields[-1])
     path_scene = Scene(scene.cx, path, scene.seed, scene.labels)
     try:
@@ -351,7 +327,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (SchemaError, PreconditionError, NotAtomicError) as exc:
+        json_doc = args.command == "validate" and args.format == "json"
+        _emit(_dump({"ok": False, "error": str(exc)}) if json_doc else f"FAIL: {exc}", None)
+        return FAIL
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ of sigma, restricted to A.  The invariant part of A is a union of blocks,
 the simplices of A in one multivector, and is found by peeling blocks that
 cannot lie on an essential solution.  The peel is validated against a
 direct essential-solution search and against the former strongly connected
-component reduction in the test suite.
+component reduction in the test suite.  Index pairs have one validator,
+`validate_index_pair_in_n`, and one scan, which names the least offender.
 
 All functions are pure; scratch state is private per call.
 """
@@ -14,7 +15,7 @@ All functions are pure; scratch state is private per call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection
+from typing import Collection, Optional
 
 from .algebra import relative_homology
 from .complexes import Simplex, SimplexSet
@@ -56,6 +57,22 @@ def _reachable(field: MultivectorField, nbhd: SimplexSet,
                 seen.add(nxt)
                 stack.append(nxt)
     return seen
+
+
+def _image(field: MultivectorField, members: Collection[Simplex]) -> SimplexSet:
+    """The one-step image of `members`: their closures and multivectors."""
+    return frozenset().union(*map(field.cx.closure_of, members), *map(field.part_of, members))
+
+
+def _least_leaving(field: MultivectorField, members: SimplexSet, target: SimplexSet,
+                   cut: SimplexSet) -> Optional[Simplex]:
+    """The least member whose image, cut to `cut`, leaves `target`, or None.
+    Closures and multivectors are tested apart, and only offenders compared."""
+    leaving = (_image(field, members) - target) & cut
+    if not leaving:
+        return None
+    return min(s for s in members if not (leaving.isdisjoint(field.cx.closure_of(s))
+                                          and leaving.isdisjoint(field.part_of(s))))
 
 
 def invariant_part(field: MultivectorField, subset: Collection[Simplex],
@@ -152,20 +169,11 @@ def isolates(field: MultivectorField, nbhd: Collection[Simplex],
     `nbhd` that leaves the set and later re-enters it.
     """
     cx = field.cx
-    nbhd = cx.check_subset(nbhd)
-    subset = cx.check_subset(subset)
-    if not cx.is_closed(nbhd):
+    nbhd, subset = map(cx.check_subset, (nbhd, subset))
+    image = _image(field, subset)
+    if not cx.is_closed(nbhd) or not image <= nbhd:
         return False
-    exits: set[Simplex] = set()
-    for s in subset:
-        image = field.fmap(s)
-        if not image <= nbhd:
-            return False
-        exits |= image & nbhd
-    exits -= subset
-    if not exits:
-        return True
-    return not (_reachable(field, nbhd, exits) & subset)
+    return not (_reachable(field, nbhd, image - subset) & subset)
 
 
 def push_forward(field: MultivectorField, subset: Collection[Simplex],
@@ -193,51 +201,31 @@ def canonical_index_pair(field: MultivectorField, subset: Collection[Simplex]) -
     return IndexPair(cx.closure(subset), cx.mouth(subset))
 
 
-def validate_pair_in_n(field: MultivectorField, pset: Collection[Simplex],
-                       eset: Collection[Simplex], nbhd: Collection[Simplex]) -> CheckReport:
-    """The conditions for an index pair inside `nbhd` that do not name its
-    invariant set: closedness, images and exits.  With N = P they are checked
-    for P itself, and each failed condition is reported once, naming P."""
-    cx = field.cx
-    pset = cx.check_subset(pset)
-    eset = cx.check_subset(eset)
-    nbhd = cx.check_subset(nbhd)
-    in_p = nbhd == pset
-    n = "P" if in_p else "N"
-    problems = []
-    if not cx.is_closed(pset):
-        problems.append("P is not closed")
-    if not cx.is_closed(eset):
-        problems.append("E is not closed")
-    if not in_p and not cx.is_closed(nbhd):
-        problems.append("N is not closed")
-    if not eset <= pset:
-        problems.append("E is not a subset of P")
-    for s in sorted(pset - eset):
-        if not field.fmap(s) <= nbhd:
-            problems.append(f"image of {s} escapes {n}")
-            break
-    for s in sorted(eset):
-        if not field.fmap(s) & nbhd <= eset:
-            problems.append(f"image of exit simplex {s} re-enters {n} outside E")
-            break
-    if not in_p:  # with N = P this condition holds trivially
-        for s in sorted(pset):
-            if not field.fmap(s) & nbhd <= pset:
-                problems.append(f"image of {s} re-enters N outside P")
-                break
-    return CheckReport(not problems, tuple(problems))
-
-
 def validate_index_pair_in_n(field: MultivectorField, pset: Collection[Simplex],
                              eset: Collection[Simplex], nbhd: Collection[Simplex],
-                             subset: Collection[Simplex], p: int = 2) -> CheckReport:
-    """Diagnostic check of the conditions of `validate_pair_in_n` and of the
-    fourth: the invariant part of P \\ E is the given set."""
-    problems = validate_pair_in_n(field, pset, eset, nbhd).problems
-    if invariant_part(field, set(pset) - set(eset), p) != field.cx.check_subset(subset):
-        problems += ("invariant part of P \\ E differs from the given set",)
-    return CheckReport(not problems, problems)
+                             subset: Optional[Collection[Simplex]], p: int = 2) -> CheckReport:
+    """Diagnostic check of (P, E) as an index pair inside `nbhd` for `subset`:
+    closedness, images, exits and no re-entry into N outside P, then the
+    fourth condition, Inv(P \\ E) = subset, unless `subset` is None.  With
+    N = P the re-entry condition holds trivially, and each failed condition is
+    reported once, naming P.  An image message names the least offender."""
+    cx = field.cx
+    pset, eset, nbhd = map(cx.check_subset, (pset, eset, nbhd))
+    n = "P" if nbhd == pset else "N"
+    problems = [f"{name} is not closed" for name, x in {"P": pset, "E": eset, n: nbhd}.items()
+                if not cx.is_closed(x)]
+    if not eset <= pset:
+        problems.append("E is not a subset of P")
+    for message, members, target, cut in (
+            (f"image of {{}} escapes {n}", pset - eset, nbhd, cx.simplices),
+            (f"image of exit simplex {{}} re-enters {n} outside E", eset, eset, nbhd),
+            ("image of {} re-enters N outside P", pset if n == "N" else frozenset(), pset, nbhd)):
+        s = _least_leaving(field, members, target, cut)
+        if s is not None:
+            problems.append(message.format(s))
+    if subset is not None and invariant_part(field, pset - eset, p) != cx.check_subset(subset):
+        problems.append("invariant part of P \\ E differs from the given set")
+    return CheckReport(not problems, tuple(problems))
 
 
 def validate_index_pair(field: MultivectorField, pset: Collection[Simplex],

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 from .complexes import Complex, SimplexSet
 from .dynamics import (IndexPair, PreconditionError, _repair, invariant_part,
                        is_isolated_invariant_set, isolates, push_forward,
-                       validate_index_pair_in_n, validate_pair_in_n)
+                       validate_index_pair_in_n)
 from .fields import (AtomicRearrangement, MultivectorField,
                      classify_rearrangement, intersect_fields, validate_field)
 from .zigzag import Barcode, PairTag, PairZigzag, pair_zigzag_barcode
@@ -107,11 +107,8 @@ def _check(field: MultivectorField, pair: IndexPair, subset: Optional[SimplexSet
     fail.  Every set a step checks pairs for is invariant under that field,
     and the invariant part is idempotent, so the condition holds for a body
     equal to `subset`; `subset` None means it holds by construction."""
-    n = pair.P if nbhd is None else nbhd
-    if subset is None or pair.body == subset:
-        report = validate_pair_in_n(field, pair.P, pair.E, n)
-    else:
-        report = validate_index_pair_in_n(field, pair.P, pair.E, n, subset, p)
+    report = validate_index_pair_in_n(field, pair.P, pair.E, pair.P if nbhd is None else nbhd,
+                                      None if pair.body == subset else subset, p)
     if not report:
         raise ZigzagAssemblyError(f"{what}: " + "; ".join(report.problems))
 
@@ -212,7 +209,7 @@ def _step(field: MultivectorField, nxt: MultivectorField, current: SimplexSet,
                             notes=notes, resolved=False)
     pairs, tags = _naive_chunk(cx, current, result, index + 1)
     _check(nxt, pairs[-1], result, p, "canonical pair")
-    middle = validate_pair_in_n(nxt, pairs[0].P, pairs[0].E, pairs[0].P)
+    middle = validate_index_pair_in_n(nxt, pairs[0].P, pairs[0].E, pairs[0].P, None)
     notes += ("heuristic intersection emitted"
               + ("" if middle else "; middle pair is not an index pair"),)
     return TrackingStep(index, "g", current, result, move, hull_set=hull_set,

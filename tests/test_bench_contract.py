@@ -9,11 +9,17 @@ runs nor writes anything under perfbench/.
 import ast
 import importlib
 import inspect
+import json
+import sys
 from pathlib import Path
 
+import pytest
+
 import mvtrack.cli
+import mvtrack.dynamics
 
 TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 
 def _tracer_targets():
@@ -46,3 +52,31 @@ def test_traced_names_resolve_in_mvtrack():
 
 def test_cli_binds_run_protocol():
     assert callable(mvtrack.cli.run_protocol)
+
+
+@pytest.mark.parametrize("argv", [["merging_saddles"], ["saddle_collision_nine"],
+                                  ["unresolved_step"], ["unresolved_step", "--heuristic-g"]],
+                         ids=" ".join)
+def test_track_checks_pairs_where_the_tracer_counts_them(argv, monkeypatch, capsys):
+    """The tracer counts pair checks by binding a wrapper of
+    `dynamics.validate_index_pair_in_n` under every name, in every mvtrack
+    module, that refers to it.  Wrapped that way, `track` makes at least one
+    call per resolved step, and none for an unresolved case g step."""
+    original, calls = mvtrack.dynamics.validate_index_pair_in_n, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "mvtrack" or name.startswith("mvtrack."):
+            for key in [k for k, v in vars(module).items() if v is original]:
+                monkeypatch.setattr(module, key, counted)
+    scene, *flags = argv
+    code = mvtrack.cli.main(["track", str(FIXTURES / f"{scene}.json"), "--format", "json", *flags])
+    steps = json.loads(capsys.readouterr().out)["trace"]["steps"]
+    resolved = sum(step["resolved"] for step in steps)
+    assert code == (0 if resolved == len(steps) else 3)
+    assert len(calls) >= resolved
+    if not resolved:
+        assert not calls

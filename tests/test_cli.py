@@ -191,6 +191,14 @@ def test_rearrange_path(tmp_path, capsys):
         mv.classify_rearrangement(a, b)
 
 
+def test_rearrange_path_needs_two_fields(tmp_path, capsys):
+    out = tmp_path / "path.json"
+    code, text = run(capsys, "rearrange-path", str(FIXTURES / "repeller_disk.json"),
+                     "--out", str(out))
+    assert (code, text) == (2, "FAIL: need a scene with at least two fields\n")
+    assert not out.exists()
+
+
 def test_scene_round_trip(tmp_path):
     scene = load_scene(FIXTURES / "merging_saddles.json")
     save_scene(scene, tmp_path / "copy.json")
@@ -641,7 +649,9 @@ def _mutate(rng, doc):
 
 def test_every_verb_survives_mutated_fixtures(tmp_path, capsys):
     """Mutated fixtures through `cli.main`: every verb exits 0, 2 or 3, with
-    no traceback."""
+    no traceback.  An exit 2 from conley, track or barcode prints exactly one
+    `FAIL: ` line, and one from `validate --format json` a JSON document with
+    "ok" false."""
     rng = random.Random(2024)
     docs = {name: json.loads((FIXTURES / f"{name}.json").read_text())
             for name in SCENES + ZIGZAGS}
@@ -655,7 +665,8 @@ def test_every_verb_survives_mutated_fixtures(tmp_path, capsys):
         if name in ZIGZAGS:
             calls = [("barcode",)]
         else:
-            calls = [("validate",), ("conley", rng.choice(FUZZ_SELECTORS)), ("track",),
+            calls = [("validate",), ("validate", "--format", "json"),
+                     ("conley", rng.choice(FUZZ_SELECTORS)), ("track",),
                      ("track", "--heuristic-g")]
         for call in calls:
             argv = [call[0], str(path), *call[1:], "--field-char", rng.choice(["2", "3"])]
@@ -663,8 +674,13 @@ def test_every_verb_survives_mutated_fixtures(tmp_path, capsys):
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
-            capsys.readouterr()
+            out = capsys.readouterr().out
             assert code in (0, 2, 3), (argv, doc)
+            if code == 2 and "json" in call:
+                assert json.loads(out)["ok"] is False, (argv, out)
+            elif code == 2 and call[0] != "validate":
+                lines = out.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("FAIL: "), (argv, out)
 
 
 # Multi-multivector fields with a fault, and what the loader made of them

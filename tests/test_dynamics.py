@@ -10,9 +10,10 @@ from mvtrack.dynamics import (IndexPair, _repair, canonical_index_pair, invarian
 from mvtrack.fields import MultivectorField, classify_rearrangement, intersect_fields
 
 from helpers import (brute_invariant_part, closed_subsets, grid_complex, grid_scene,
-                     random_coarsening, random_complex, random_convex_compatible, random_field,
-                     random_gradient_field, random_isolated_set, random_refinement, random_subset,
-                     scc_invariant_part, step_graph, strongly_connected_components)
+                     oracle_isolates, oracle_pair_problems, random_coarsening, random_complex,
+                     random_convex_compatible, random_field, random_gradient_field,
+                     random_isolated_set, random_refinement, random_subset, scc_invariant_part,
+                     step_graph, strongly_connected_components)
 
 
 def test_index_pair_type():
@@ -373,6 +374,64 @@ def test_index_pair_in_n(merging_saddles):
     pair = canonical_index_pair(fld, seed)
     # any index pair is an index pair inside its own first component
     assert validate_index_pair_in_n(fld, pair.P, pair.E, pair.P, seed)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_pair_checks_match_the_oracle_and_name_the_least_offender(p):
+    """On random (P, E, N, S), with N = P about half the time, the conditions
+    `validate_index_pair_in_n` reports failed are those `oracle_pair_problems`
+    finds; each image message names the least offending simplex, found from
+    `fmap` by brute force; and `isolates` agrees with `oracle_isolates` on
+    every closed N."""
+    rng = random.Random(80 + p)
+    kinds = {"not closed": "closedness", "escapes": "images", "exit simplex": "exits",
+             "outside P": "re-entry", "invariant part": "invariant part"}
+    seen = Counter()
+    for _ in range(3000):
+        if min(seen[k] for k in ("images", "exits", "re-entry", "invariant part")) >= 50:
+            break
+        cx = random_complex(rng, max_size=14)
+        fld = random_field(rng, cx)
+        pset = random_subset(rng, cx.simplices, max_size=8)
+        if rng.random() < 0.9:
+            pset = cx.closure(pset)
+        eset = random_subset(rng, pset)
+        if rng.random() < 0.7:
+            eset = cx.closure(eset) & pset
+        nbhd = pset
+        if rng.random() < 0.5:
+            nbhd = pset | random_subset(rng, cx.simplices, max_size=6)
+            if rng.random() < 0.9:
+                nbhd = cx.closure(nbhd)
+        subset = scc_invariant_part(fld, pset - eset, p)
+        if rng.random() < 0.4:
+            subset = scc_invariant_part(fld, random_subset(rng, cx.simplices), p)
+        pair = IndexPair(pset, eset)
+        problems = validate_index_pair_in_n(fld, pset, eset, nbhd, subset, p).problems
+        found = {name for text in problems for key, name in kinds.items() if key in text}
+        assert found == set(oracle_pair_problems(fld, pair, subset, p, nbhd)), problems
+        seen.update(found)
+
+        n = "P" if nbhd == pset else "N"
+        expected = []
+        bad = [s for s in pset - eset if not fld.fmap(s) <= nbhd]
+        if bad:
+            expected.append(f"image of {min(bad)} escapes {n}")
+        bad = [s for s in eset if not fld.fmap(s) & nbhd <= eset]
+        if bad:
+            expected.append(f"image of exit simplex {min(bad)} re-enters {n} outside E")
+        bad = [s for s in pset if not fld.fmap(s) & nbhd <= pset]
+        if bad and n == "N":
+            expected.append(f"image of {min(bad)} re-enters N outside P")
+        assert [m for m in problems if m.startswith("image")] == expected
+
+        if cx.is_closed(nbhd):
+            for s in (subset, pset - eset):
+                isolated = isolates(fld, nbhd, s, p)
+                assert isolated == oracle_isolates(fld, nbhd, s)
+                seen["isolates"] += isolated
+    assert min(seen[k] for k in ("images", "exits", "re-entry", "invariant part")) >= 50, seen
+    assert seen["closedness"] >= 50 and seen["isolates"] >= 50, seen
 
 
 def test_push_forward_pair_in_n_and_intersection(repeller_disk):

@@ -292,17 +292,19 @@ def test_each_step_validates_its_closing_pair_once(name, monkeypatch):
     its own P under the step's first field; the closing pair canonical(result) is
     checked under the next field exactly once; the connecting pair is checked
     under the next field, and under the first only in case d; no pair is
-    checked twice under one field; the fourth condition is computed only for
-    a pair whose body is not the set it is checked for; and every appended
+    checked twice under one field; the set the fourth condition is checked
+    for is None unless the pair's body differs from it; and every appended
     pair is checked under the field of its tag, or the common refinement for
     the meet of case f."""
     scene = mv.load_scene(FIXTURES / f"{name}.json")
     log = []
-    for fn in (tracking.validate_index_pair_in_n, tracking.validate_pair_in_n):
-        def recorded(field, pset, eset, *rest, fn=fn):
-            log.append((fn.__name__, field, IndexPair(pset, eset), rest))
-            return fn(field, pset, eset, *rest)
-        monkeypatch.setattr(tracking, fn.__name__, recorded)
+    validate = tracking.validate_index_pair_in_n
+
+    def recorded(field, pset, eset, *rest):
+        log.append((field, IndexPair(pset, eset), rest))
+        return validate(field, pset, eset, *rest)
+
+    monkeypatch.setattr(tracking, "validate_index_pair_in_n", recorded)
     step_fn = tracking._step
 
     def marked(*args):
@@ -328,23 +330,22 @@ def test_each_step_validates_its_closing_pair_once(name, monkeypatch):
 
         def checked(field, pair, in_p=False):
             return sum(f is field and q == pair and not (in_p and args[0] != q.P)
-                       for _, f, q, args in checks)
+                       for f, q, args in checks)
 
         assert checked(fld, start, in_p=True) == 0
         assert checked(nxt, closing) == 1
         if step.connecting_pair is not None:
             assert checked(nxt, step.connecting_pair) == 1
             assert checked(fld, step.connecting_pair) == (step.case == "d")
-        assert len({(id(f), q) for _, f, q, _ in checks}) == len(checks)
-        for fn, _, pair, args in checks:
-            if fn == "validate_index_pair_in_n":
-                assert pair.body != args[1]
+        assert len({(id(f), q) for f, q, _ in checks}) == len(checks)
+        for _, pair, args in checks:
+            assert args[1] is None or pair.body != args[1]
         for pair, tag in zip(step.appended_pairs, step.appended_tags):
             field = scene.fields[tag.field_index - 1]
             if step.case == "f" and tag.role == "meet":
                 field = intersect_fields(fld, nxt)
             assert (field is fld and pair == start) or any(
-                f == field and q == pair for _, f, q, _ in checks), (step.index, tag)
+                f == field and q == pair for f, q, _ in checks), (step.index, tag)
 
 
 def test_chains_collapse_without_push_forwards(monkeypatch):
