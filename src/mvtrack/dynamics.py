@@ -14,8 +14,7 @@ All functions are pure; scratch state is private per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Collection, Optional
+from typing import Collection, NamedTuple, Optional
 
 from .algebra import relative_homology
 from .complexes import Simplex, SimplexSet
@@ -26,17 +25,15 @@ class PreconditionError(ValueError):
     """An operation's stated precondition does not hold."""
 
 
-@dataclass(frozen=True)
-class IndexPair:
+class IndexPair(NamedTuple("IndexPair", [("P", SimplexSet), ("E", SimplexSet)])):
     """An ordered pair of closed sets with E contained in P."""
-    P: SimplexSet
-    E: SimplexSet
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "P", frozenset(self.P))
-        object.__setattr__(self, "E", frozenset(self.E))
-        if not self.E <= self.P:
+    def __new__(cls, P: Collection[Simplex], E: Collection[Simplex]) -> "IndexPair":
+        P, E = frozenset(P), frozenset(E)
+        if not E <= P:
             raise ValueError("E must be a subset of P")
+        return super().__new__(cls, P, E)
 
     @property
     def body(self) -> SimplexSet:
@@ -60,8 +57,9 @@ def _reachable(field: MultivectorField, nbhd: SimplexSet,
 
 
 def _image(field: MultivectorField, members: Collection[Simplex]) -> SimplexSet:
-    """The one-step image of `members`: their closures and multivectors."""
-    return frozenset().union(*map(field.cx.closure_of, members), *map(field.part_of, members))
+    """The one-step image of `members`: their closures and multivectors, each
+    multivector taken once."""
+    return frozenset().union(*map(field.cx.closure_of, members), *field.parts_meeting(members))
 
 
 def _least_leaving(field: MultivectorField, members: SimplexSet, target: SimplexSet,

@@ -16,8 +16,7 @@ classify_rearrangement diff.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .algebra import relative_homology
 from .complexes import Complex, Simplex, SimplexSet
@@ -114,6 +113,10 @@ class MultivectorField:
         """The unique multivector containing sigma."""
         return self._parts[self._assign[sigma]]
 
+    def parts_meeting(self, members: Iterable[Simplex]) -> Iterator[SimplexSet]:
+        """Each multivector with a simplex in `members`, once."""
+        return map(self._parts.__getitem__, set(map(self._assign.__getitem__, members)))
+
     def ids(self) -> tuple[Simplex, ...]:
         if self._ids is None:
             self._ids = tuple(sorted(self._parts))
@@ -197,8 +200,7 @@ class MultivectorField:
         return child
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of a diagnostic check: truthy iff ok, with the failed conditions."""
     ok: bool
     problems: tuple[str, ...] = ()
@@ -228,8 +230,7 @@ def validate_field(field: MultivectorField) -> CheckReport:
     return field._report
 
 
-@dataclass(frozen=True)
-class AtomicRearrangement:
+class AtomicRearrangement(NamedTuple):
     """Descriptor of a single split (refinement) or merge (coarsening).
 
     `whole` is the one multivector that splits (refinement, a part of the

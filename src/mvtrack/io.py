@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import Complex, Simplex, simplex
@@ -45,15 +44,23 @@ class SchemaError(ValueError):
     """The input file cannot be read or does not match the documented schema."""
 
 
-@dataclass
 class Scene:
-    cx: Complex
-    fields: list[MultivectorField]
-    seed: frozenset
-    labels: Optional[dict[str, int]] = None  # label -> vertex id
+    """A complex, its field sequence, the seed, and an optional label table
+    (label -> vertex id), all read-only; the reverse table is derived once."""
+    __slots__ = ("cx", "fields", "seed", "labels", "_names")
 
-    def __post_init__(self):
-        self._names = {i: name for name, i in (self.labels or {}).items()}
+    def __init__(self, cx: Complex, fields: list[MultivectorField], seed: frozenset,
+                 labels: Optional[dict[str, int]] = None):
+        names = {i: name for name, i in (labels or {}).items()}
+        for slot, value in zip(self.__slots__, (cx, fields, seed, labels, names)):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to Scene.{name}")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Scene) and all(
+            getattr(self, slot) == getattr(other, slot) for slot in self.__slots__[:-1])
 
     def label_of(self, vid: int) -> str:
         return self._names.get(vid, str(vid))

@@ -27,8 +27,7 @@ appends pairs only: `PairZigzag` infers every arrow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .complexes import Complex, SimplexSet
 from .dynamics import (IndexPair, PreconditionError, _repair, invariant_part,
@@ -52,36 +51,32 @@ def hull(field: MultivectorField, subset: SimplexSet) -> SimplexSet:
     cx = field.cx
     out = cx.check_subset(subset)
     while True:
-        grown = set(out)
-        for s in out:
-            grown |= field.part_of(s)
+        grown = out.union(*field.parts_meeting(out))
         grown = cx.closure(grown) & cx.star(grown)
         if grown == out:
             return out
         out = grown
 
 
-@dataclass
-class TrackingStep:
+class TrackingStep(NamedTuple):
     """One protocol step: which case fired and what it contributed."""
     index: int
     case: str
     current: SimplexSet
     result: Optional[SimplexSet]
     rearrangement: AtomicRearrangement
+    appended_pairs: list[IndexPair]
+    appended_tags: list[PairTag]
     connecting_pair: Optional[IndexPair] = None
     hull_set: Optional[SimplexSet] = None
     adjacency_set: Optional[SimplexSet] = None
-    appended_pairs: list = dc_field(default_factory=list)
-    appended_tags: list = dc_field(default_factory=list)
     notes: tuple = ()
     resolved: bool = True
 
 
-@dataclass
-class TrackingTrace:
+class TrackingTrace(NamedTuple):
     cx: Complex
-    fields: Sequence[MultivectorField]
+    fields: list[MultivectorField]
     seed: SimplexSet
     steps: list[TrackingStep]
     zigzag: PairZigzag
@@ -205,7 +200,7 @@ def _step(field: MultivectorField, nxt: MultivectorField, current: SimplexSet,
 
     notes = ("continuation broken", "no common isolating set")
     if not heuristic_g:
-        return TrackingStep(index, "g", current, None, move, hull_set=hull_set,
+        return TrackingStep(index, "g", current, None, move, [], [], hull_set=hull_set,
                             notes=notes, resolved=False)
     pairs, tags = _naive_chunk(cx, current, result, index + 1)
     _check(nxt, pairs[-1], result, p, "canonical pair")

@@ -37,8 +37,7 @@ correctness.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import (Column, HomologyBasis, _axpy, _cone, check_prime, induced_map,
                       reduce_columns)
@@ -49,26 +48,23 @@ FORWARD = "fwd"   # pair i included in pair i+1
 BACKWARD = "bwd"  # pair i+1 included in pair i
 
 
-@dataclass(frozen=True)
-class PairTag:
+class PairTag(NamedTuple):
     """Bookkeeping attached to one zigzag position."""
     field_index: Optional[int] = None   # 1-based index into the tracked field sequence
     role: str = ""                      # e.g. canonical / pushforward / meet / connecting
 
 
-@dataclass(frozen=True)
-class Bar:
-    dim: int
-    birth: int  # 1-based, inclusive
-    death: int
+class Bar(NamedTuple("Bar", [("dim", int), ("birth", int), ("death", int)])):
+    """One interval of dimension `dim`, from `birth` to `death`: 1-based, inclusive."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.birth <= self.death:
-            raise ValueError(f"bad bar interval [{self.birth}, {self.death}]")
+    def __new__(cls, dim: int, birth: int, death: int) -> "Bar":
+        if not 1 <= birth <= death:
+            raise ValueError(f"bad bar interval [{birth}, {death}]")
+        return super().__new__(cls, dim, birth, death)
 
 
-@dataclass
-class Barcode:
+class Barcode(NamedTuple):
     bars: list[Bar]
     length: int
     betti_per_position: list[tuple]

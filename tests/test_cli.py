@@ -316,6 +316,20 @@ def test_track_runs_without_numpy():
     assert proc.stdout == golden[len(header):]
 
 
+def test_import_loads_no_introspection_modules():
+    """Every verb runs in a fresh interpreter, so `import mvtrack` is paid per
+    call: neither it nor the CLI loads `dataclasses` or what that pulls in.
+    `-S` keeps the modules of `site`'s .pth files out of the count."""
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = ("import sys; heavy = " + repr(heavy) + "\n"
+            "import mvtrack; print(*[m for m in heavy if m in sys.modules])\n"
+            "import mvtrack.cli; print(*[m for m in heavy if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n\n"
+
+
 @pytest.mark.parametrize("verb,kind", [(verb, kind) for verb in ("validate", "track", "barcode")
                                        for kind in ("missing", "directory", "latin-1")])
 def test_unreadable_input_exits_2(tmp_path, capsys, verb, kind):

@@ -58,6 +58,9 @@ def test_fmap_examples(triangle):
     paired = MultivectorField.from_parts(triangle, [[(0, 1), (0, 1, 2)]],
                                          complete_singletons=True)
     assert paired.fmap((0, 1)) == triangle.closure({(0, 1)}) | {(0, 1, 2)}
+    members = [(0, 1), (0, 1, 2), (0,), (1,)]
+    assert sorted(map(sorted, paired.parts_meeting(members))) == sorted(
+        sorted(part) for part in {paired.part_of(s) for s in members})
 
 
 def test_fmap_grows_under_coarsening():
