@@ -4,10 +4,10 @@ A simplex is a tuple of strictly increasing vertex ids.  A complex stores
 every simplex explicitly; the dynamics layers are graph traversals over the
 face relation, and at the scales this package targets every algorithm
 touches every simplex anyway.  The face tables are built on demand: the
-closure of a simplex on its first lookup, the cofacet and sorted tables on
-their first use.  A cone built for homology is read only through its
-simplices and dimension, so it never builds them, and `is_convex` works
-from facets and reads no table.
+closure of a simplex on its first lookup, the cofacet table on its first
+use.  A cone built for homology is read only through its simplices and
+dimension, so it never builds them, and `is_convex` works from facets and
+reads no table.
 
 `from_maximal` and `algebra._cone` produce sets that are normalized and closed
 by construction and hand them over unchecked; `Complex(simplices)` checks
@@ -54,7 +54,7 @@ def facets(sigma: Simplex) -> list[Simplex]:
 class Complex:
     """A finite simplicial complex, closed under the face relation."""
 
-    __slots__ = ("simplices", "dim", "_closure_of", "_cofacets", "_sorted")
+    __slots__ = ("simplices", "dim", "_closure_of", "_cofacets")
 
     def __init__(self, simplices: Iterable[Iterable[int]]):
         sset = frozenset(simplex(s) for s in simplices)
@@ -70,7 +70,6 @@ class Complex:
         self.dim = max(map(len, sset), default=0) - 1
         self._closure_of: dict[Simplex, SimplexSet] = {}
         self._cofacets: dict[Simplex, tuple[Simplex, ...]] | None = None
-        self._sorted: tuple[Simplex, ...] | None = None
 
     @classmethod
     def _closed(cls, sset: SimplexSet) -> "Complex":
@@ -111,9 +110,7 @@ class Complex:
         return tuple(sorted(s[0] for s in self.simplices if len(s) == 1))
 
     def sorted_simplices(self) -> tuple[Simplex, ...]:
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self.simplices))
-        return self._sorted
+        return tuple(sorted(self.simplices))
 
     def check_subset(self, subset: Collection[Simplex]) -> SimplexSet:
         """Normalize a collection of simplices, requiring membership in the complex."""

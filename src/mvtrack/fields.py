@@ -4,13 +4,12 @@ A multivector field is a partition of a complex into convex pieces.  Each
 piece is identified by its lexicographically smallest member simplex, which
 keeps identities stable across serialization.  Criticality of a piece is the
 non-vanishing of the relative homology of (closure, mouth) and is cached per
-(piece, characteristic), and the sorted ids and validate_field's convexity
-report are stored; every fill is idempotent, so concurrent readers are safe.
-Splits and merges derive their result from the parent's tables and keep the
-criticality of untouched pieces, as does `successor`, which builds the field a
-list of parts makes when it is one split or merge away.  A field records the
-step that made it, set by any of these, or else by the first
-classify_rearrangement diff.
+(piece, characteristic), and validate_field's convexity report is stored;
+every fill is idempotent, so concurrent readers are safe.  Splits and merges
+derive their result from the parent's tables and keep the criticality of
+untouched pieces, as does `successor`, which builds the field a list of parts
+makes when it is one split or merge away.  A field records the step that
+made it, set by any of these.
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ class MultivectorField:
     record whose parent is gone is dropped when next read, and none is pickled.
     """
 
-    __slots__ = ("cx", "_assign", "_parts", "_criticality", "_ids", "_report", "_step",
-                 "__weakref__")
+    __slots__ = ("cx", "_assign", "_parts", "_criticality", "_report", "_step", "__weakref__")
 
     def __init__(self, cx: Complex, parts: Iterable[Collection[Simplex]]):
         self._partition(cx, map(cx.check_subset, parts))
@@ -65,7 +63,7 @@ class MultivectorField:
     def _adopt(self, cx: Complex, assign: dict, parts: dict, criticality: dict,
                step: tuple | None = None) -> None:
         self.cx, self._assign, self._parts, self._criticality = cx, assign, parts, criticality
-        self._ids, self._report, self._step = None, None, step
+        self._report, self._step = None, step
 
     def __getstate__(self):
         """Every slot but the step record: a weak reference cannot be pickled."""
@@ -118,9 +116,7 @@ class MultivectorField:
         return map(self._parts.__getitem__, set(map(self._assign.__getitem__, members)))
 
     def ids(self) -> tuple[Simplex, ...]:
-        if self._ids is None:
-            self._ids = tuple(sorted(self._parts))
-        return self._ids
+        return tuple(sorted(self._parts))
 
     def parts(self) -> tuple[SimplexSet, ...]:
         return tuple(self._parts[i] for i in self.ids())
@@ -247,7 +243,7 @@ def classify_rearrangement(field: MultivectorField,
     """Classify `other` as an atomic refinement or coarsening of `field`.
 
     This is the step `other` records when its parent is `field`; otherwise a
-    diff of the parts, which `other` records if it records no step yet.
+    diff of the parts.
     Raises NotAtomicError when the fields are equal, on different complexes,
     or differ by anything other than one split or one merge.
     """
@@ -261,8 +257,6 @@ def classify_rearrangement(field: MultivectorField,
     if step is None:
         raise NotAtomicError(
             f"fields differ by {len(gone)} removed / {len(born)} added multivectors")
-    if record is None:
-        other._step = (weakref.ref(field), step)
     return step
 
 
@@ -303,11 +297,6 @@ def _atomic(gone: Collection[SimplexSet],
     return None
 
 
-def _maximal_elements(field: MultivectorField, part: SimplexSet) -> list[Simplex]:
-    return [s for s in part
-            if not any(c in part for c in field.cx.cofacets(s))]
-
-
 def refinement_path(field: MultivectorField) -> list[MultivectorField]:
     """Atomic refinements from `field` down to the singleton field.
 
@@ -322,7 +311,8 @@ def refinement_path(field: MultivectorField) -> list[MultivectorField]:
         if not targets:
             return path
         ident = targets[0]
-        sigma = min(_maximal_elements(current, current.part(ident)))
+        part = current.part(ident)
+        sigma = min(s for s in part if not any(c in part for c in current.cx.cofacets(s)))
         current = current.split(ident, {sigma})
         path.append(current)
 

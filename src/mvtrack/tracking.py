@@ -173,14 +173,15 @@ def _step(field: MultivectorField, nxt: MultivectorField, current: SimplexSet,
     merged, hull_set, pair = move.whole, None, known
     if move.kind == "refinement" or merged <= current or not merged & current:
         case = "a" if move.kind == "refinement" else "b" if merged <= current else "c"
+        result = _repair(nxt, current, move, p)
     else:
         hull_set = hull(nxt, current | merged)
         case = "d" if invariant_part(field, hull_set, p) == current else "f"
         pair = _canonical(cx, hull_set) if case == "d" else None
+        # The hull is convex, so it is the body of canonical(hull): one S' for d and f.
+        result = invariant_part(nxt, hull_set, p)
 
     if pair is not None:
-        result = (invariant_part(nxt, pair.body, p) if case == "d"
-                  else _repair(nxt, current, move, p))
         if case == "c" and result != current:
             raise ZigzagAssemblyError("case c: a merge outside the set changed its invariant part")
         out, out_tags = _chain(field, current, pair, p, index, known)
@@ -190,7 +191,6 @@ def _step(field: MultivectorField, nxt: MultivectorField, current: SimplexSet,
                             appended_tags=out_tags[1:] + back_tags[-2::-1])
 
     # No continuation exists past this point; fall back to persistence.
-    result = invariant_part(nxt, hull_set, p)
     ambient = cx.closure(current) | cx.closure(result)
     if isolates(field, ambient, current, p) and isolates(nxt, ambient, result, p):
         pairs, tags = _adjacency_chunk(field, nxt, current, result, ambient, p, index)

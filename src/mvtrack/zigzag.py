@@ -254,5 +254,5 @@ def pair_zigzag_barcode(zz: PairZigzag, p: int = 2) -> Barcode:
                 raise AssertionError(
                     f"bar count {covering} != betti {bt[k]} at position {i + 1}, dim {k}")
     steps = [t.field_index for t in zz.tags]
-    step_map = [s for s in steps] if all(s is not None for s in steps) else None
+    step_map = steps if all(s is not None for s in steps) else None
     return Barcode(bars, len(zz), [tuple(bt) for bt in betti], step_map)

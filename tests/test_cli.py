@@ -86,6 +86,32 @@ def test_validate_rejects_incompatible_seed(tmp_path, capsys):
     assert "union of multivectors" in out
 
 
+SEED_PROBLEMS = {
+    "not convex": ([], [[0], [0, 1, 2]], ["seed is not convex"]),
+    "not compatible": ([[[0], [0, 1]]], [[0]],
+                       ["seed is not a union of multivectors of field 1"]),
+    "not invariant": ([[[0], [0, 1]]], [[0], [0, 1]], ["seed is not invariant under field 1"]),
+    "both": ([[[0], [0, 1]]], [[0], [0, 1, 2]],
+             ["seed is not convex", "seed is not a union of multivectors of field 1"]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SEED_PROBLEMS))
+def test_validate_names_each_seed_problem(fault, tmp_path, capsys):
+    """The seed line and the JSON seed entry, in full, for a valid field."""
+    field, seed, problems = SEED_PROBLEMS[fault]
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps({"maximal_simplices": [[0, 1, 2]], "fields": [field],
+                                "seed": seed}))
+    code, out = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out.splitlines()[-1] == (f"seed: {len(seed)} simplices - FAIL: "
+                                    + "; ".join(problems))
+    code, out = run(capsys, "validate", str(path), "--format", "json")
+    assert code == 2
+    assert json.loads(out)["seed"] == {"size": len(seed), "ok": False, "problems": problems}
+
+
 def test_conley_seed(capsys):
     code, out = run(capsys, "conley", str(FIXTURES / "merging_saddles.json"))
     assert code == 0
@@ -449,7 +475,6 @@ def test_loading_checks_each_atomic_step_once(name, convexity_calls, monkeypatch
         return mv.CheckReport(True)
 
     monkeypatch.setattr(tracking, "validate_field", passed)
-    monkeypatch.setattr(cli, "validate_field", passed)
     assert verbs() == with_checks
 
 

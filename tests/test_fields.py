@@ -214,7 +214,24 @@ def test_classify_rearrangement_matches_the_part_diff():
                     a, b = fields[i], fields[j]
                     expected = _outcome(diff_rearrangement, a, b)
                     assert _outcome(classify_rearrangement, a, b) == expected
-        assert all(fld._step is not None for fld in made[1:] + rebuilt[1:])
+        assert all(fld._step is not None for fld in made[1:])
+        assert all(fld._step is None for fld in rebuilt)
+
+
+def test_classify_rearrangement_records_nothing():
+    """Classifying is a query: on fields rebuilt from their parts, and on a
+    field made by a split or merge, it leaves both step records as they were,
+    whether or not the pair is one step apart."""
+    rng = random.Random(43)
+    steps = 0
+    for trial in range(30):
+        made = _random_atomic_sequence(rng, _random_start(rng, trial), 6)
+        rebuilt = [MultivectorField(fld.cx, fld.parts()) for fld in made]
+        for a, b in itertools.permutations(rebuilt + made[-1:], 2):
+            before = a._step, b._step
+            steps += not isinstance(_outcome(classify_rearrangement, a, b), str)
+            assert a._step is before[0] and b._step is before[1]
+    assert steps >= 100, steps
 
 
 def _listing(rng, fld):

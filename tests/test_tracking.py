@@ -564,7 +564,9 @@ def test_reference_protocol_agrees_on_the_fixtures(name, p, heuristic_g):
 @pytest.mark.parametrize("p", [2, 3])
 def test_reference_protocol_agrees_on_random_grid_scenes(p):
     """30 random grid scenes, tracked from a small isolated set and from the
-    invariant part of the whole grid, with heuristic g on."""
+    invariant part of the whole grid, with heuristic g on.  Case d, whose S'
+    is the invariant part of the hull as in case f, fires 34 times at p = 2
+    and 27 at p = 3; the floor of 12 keeps that path under test."""
     rng = random.Random(100 + p)
     cases = []
     scenes = tries = 0
@@ -578,4 +580,5 @@ def test_reference_protocol_agrees_on_random_grid_scenes(p):
         for start in (seed, scc_invariant_part(fields[0], fields[0].cx.simplices, p)):
             cases += _agrees_with_reference(fields, start, p, True)
         scenes += 1
-    assert set("abcd") <= set(cases), sorted(set(cases))
+    counts = {case: cases.count(case) for case in "abcd"}
+    assert min(counts.values()) >= 1 and counts["d"] >= 12, counts
