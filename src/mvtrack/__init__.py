@@ -2,7 +2,7 @@
 and zigzag persistence barcodes on finite simplicial complexes."""
 
 from .complexes import Complex, Simplex, SimplexSet, simplex
-from .algebra import BettiVector, cone_pair, reduced_betti, relative_homology
+from .algebra import BettiVector, reduced_betti, relative_homology
 from .fields import (AtomicRearrangement, CheckReport, MultivectorField, NotAtomicError,
                      classify_rearrangement, intersect_fields, refinement_path,
                      rearrangement_path, validate_field)
@@ -20,7 +20,7 @@ __all__ = [
     "NotAtomicError", "PairTag", "PairZigzag",
     "PreconditionError", "Simplex", "SimplexSet", "TrackingStep", "TrackingTrace",
     "ZigzagAssemblyError", "canonical_index_pair",
-    "classify_rearrangement", "cone_pair", "conley_index",
+    "classify_rearrangement", "conley_index",
     "hull", "intersect_fields", "invariant_part",
     "is_invariant", "is_isolated_invariant_set", "isolates",
     "pair_zigzag_barcode", "push_forward",

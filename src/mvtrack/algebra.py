@@ -18,17 +18,17 @@ pseudoprime to the bases 2..41, below which Miller-Rabin with those bases is
 exact (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
 Math. Comp. 2017).
 
-The cone construction realizes a closed pair as an absolute complex whose
-reduced homology equals the relative homology of the pair.  Reusing one
-apex across many pairs turns pair inclusions into plain complex inclusions,
-which is what the zigzag layer needs.
+A homology basis of a pair (P, E) reduces the same quotient complex, with
+representatives.  An inclusion of pairs (P, E) <= (P', E') induces the
+chain map that keeps a cell of P \\ E and sends one in E' to zero, so
+`induced_map` needs no absolute complex that contains both pairs.
 """
 
 from __future__ import annotations
 
 from typing import Collection, Iterator, Sequence
 
-from .complexes import Complex, Simplex, simplex
+from .complexes import Complex, Simplex, SimplexSet
 
 BettiVector = tuple
 Column = dict  # {row index: nonzero coefficient mod p}
@@ -212,33 +212,6 @@ def relative_homology(cx: Complex, pset: Collection[Simplex],
     return _betti(_levels(pset - eset, cx.dim), p, augmented=False)
 
 
-def cone_pair(cx: Complex, pset: Collection[Simplex], eset: Collection[Simplex],
-              apex: int | None = None) -> Complex:
-    """The complex P together with a cone over E from a fresh apex vertex.
-
-    Reduced homology of the result equals relative_homology(cx, P, E).
-    Pass the same apex for every pair of a zigzag so that pair inclusions
-    become complex inclusions.  Checks the pair and the apex; the zigzag
-    layer, whose pairs are checked when the zigzag is built, calls `_cone`.
-    """
-    pset, eset = _validate_pair(cx, pset, eset)
-    if apex is None:
-        apex = max(cx.vertices, default=-1) + 1
-    if (apex,) in cx.simplices:
-        raise ValueError(f"apex {apex} collides with an existing vertex")
-    return _cone(pset, eset, apex)
-
-
-def _cone(pset: frozenset, eset: frozenset, apex: int) -> Complex:
-    """`cone_pair` of a closed pair E <= P and an apex outside P, unchecked."""
-    # P, the apex and the joins s + apex for s in E form a closed set; a
-    # join needs sorting only below the apex
-    coned = set(pset)
-    coned.add((apex,))
-    coned.update(s + (apex,) if s[-1] < apex else simplex(s + (apex,)) for s in eset)
-    return Complex._closed(frozenset(coned))
-
-
 def reduced_betti(cx: Complex, p: int = 2) -> BettiVector:
     """Reduced Betti numbers of a complex over GF(p), indexed 0..dim."""
     check_prime(p)
@@ -246,31 +219,33 @@ def reduced_betti(cx: Complex, p: int = 2) -> BettiVector:
 
 
 class HomologyBasis:
-    """Reduced homology of a complex with explicit cycle representatives.
+    """Homology of a closed pair (P, E) with explicit cycle representatives.
 
-    For each dimension k we keep the k-simplices in canonical order and a
-    pivot table {low row: column} holding the reduced boundaries of the
-    dimension above and one representative cycle per homology class (the V
-    column of each zero column that no boundary clears).  All these columns
-    have distinct lows, so a cycle reduces to zero against the table in one
-    pass, and the multiples of the representatives it used are its homology
-    coordinates.  `reps[k]` holds the representatives of H_k as sparse
-    columns over the k-simplices `by_dim[k]`.  Used by the zigzag layer to
-    turn inclusions into maps.
+    The chains are those of the relative complex C(P)/C(E): its k-cells are
+    the k-simplices of P \\ E, and a boundary face in E is zero.  With E
+    empty this is the unreduced homology of P.  For each dimension k we keep
+    the k-cells in canonical order and a pivot table {low row: column}
+    holding the reduced boundaries of the dimension above and one
+    representative cycle per homology class (the V column of each zero
+    column that no boundary clears).  All these columns have distinct lows,
+    so a cycle reduces to zero against the table in one pass, and the
+    multiples of the representatives it used are its homology coordinates.
+    `reps[k]` holds the representatives of H_k as sparse columns over the
+    k-cells `by_dim[k]`.  The pair is taken unchecked, as `PairZigzag`
+    checks every pair when it is built.
     """
 
-    def __init__(self, cx: Complex, p: int = 2):
+    def __init__(self, cx: Complex, pset: SimplexSet, eset: SimplexSet, p: int = 2):
         check_prime(p)
-        self.cx = cx
         self.p = p
-        self.by_dim = _levels(cx.simplices, cx.dim)
+        self.by_dim = _levels(pset - eset, cx.dim)
         self.index = [{s: i for i, s in enumerate(level)} for level in self.by_dim]
         self.betti: list[int] = [0] * (cx.dim + 1)
         self.reps: list[list[Column]] = [[] for _ in self.by_dim]
         # per dimension: low row -> (column, homology coordinate or None)
         self._table: list[dict[int, tuple[Column, int | None]]] = [{} for _ in self.by_dim]
         bounds: dict[int, Column] = {}   # reduced boundaries from the level above
-        for k, cols, pivots, vs in _reduce_levels(self.by_dim, p, augmented=True,
+        for k, cols, pivots, vs in _reduce_levels(self.by_dim, p, augmented=False,
                                                   record=True):
             table = {low: (col, None) for low, col in bounds.items()}
             paired = set(pivots.values())
@@ -283,7 +258,7 @@ class HomologyBasis:
             bounds = {low: cols[j] for low, j in pivots.items()}
 
     def coordinates(self, k: int, chain: Column) -> list[int]:
-        """Homology coordinates of a sparse cycle over this complex's k-simplices.
+        """Homology coordinates of a sparse relative cycle over this pair's k-cells.
 
         Reduces `chain` (consumed) against the pivot table of dimension k.
         """
@@ -294,7 +269,7 @@ class HomologyBasis:
             low = max(chain)
             entry = table.get(low)
             if entry is None:
-                raise ValueError("chain is not a cycle of this complex")
+                raise ValueError("chain is not a cycle of this pair")
             col, coord = entry
             f = chain[low]
             if coord is not None:
@@ -307,12 +282,16 @@ def induced_map(small: HomologyBasis, big: HomologyBasis, k: int) -> list[Column
     """The inclusion-induced map H_k(small) -> H_k(big) as sparse columns.
 
     One column per representative of `small`, over the basis of H_k(big).
+    A cell of `small` in the bigger pair's E is zero there.
     """
-    if k > small.cx.dim:
-        return []
-    to_big = [big.index[k][s] for s in small.by_dim[k]]
+    level, to_big = small.by_dim[k], big.index[k]
     out = []
     for rep in small.reps[k]:
-        coords = big.coordinates(k, {to_big[i]: x for i, x in rep.items()})
+        chain = {}
+        for i, x in rep.items():
+            r = to_big.get(level[i])
+            if r is not None:
+                chain[r] = x
+        coords = big.coordinates(k, chain)
         out.append({r: x for r, x in enumerate(coords) if x})
     return out

@@ -5,15 +5,15 @@ every simplex explicitly; the dynamics layers are graph traversals over the
 face relation, and at the scales this package targets every algorithm
 touches every simplex anyway.  The face tables are built on demand: the
 closure of a simplex on its first lookup, the cofacet table on its first
-use.  A cone built for homology is read only through its simplices and
+use.  Homology reads only a pair's simplex sets and the complex's
 dimension, so it never builds them, and `is_convex` works from facets and
 reads no table.
 
-`from_maximal` and `algebra._cone` produce sets that are normalized and closed
-by construction and hand them over unchecked; `Complex(simplices)` checks
-both.  The simplex set is immutable, and every table fill computes a value
-from it alone and stores it once, so a repeated or concurrent fill stores
-an equal value and readers are safe.
+`from_maximal` produces a set that is normalized and closed by construction
+and hands it over unchecked; `Complex(simplices)` checks both.  The simplex
+set is immutable, and every table fill computes a value from it alone and
+stores it once, so a repeated or concurrent fill stores an equal value and
+readers are safe.
 """
 
 from __future__ import annotations
@@ -72,13 +72,6 @@ class Complex:
         self._cofacets: dict[Simplex, tuple[Simplex, ...]] | None = None
 
     @classmethod
-    def _closed(cls, sset: SimplexSet) -> "Complex":
-        """A complex on a set the caller built normalized and closed."""
-        cx = cls.__new__(cls)
-        cx._adopt(sset)
-        return cx
-
-    @classmethod
     def from_maximal(cls, maximal: Iterable[Iterable[int]]) -> "Complex":
         """Build a complex from (at least) its maximal simplices, completing the closure."""
         sset: set[Simplex] = set()
@@ -87,7 +80,9 @@ class Complex:
             if s not in sset:  # a member's faces are members already
                 sset.add(s)
                 sset.update(proper_faces(s))
-        return cls._closed(frozenset(sset))
+        cx = cls.__new__(cls)
+        cx._adopt(frozenset(sset))
+        return cx
 
     def __len__(self) -> int:
         return len(self.simplices)

@@ -196,7 +196,8 @@ def canonical_index_pair(field: MultivectorField, subset: Collection[Simplex]) -
         raise PreconditionError("canonical index pair needs a convex set")
     if not field.is_compatible(subset):
         raise PreconditionError("canonical index pair needs a compatible set")
-    return IndexPair(cx.closure(subset), cx.mouth(subset))
+    closure = cx.closure(subset)
+    return IndexPair(closure, closure - subset)
 
 
 def validate_index_pair_in_n(field: MultivectorField, pset: Collection[Simplex],

@@ -1,14 +1,16 @@
 """Zigzag persistence of index-pair sequences.
 
-Each pair is realized as an absolute complex by coning its exit set from a
-shared apex, so pair inclusions become complex inclusions and a single
-machinery handles the whole zigzag.  Each arrow's direction is inferred
-from the two pairs it joins; where they are equal the identity points
-forward.  An identity arrow is an isomorphism, so reversing it (by its
-inverse) leaves the interval decomposition unchanged.  A zigzag repeats a few pairs many
-times: `PairZigzag` interns equal pairs and checks each distinct one when it
-is built, and `homology_module` builds one cone, one homology basis and one
-map per distinct pair or pair of pairs.  The interval decomposition of each
+Each pair's homology is that of its relative chain complex, and an arrow
+between nested pairs induces a map on it.  Each arrow's direction is
+inferred from the two pairs it joins; where they are equal the identity
+points forward.  A zigzag repeats a few pairs many times: `PairZigzag`
+interns equal pairs and checks each distinct one when it is built, and
+`homology_module` builds one homology basis per distinct pair and one map
+per distinct pair of pairs.  A maximal run of equal consecutive pairs is
+joined by identity arrows, which are isomorphisms, and no interval summand
+begins or ends at an isomorphism; so the module is taken over the runs, one
+position each, and a bar on runs [b, d] spans the positions from the first
+of run b to the last of run d.  The interval decomposition of each
 per-dimension homology module comes from one left-to-right sweep (after
 Carlsson & de Silva, "Zigzag persistence", and Carlsson, de Silva & Morozov,
 "Zigzag persistent homology and real-valued functions").  The sweep keeps
@@ -31,7 +33,7 @@ representative only ever gains multiples of senior representatives: exactly
 the changes of basis an interval decomposition allows.  All elimination is
 `algebra.reduce_columns`.  Two independent decomposition oracles in the test
 suite (Hom dimensions, and the former windowed generalized ranks) gate
-correctness.
+correctness, and the former sweep over every position gates the runs.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple, Optional, Sequence
 
-from .algebra import (Column, HomologyBasis, _axpy, _cone, check_prime, induced_map,
+from .algebra import (Column, HomologyBasis, _axpy, check_prime, induced_map,
                       reduce_columns)
 from .complexes import Complex
 from .dynamics import IndexPair
@@ -91,7 +93,8 @@ class PairZigzag:
     pairs in order of first occurrence, `at[i]` the distinct index of
     position i, and `pairs` the pair at each position as a tuple.  Every
     distinct P and E is checked once for membership in the complex and for
-    closedness, so the cones of `homology_module` need no further checks.
+    closedness, so the homology bases of `homology_module` need no further
+    checks.
     `directions[i]` is FORWARD when pair i is included in pair i+1, else
     BACKWARD; consecutive pairs not nested either way are rejected.
     """
@@ -198,61 +201,61 @@ def interval_multiplicities(dims: list[int], arrows: list[tuple[str, list[Column
     return dict(sorted(out.items()))
 
 
-def homology_module(zz: PairZigzag, p: int = 2):
-    """Per-dimension (dims, arrows) of the coned-complex homology zigzag.
+def _runs(at: Sequence[int]) -> list[tuple[int, int]]:
+    """(first, last) position of each maximal run of equal consecutive entries."""
+    firsts = [i for i in range(len(at)) if not i or at[i] != at[i - 1]]
+    return list(zip(firsts, [i - 1 for i in firsts[1:]] + [len(at) - 1]))
 
-    Cones, homology bases and induced maps are built once per distinct pair
-    of `zz`, which has already checked every pair."""
+
+def homology_module(zz: PairZigzag, p: int = 2):
+    """The homology zigzag of `zz` over its runs of equal pairs.
+
+    Returns the runs as (first, last) positions, the Betti vector of each
+    run, and per dimension the (dims, arrows) of the module with one
+    position per run.  Homology bases are built once per distinct pair of
+    `zz`, which has already checked every pair, and maps once per distinct
+    arrow."""
     check_prime(p)
-    apex = max(zz.cx.vertices, default=-1) + 1
-    bases = [HomologyBasis(_cone(pair.P, pair.E, apex), p) for pair in zz.distinct]
-    kmax = zz.cx.dim
-    betti = []
-    for basis in bases:
-        bs = basis.betti
-        # relative homology vanishes above the ambient dimension, so the cone
-        # cannot carry anything there either
-        if any(bs[kmax + 1:]):
-            raise AssertionError("cone homology above the ambient dimension")
-        betti.append(tuple(bs[k] if k < len(bs) else 0 for k in range(kmax + 1)))
-    betti = [betti[j] for j in zz.at]
+    runs = _runs(zz.at)
+    at = [zz.at[first] for first, _ in runs]
+    directions = [zz.directions[last] for _, last in runs[:-1]]
+    bases = [HomologyBasis(zz.cx, pair.P, pair.E, p) for pair in zz.distinct]
+    betti = [tuple(bases[j].betti) for j in at]
     modules = []
     map_cache: dict[tuple[int, int, int], list[Column]] = {}
-    for k in range(kmax + 1):
+    for k in range(zz.cx.dim + 1):
         dims = [bt[k] for bt in betti]
         arrows: list[tuple[str, list[Column]]] = []
-        for i, direction in enumerate(zz.directions):
-            a, b = zz.at[i], zz.at[i + 1]
-            small, big = (a, b) if direction == FORWARD else (b, a)
+        for i, direction in enumerate(directions):
+            small, big = (at[i], at[i + 1]) if direction == FORWARD else (at[i + 1], at[i])
             key = (small, big, k)
             cols = map_cache.get(key)
             if cols is None:
-                if small == big:
-                    cols = [{r: 1} for r in range(dims[i])]
-                else:
-                    cols = induced_map(bases[small], bases[big], k)
-                map_cache[key] = cols
+                cols = map_cache[key] = induced_map(bases[small], bases[big], k)
             arrows.append((direction, cols))
         modules.append((dims, arrows))
-    return betti, modules
+    return runs, betti, modules
 
 
 def pair_zigzag_barcode(zz: PairZigzag, p: int = 2) -> Barcode:
     """Interval decomposition of the homology zigzag of a pair sequence."""
-    betti, modules = homology_module(zz, p)
+    runs, betti, modules = homology_module(zz, p)
     bars: list[Bar] = []
     for k, (dims, arrows) in enumerate(modules):
         if not any(dims):
             continue
         for (b, d), m in sorted(interval_multiplicities(dims, arrows, p).items()):
-            bars.extend([Bar(k, b + 1, d + 1)] * m)
+            bars.extend([Bar(k, runs[b][0] + 1, runs[d][1] + 1)] * m)
     bars.sort(key=lambda bar: (bar.dim, bar.birth, bar.death))
-    for i, bt in enumerate(betti):
+    # a run has one Betti vector, and every bar covers the whole of each run it meets
+    for (first, _), bt in zip(runs, betti):
         for k in range(len(bt)):
-            covering = sum(1 for bar in bars if bar.dim == k and bar.birth <= i + 1 <= bar.death)
+            covering = sum(1 for bar in bars
+                           if bar.dim == k and bar.birth <= first + 1 <= bar.death)
             if covering != bt[k]:
                 raise AssertionError(
-                    f"bar count {covering} != betti {bt[k]} at position {i + 1}, dim {k}")
+                    f"bar count {covering} != betti {bt[k]} at position {first + 1}, dim {k}")
     steps = [t.field_index for t in zz.tags]
     step_map = steps if all(s is not None for s in steps) else None
-    return Barcode(bars, len(zz), [tuple(bt) for bt in betti], step_map)
+    per_position = [bt for (first, last), bt in zip(runs, betti) for _ in range(first, last + 1)]
+    return Barcode(bars, len(zz), per_position, step_map)

@@ -8,8 +8,11 @@ backward reachability from critical simplices and strongly connected
 components that meet more than one multivector; the
 hull oracle intersects all convex compatible supersets; the zigzag oracles
 decompose modules through Hom-space dimensions and through generalized ranks
-over windows; the homology oracles use dense row elimination (numpy int64,
-so only for small primes) instead of the library's sparse column reduction.
+over windows, and `per_position_barcode` sweeps every position where the
+library sweeps one per run of equal pairs; the homology oracles use dense
+row elimination (numpy int64, so only for small primes) instead of the
+library's sparse column reduction, and reduced homology of a cone
+(`cone_pair`) instead of the library's relative chain complex of a pair.
 The oracles take zigzag arrows as dense matrices; `sparse_arrows` and
 `dense_arrows` convert to and from the library's sparse columns.  The
 convexity oracle decides convexity from the mouth, where the library reads
@@ -35,7 +38,8 @@ import mvtrack as mv
 from mvtrack import algebra
 from mvtrack.complexes import facets, proper_faces
 from mvtrack.dynamics import IndexPair
-from mvtrack.zigzag import BACKWARD, FORWARD, PairTag, PairZigzag, pair_zigzag_barcode
+from mvtrack.zigzag import (BACKWARD, FORWARD, Bar, Barcode, PairTag, PairZigzag,
+                            interval_multiplicities, pair_zigzag_barcode)
 
 
 # ---------------------------------------------------------------- generators
@@ -826,6 +830,30 @@ def dense_induced_rank(small, big, k, p=2):
     return dense_rank(np.hstack([embedded, bnd]), p) - dense_rank(bnd, p)
 
 
+def cone_pair(cx, pset, eset, apex=None):
+    """The complex P together with a cone over E from a fresh apex vertex.
+
+    Reduced homology of the result equals relative_homology(cx, P, E).
+    Pass the same apex for every pair of a zigzag so that pair inclusions
+    become complex inclusions.  Checks the pair and the apex.  The library
+    built its homology bases on these cones before it reduced each pair's
+    relative chain complex; the cone oracles below still do.
+    """
+    pset, eset = algebra._validate_pair(cx, pset, eset)
+    if apex is None:
+        apex = max(cx.vertices, default=-1) + 1
+    if (apex,) in cx.simplices:
+        raise ValueError(f"apex {apex} collides with an existing vertex")
+    # P, the apex and the joins s + apex for s in E form a closed set; a
+    # join needs sorting only below the apex
+    coned = set(pset)
+    coned.add((apex,))
+    coned.update(s + (apex,) if s[-1] < apex else mv.simplex(s + (apex,)) for s in eset)
+    cone = mv.Complex.__new__(mv.Complex)
+    cone._adopt(frozenset(coned))  # normalized and closed, so unchecked
+    return cone
+
+
 def induced_map_rank(cx, pair_a, pair_b, direction, p=2):
     """Per-dimension rank of the inclusion-induced map between two pairs,
     through the coned complexes and `dense_induced_rank`.
@@ -842,12 +870,40 @@ def induced_map_rank(cx, pair_a, pair_b, direction, p=2):
     if not big.includes(small):
         raise ValueError("pairs are not nested in the claimed direction")
     apex = max(cx.vertices, default=-1) + 1
-    small_cx = mv.cone_pair(cx, small.P, small.E, apex=apex)
-    big_cx = mv.cone_pair(cx, big.P, big.E, apex=apex)
+    small_cx = cone_pair(cx, small.P, small.E, apex=apex)
+    big_cx = cone_pair(cx, big.P, big.E, apex=apex)
     return tuple(dense_induced_rank(small_cx, big_cx, k, p) for k in range(cx.dim + 1))
 
 
 # ------------------------------------------------------- zigzag oracle
+
+def per_position_barcode(zz, p=2):
+    """The barcode by a sweep over every position of `zz`, each identity
+    arrow between equal consecutive pairs included: the library's sweep
+    before it took one position per run of equal pairs."""
+    bases = [algebra.HomologyBasis(zz.cx, pair.P, pair.E, p) for pair in zz.distinct]
+    betti = [tuple(bases[j].betti) for j in zz.at]
+    bars = []
+    for k in range(zz.cx.dim + 1):
+        dims = [bt[k] for bt in betti]
+        if not any(dims):
+            continue
+        arrows = []
+        for i, direction in enumerate(zz.directions):
+            a, b = zz.at[i], zz.at[i + 1]
+            small, big = (a, b) if direction == FORWARD else (b, a)
+            if small == big:
+                cols = [{r: 1} for r in range(dims[i])]
+            else:
+                cols = algebra.induced_map(bases[small], bases[big], k)
+            arrows.append((direction, cols))
+        for (b, d), m in sorted(interval_multiplicities(dims, arrows, p).items()):
+            bars.extend([Bar(k, b + 1, d + 1)] * m)
+    bars.sort(key=lambda bar: (bar.dim, bar.birth, bar.death))
+    steps = [t.field_index for t in zz.tags]
+    step_map = steps if all(s is not None for s in steps) else None
+    return Barcode(bars, len(zz), betti, step_map)
+
 
 def dim_hom(rep_a, rep_b, p=2):
     """Dimension of the space of module morphisms rep_a -> rep_b.

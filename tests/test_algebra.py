@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import mvtrack as mv
-from mvtrack.algebra import (MAX_PRIME, HomologyBasis, check_prime, cone_pair, induced_map,
-                             nullspace, reduced_betti, relative_homology)
+from mvtrack.algebra import (MAX_PRIME, HomologyBasis, check_prime, induced_map, nullspace,
+                             reduced_betti, relative_homology)
+from mvtrack.dynamics import IndexPair
+from mvtrack.zigzag import FORWARD
 
 import helpers
-from helpers import (boundary_matrix, closed_subsets, dense, dense_induced_rank,
-                     dense_reduced_betti, dense_relative_betti, random_complex, rank, solve)
+from helpers import (boundary_matrix, closed_subsets, cone_pair, dense, dense_reduced_betti,
+                     dense_relative_betti, induced_map_rank, random_complex, rank, solve)
 
 
 def test_rank_basics():
@@ -113,6 +115,10 @@ def test_euler_characteristic_consistency():
         assert chi_homology == chi_count
 
 
+# Above 2**32 the old dense int64 elimination overflowed without error.
+BIG_P = 2 ** 32 + 15
+
+
 RP2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
        (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
 
@@ -147,19 +153,24 @@ def test_criticality_depends_on_characteristic():
 
 
 def test_homology_basis_and_induced_map(triangle):
-    boundary_only = mv.Complex(triangle.simplices - {(0, 1, 2)})
-    hb_small = HomologyBasis(boundary_only, 2)
-    assert hb_small.betti == [0, 1]
-    hb_big = HomologyBasis(triangle, 2)
-    assert hb_big.betti == [0, 0, 0]
-    # one column, for the one class of the boundary, over the zero space
-    assert induced_map(hb_small, hb_big, 1) == [{}]
+    boundary = triangle.simplices - {(0, 1, 2)}
+    every = triangle.simplices
+    circle = HomologyBasis(triangle, boundary, frozenset(), 2)
+    assert circle.betti == [1, 1, 0]
+    disk = HomologyBasis(triangle, every, frozenset(), 2)
+    assert disk.betti == [1, 0, 0]
+    # the class of the circle dies in the disk; its vertex class lives on
+    assert induced_map(circle, disk, 1) == [{}]
+    assert induced_map(circle, disk, 0) == [{0: 1}]
+    # the disk relative to its boundary: the circle's cells all lie in E
+    rel = HomologyBasis(triangle, every, boundary, 2)
+    assert rel.betti == [0, 0, 1] and rel.by_dim == [[], [], [(0, 1, 2)]]
+    assert induced_map(circle, rel, 0) == induced_map(circle, rel, 1) == [{}]
 
 
-def _nested_cone_pairs(rng, n_cases, max_size=14):
-    """Random closed pairs (P, E) <= (P2, E2) over random complexes, then the
-    punctured projective plane (torsion) inside its cone: yields cx, P, E and
-    the complexes of both pairs."""
+def _nested_pairs(rng, n_cases, max_size=14):
+    """Random closed pairs (P, E) <= (P2, E2) over random complexes, then
+    pairs in the projective plane (torsion): yields cx and both pairs."""
     for _ in range(n_cases):
         cx = random_complex(rng, n_vertices=5, n_maximal=3, max_dim=2, max_size=max_size)
         closed = closed_subsets(cx)
@@ -167,43 +178,81 @@ def _nested_cone_pairs(rng, n_cases, max_size=14):
         eset = rng.choice([e for e in closed if e <= pset])
         pset2 = rng.choice([q for q in closed if pset <= q])
         eset2 = rng.choice([e for e in closed if eset <= e <= pset2])
-        apex = max(cx.vertices) + 1
-        yield (cx, pset, eset,
-               cone_pair(cx, pset, eset, apex), cone_pair(cx, pset2, eset2, apex))
+        yield cx, IndexPair(pset, eset), IndexPair(pset2, eset2)
     rp2 = mv.Complex.from_maximal(RP2)
-    punctured = rp2.simplices - {(1,)}
-    pset, eset = rp2.closure(punctured), rp2.mouth(punctured)
-    yield rp2, pset, eset, rp2, cone_pair(rp2, pset, eset)
+    every = rp2.simplices
+    empty, vertex, triangle = frozenset(), frozenset({(1,)}), rp2.closure({(1, 2, 3)})
+    yield rp2, IndexPair(every, empty), IndexPair(every, vertex)
+    yield rp2, IndexPair(every, vertex), IndexPair(every, triangle)
+    yield rp2, IndexPair(rp2.closure({(1, 2, 3), (2, 3, 6)}), vertex), IndexPair(every, vertex)
+
+
+def _oracle_p(p):
+    """The prime for the dense int64 oracles: p, or 3 above 2**31, where
+    they overflow; these complexes have no odd torsion, so both give the
+    rational ranks."""
+    return p if p < 2 ** 31 else 3
+
+
+def _cone_betti(cx, pair, p):
+    """Reduced Betti numbers of the pair's cone by the dense oracle, 0..dim(K)."""
+    betti = dense_reduced_betti(cone_pair(cx, pair.P, pair.E), _oracle_p(p))
+    padded = betti + (0,) * (cx.dim + 1 - len(betti))
+    assert not any(padded[cx.dim + 1:])
+    return list(padded[:cx.dim + 1])
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_sparse_kernel_matches_dense_oracle(p):
     rng = random.Random(40 + p)
-    for cx, pset, eset, small, big in _nested_cone_pairs(rng, 25):
-        assert relative_homology(cx, pset, eset, p) == dense_relative_betti(cx, pset, eset, p)
-        for cone in (small, big):
-            expected = dense_reduced_betti(cone, p)
-            assert reduced_betti(cone, p) == expected
-            assert HomologyBasis(cone, p).betti == list(expected)
+    for cx, small, big in _nested_pairs(rng, 25):
+        for pair in (small, big):
+            assert relative_homology(cx, pair.P, pair.E, p) \
+                == dense_relative_betti(cx, pair.P, pair.E, p)
+            cone = cone_pair(cx, pair.P, pair.E)
+            assert reduced_betti(cone, p) == dense_reduced_betti(cone, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, BIG_P])
+def test_relative_basis_matches_the_cone_oracle(p):
+    """The basis of each pair's relative chain complex against the dense
+    reduced homology of its cone: Betti numbers, the rank of every induced
+    map, and unit coordinates for every representative."""
+    rng = random.Random(70 + p)
+    for cx, small, big in _nested_pairs(rng, 25):
+        hb_small, hb_big = (HomologyBasis(cx, pair.P, pair.E, p) for pair in (small, big))
+        assert hb_small.betti == _cone_betti(cx, small, p)
+        assert hb_big.betti == _cone_betti(cx, big, p)
+        ranks = induced_map_rank(cx, small, big, FORWARD, _oracle_p(p))
+        for k in range(cx.dim + 1):
+            cols = induced_map(hb_small, hb_big, k)
+            assert rank(dense(cols, hb_big.betti[k]), p) == ranks[k]
+        for hb in (hb_small, hb_big):
+            for k, reps in enumerate(hb.reps):
+                for j, rep in enumerate(reps):
+                    unit = [int(i == j) for i in range(hb.betti[k])]
+                    assert hb.coordinates(k, dict(rep)) == unit
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_induced_map_rank_matches_dense_oracle(p):
     rng = random.Random(50 + p)
-    for _, _, _, small, big in _nested_cone_pairs(rng, 25):
-        hb_small, hb_big = HomologyBasis(small, p), HomologyBasis(big, p)
-        for k in range(big.dim + 1):
+    for cx, small, big in _nested_pairs(rng, 25):
+        hb_small, hb_big = (HomologyBasis(cx, pair.P, pair.E, p) for pair in (small, big))
+        ranks = induced_map_rank(cx, small, big, FORWARD, p)
+        for k in range(cx.dim + 1):
             cols = induced_map(hb_small, hb_big, k)
-            assert len(cols) == (hb_small.betti[k] if k <= small.dim else 0)
+            assert len(cols) == hb_small.betti[k]
             assert all(0 <= r < hb_big.betti[k] for col in cols for r in col)
-            assert rank(dense(cols, hb_big.betti[k]), p) == dense_induced_rank(small, big, k, p)
+            assert rank(dense(cols, hb_big.betti[k]), p) == ranks[k]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_coordinates_of_representatives_and_non_cycles(p):
     rng = random.Random(60 + p)
-    for _, _, _, _, cone in _nested_cone_pairs(rng, 20):
-        hb = HomologyBasis(cone, p)
+    non_cycles = 0
+    for cx, _, pair in _nested_pairs(rng, 20):
+        hb = HomologyBasis(cx, pair.P, pair.E, p)
         for k, level in enumerate(hb.by_dim):
             reps = hb.reps[k]
             assert len(reps) == hb.betti[k]
@@ -215,17 +264,16 @@ def test_coordinates_of_representatives_and_non_cycles(p):
             for j, rep in enumerate(reps):
                 unit = [int(i == j) for i in range(hb.betti[k])]
                 assert hb.coordinates(k, dict(rep)) == unit
-                # adding a boundary does not change the class
+                # adding a relative boundary does not change the class
                 shifted = {i: (2 * rep.get(i, 0) + b) % p for i, b in enumerate(bnd)}
                 shifted = {i: x for i, x in shifted.items() if x}
                 assert hb.coordinates(k, shifted) == [2 * x % p for x in unit]
-            # a single simplex has a nonzero (augmented) boundary
-            with pytest.raises(ValueError):
-                hb.coordinates(k, {0: 1})
-
-
-# Above 2**32 the old dense int64 elimination overflowed without error.
-BIG_P = 2 ** 32 + 15
+            # a cell with a face outside E has a nonzero relative boundary
+            if k and level and boundary_matrix(level[:1], hb.by_dim[k - 1], p).any():
+                non_cycles += 1
+                with pytest.raises(ValueError, match="not a cycle"):
+                    hb.coordinates(k, {0: 1})
+    assert non_cycles >= 10
 
 
 def test_rank_is_exact_at_a_large_prime():
@@ -248,12 +296,13 @@ def test_rank_is_exact_at_a_large_prime():
 def test_homology_is_exact_at_a_large_prime():
     cx = mv.Complex.from_maximal(RP2)
     assert relative_homology(cx, cx.simplices, frozenset(), BIG_P) == (1, 0, 0)
-    assert HomologyBasis(cx, BIG_P).betti == [0, 0, 0]
+    assert HomologyBasis(cx, cx.simplices, frozenset(), BIG_P).betti == [1, 0, 0]
     rng = random.Random(33)
-    for cx, pset, eset, _, big in _nested_cone_pairs(rng, 10):
-        # no torsion on complexes this small, so rational Betti numbers
-        assert relative_homology(cx, pset, eset, BIG_P) == relative_homology(cx, pset, eset, 3)
-        assert HomologyBasis(big, BIG_P).betti == list(reduced_betti(big, 3))
+    for cx, _, big in _nested_pairs(rng, 10):
+        # no odd torsion on these complexes, so rational Betti numbers
+        expected = relative_homology(cx, big.P, big.E, 3)
+        assert relative_homology(cx, big.P, big.E, BIG_P) == expected
+        assert HomologyBasis(cx, big.P, big.E, BIG_P).betti == list(expected)
 
 
 def test_check_prime_is_exact_and_fast():

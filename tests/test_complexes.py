@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 import mvtrack as mv
 from mvtrack import complexes
-from mvtrack.algebra import cone_pair
 from mvtrack.complexes import Complex, facets, proper_faces, simplex
 from mvtrack.io import load_scene
 from mvtrack.zigzag import pair_zigzag_barcode
 
-from helpers import EagerComplex, all_faces, mouth_is_convex, random_complex, random_subset
+from helpers import (EagerComplex, all_faces, cone_pair, mouth_is_convex, random_complex,
+                     random_subset)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -311,10 +311,11 @@ def face_calls(monkeypatch):
     return calls
 
 
-def test_cones_enumerate_no_faces(nine_fields, face_calls):
-    """A cone is read only through its simplices and dimension: building it
-    normalizes nothing and fills no table.  The ambient complex fills each
-    closure at most once, so a second barcode enumerates no face at all."""
+def test_barcodes_enumerate_no_faces(nine_fields, face_calls):
+    """A barcode reads each pair's simplex sets and the complex's dimension:
+    its homology bases normalize nothing and fill no table.  The ambient
+    complex fills each closure at most once, so a second barcode enumerates
+    no face at all."""
     zz = mv.run_protocol(nine_fields.fields, nine_fields.seed).zigzag
     face_calls.clear()
     first = pair_zigzag_barcode(zz)

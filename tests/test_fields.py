@@ -2,6 +2,7 @@ import gc
 import itertools
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +14,11 @@ from mvtrack.fields import (MultivectorField, NotAtomicError, classify_rearrange
                             validate_field)
 from mvtrack.io import Scene, SchemaError, scene_from_dict, scene_to_dict
 
-from helpers import (diff_rearrangement, full_convexity_report, grid_complex, kahn_gradient_field,
-                     random_coarsening, random_complex, random_field, random_gradient_field,
-                     random_refinement)
+from helpers import (diff_rearrangement, full_convexity_report, grid_complex, grid_scene,
+                     kahn_gradient_field, random_coarsening, random_complex, random_field,
+                     random_gradient_field, random_refinement)
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 
 def test_partition_is_enforced(triangle):
@@ -158,6 +161,30 @@ def test_intersect_fields(triangle):
         a, b = random_field(rng, cx), random_field(rng, cx)
         pairwise = {pa & pb for pa in a.parts() for pb in b.parts()} - {frozenset()}
         assert set(intersect_fields(a, b).parts()) == pairwise
+
+
+
+def test_intersect_fields_of_an_atomic_step_is_the_finer_field():
+    """The common refinement of the two fields of an atomic step is the
+    finer one, so case f of the tracking protocol checks its meet under the
+    field before the merge and builds no common refinement."""
+    steps = []
+    for name in ("merging_saddles", "repeller_disk", "saddle_collision_nine",
+                 "unresolved_step"):
+        fields = mvio.load_scene(FIXTURES / f"{name}.json").fields
+        steps += zip(fields, fields[1:])
+    rng = random.Random(19)
+    while len(steps) < 60:
+        scene = grid_scene(rng, n=4, steps=6)
+        if scene is not None:
+            steps += zip(scene[0], scene[0][1:])
+    kinds = set()
+    for a, b in steps:
+        kind = classify_rearrangement(a, b).kind
+        kinds.add(kind)
+        finer = b if kind == "refinement" else a
+        assert intersect_fields(a, b) == finer == intersect_fields(b, a)
+    assert kinds == {"refinement", "coarsening"}
 
 
 def _forced_merge(rng, fld):

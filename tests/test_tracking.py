@@ -141,12 +141,24 @@ def test_continuation_to_zigzag_chain(nine_fields):
         assert len(trace.barcode.bars_in_dim(k)) == count
 
 
-def test_adjacency_zigzag(merging_saddles):
+def test_adjacency_zigzag(merging_saddles, monkeypatch):
     v1, v2, v3 = merging_saddles.fields
     seed = merging_saddles.seed
     step1 = track_step(v1, v2, seed)
     step2 = track_step(v2, v3, step1.result, step_index=2)
     assert step2.case == "f"
+    # every check is under v2 or v3, the meet's under v2: the common
+    # refinement of v2 and its merge v3
+    assert intersect_fields(v2, v3) == v2
+    checked = []
+    validate = tracking.validate_index_pair_in_n
+    monkeypatch.setattr(tracking, "validate_index_pair_in_n",
+                        lambda field, *rest: checked.append(field) or validate(field, *rest))
+    cx = merging_saddles.cx
+    ambient = cx.closure(step1.result) | cx.closure(step2.result)
+    pairs, _ = _adjacency_chunk(v2, v3, step1.result, step2.result, ambient, 2, 2)
+    assert pairs == step2.appended_pairs
+    assert checked and all(field is v2 or field is v3 for field in checked)
     zz = _step_zigzag(v2, step1.result, step2)
     assert len(zz) == 5
     barcode = mv.pair_zigzag_barcode(zz)
@@ -154,7 +166,6 @@ def test_adjacency_zigzag(merging_saddles):
     assert dim1[0] == (1, 5) and dim1[1][1] == 5 and len(dim1) == 2
 
     # identical sets and fields: everything constant, full barcode
-    cx = merging_saddles.cx
     pairs, _ = _adjacency_chunk(v1, v1, seed, seed, cx.closure(seed), 2, 1)
     same = PairZigzag(cx, [canonical_index_pair(v1, seed)] + pairs)
     assert mv.pair_zigzag_barcode(same).is_full()

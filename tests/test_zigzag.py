@@ -7,12 +7,12 @@ import mvtrack as mv
 from mvtrack import cli, io, zigzag
 from mvtrack.cli import main
 from mvtrack.dynamics import IndexPair
-from mvtrack.zigzag import (BACKWARD, FORWARD, Bar, PairZigzag, homology_module,
+from mvtrack.zigzag import (BACKWARD, FORWARD, Bar, PairTag, PairZigzag, homology_module,
                             interval_multiplicities, pair_zigzag_barcode)
 
-from helpers import (dense_arrows, induced_map_rank, oracle_multiplicities, random_complex,
-                     random_field, random_isolated_set, random_module, closed_subsets,
-                     sparse_arrows, windowed_multiplicities)
+from helpers import (dense_arrows, induced_map_rank, oracle_multiplicities, per_position_barcode,
+                     random_complex, random_field, random_isolated_set, random_module,
+                     closed_subsets, sparse_arrows, windowed_multiplicities)
 
 SWAP = {FORWARD: BACKWARD, BACKWARD: FORWARD}
 
@@ -324,7 +324,7 @@ def _random_pair_sequences(rng, count):
 
 def test_module_extraction_matches_oracle_on_real_zigzags():
     for cx, pairs in _random_pair_sequences(random.Random(41), 12):
-        _, modules = homology_module(PairZigzag(cx, pairs), 2)
+        _, _, modules = homology_module(PairZigzag(cx, pairs), 2)
         for dims, arrows in modules:
             assert interval_multiplicities(dims, arrows, 2) \
                 == oracle_multiplicities(dims, dense_arrows(dims, arrows), 2)
@@ -343,6 +343,57 @@ def test_shared_and_copied_pairs_give_one_barcode():
         for p in (2, 3):
             assert pair_zigzag_barcode(zigzags[0], p).bars \
                 == pair_zigzag_barcode(zigzags[1], p).bars
+
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_runs_give_the_per_position_barcode(p):
+    """The sweep over runs of equal pairs against the sweep over every
+    position: equal bars, Betti vectors per position and step maps.  Random
+    nested pair sequences, forward, reversed, and up and back again, with
+    each pair repeated one to four times in place."""
+    rng = random.Random(48 + p)
+    repeats = 0
+    for cx, pairs in _random_pair_sequences(rng, 12):
+        for seq in (pairs, pairs[::-1], pairs + pairs[-2::-1]):
+            repeated = [pr for pr in seq for _ in range(rng.randint(1, 4))]
+            repeats += len(repeated) - len(seq)
+            tags = [PairTag(i // 2 + 1, "canonical") for i in range(len(repeated))]
+            for zz in (PairZigzag(cx, repeated), PairZigzag(cx, repeated, tags)):
+                assert pair_zigzag_barcode(zz, p) == per_position_barcode(zz, p)
+    assert repeats >= 50
+
+
+def test_sweep_takes_one_position_per_run(repeller_disk, nine_fields, monkeypatch):
+    """Counts work, not time: a zigzag of n equal pairs reaches
+    `interval_multiplicities` as one position and builds one homology basis,
+    and the tracked saddle_collision_nine zigzag reaches it with one position
+    per run of equal pairs."""
+    lengths, bases = [], []
+    sweep, basis = zigzag.interval_multiplicities, zigzag.HomologyBasis
+
+    def counted_sweep(dims, arrows, p=2):
+        lengths.append(len(dims))
+        return sweep(dims, arrows, p)
+
+    def counted_basis(*args):
+        bases.append(args)
+        return basis(*args)
+
+    monkeypatch.setattr(zigzag, "interval_multiplicities", counted_sweep)
+    monkeypatch.setattr(zigzag, "HomologyBasis", counted_basis)
+    cx = repeller_disk.cx
+    pair = IndexPair(cx.closure(repeller_disk.seed), cx.mouth(repeller_disk.seed))
+    for n in (1, 2, 7):
+        lengths.clear()
+        bases.clear()
+        assert pair_zigzag_barcode(PairZigzag(cx, [pair] * n)).bars == [Bar(2, 1, n)]
+        assert lengths == [1] and len(bases) == 1
+    zz = mv.run_protocol(nine_fields.fields, nine_fields.seed).zigzag
+    runs = 1 + sum(a != b for a, b in zip(zz.at, zz.at[1:]))
+    lengths.clear()
+    pair_zigzag_barcode(zz)
+    assert lengths and set(lengths) == {runs} and runs < len(zz)
 
 
 def _random_pair(rng, closed):
