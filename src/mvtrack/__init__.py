@@ -2,7 +2,7 @@
 and zigzag persistence barcodes on finite simplicial complexes."""
 
 from .complexes import Complex, Simplex, SimplexSet, simplex
-from .algebra import BettiVector, reduced_betti, relative_homology
+from .algebra import BettiVector, relative_homology
 from .fields import (AtomicRearrangement, CheckReport, MultivectorField, NotAtomicError,
                      classify_rearrangement, intersect_fields, refinement_path,
                      rearrangement_path, validate_field)
@@ -24,7 +24,7 @@ __all__ = [
     "hull", "intersect_fields", "invariant_part",
     "is_invariant", "is_isolated_invariant_set", "isolates",
     "pair_zigzag_barcode", "push_forward",
-    "rearrangement_path", "reduced_betti", "refinement_path", "relative_homology",
+    "rearrangement_path", "refinement_path", "relative_homology",
     "run_protocol", "simplex", "track_step", "validate_field",
     "validate_index_pair", "validate_index_pair_in_n",
     "Scene", "SchemaError", "load_scene", "load_zigzag", "save_scene",

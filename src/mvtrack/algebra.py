@@ -8,8 +8,7 @@ from the top down and clears the columns that are already pivots of the
 dimension above (Chen & Kerber, "Persistent homology computation with a
 twist"): such a simplex is the low of a boundary, so its column would reduce
 to zero anyway.  Relative homology of a closed pair (P, E) uses the
-quotient chain complex spanned by the simplices of P \\ E; reduced homology
-adds the empty simplex as the one (-1)-simplex.
+quotient chain complex spanned by the simplices of P \\ E.
 
 Induced maps are sparse columns too, and the zigzag sweep reduces them here,
 so one column format runs from the boundary matrices to the barcode.
@@ -165,29 +164,24 @@ def _boundary(chain: Sequence[Simplex], lower: dict[Simplex, int], p: int) -> li
     return cols
 
 
-def _reduce_levels(levels: list[list[Simplex]], p: int, augmented: bool,
+def _reduce_levels(levels: list[list[Simplex]], p: int,
                    record: bool = False) -> Iterator[tuple]:
     """Reduce each boundary map from the top dimension down, with clearing.
 
-    Yields (k, reduced columns, pivot table, V) for k = dim..0.  With
-    `augmented`, vertices have the empty simplex as their one face, which
-    gives reduced homology.
+    Yields (k, reduced columns, pivot table, V) for k = dim..0.
     """
     above: dict[int, int] = {}
     for k in reversed(range(len(levels))):
-        if k:
-            lower = {s: i for i, s in enumerate(levels[k - 1])}
-        else:
-            lower = {(): 0} if augmented else {}
+        lower = {s: i for i, s in enumerate(levels[k - 1])} if k else {}
         cols = _boundary(levels[k], lower, p)
         pivots, vs = reduce_columns(cols, p, clear=above, record=record)
         yield k, cols, pivots, vs
         above = pivots
 
 
-def _betti(levels: list[list[Simplex]], p: int, augmented: bool) -> BettiVector:
+def _betti(levels: list[list[Simplex]], p: int) -> BettiVector:
     ranks = [0] * (len(levels) + 1)
-    for k, _, pivots, _ in _reduce_levels(levels, p, augmented):
+    for k, _, pivots, _ in _reduce_levels(levels, p):
         ranks[k] = len(pivots)
     return tuple(len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(len(levels)))
 
@@ -209,13 +203,7 @@ def relative_homology(cx: Complex, pset: Collection[Simplex],
     """Betti numbers of the pair (P, E) over GF(p), indexed 0..dim(K)."""
     check_prime(p)
     pset, eset = _validate_pair(cx, pset, eset)
-    return _betti(_levels(pset - eset, cx.dim), p, augmented=False)
-
-
-def reduced_betti(cx: Complex, p: int = 2) -> BettiVector:
-    """Reduced Betti numbers of a complex over GF(p), indexed 0..dim."""
-    check_prime(p)
-    return _betti(_levels(cx.simplices, cx.dim), p, augmented=True)
+    return _betti(_levels(pset - eset, cx.dim), p)
 
 
 class HomologyBasis:
@@ -245,8 +233,7 @@ class HomologyBasis:
         # per dimension: low row -> (column, homology coordinate or None)
         self._table: list[dict[int, tuple[Column, int | None]]] = [{} for _ in self.by_dim]
         bounds: dict[int, Column] = {}   # reduced boundaries from the level above
-        for k, cols, pivots, vs in _reduce_levels(self.by_dim, p, augmented=False,
-                                                  record=True):
+        for k, cols, pivots, vs in _reduce_levels(self.by_dim, p, record=True):
             table = {low: (col, None) for low, col in bounds.items()}
             paired = set(pivots.values())
             for j, col in enumerate(cols):

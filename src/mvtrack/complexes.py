@@ -6,11 +6,12 @@ face relation, and at the scales this package targets every algorithm
 touches every simplex anyway.  The face tables are built on demand: the
 closure of a simplex on its first lookup, the cofacet table on its first
 use.  Homology reads only a pair's simplex sets and the complex's
-dimension, so it never builds them, and `is_convex` works from facets and
-reads no table.
+dimension, so it never builds them, and `is_convex` works from shape or
+facets and reads no table.
 
-`from_maximal` produces a set that is normalized and closed by construction
-and hands it over unchecked; `Complex(simplices)` checks both.  The simplex
+`from_maximal` normalizes each simplex, then completes the closure and hands
+the set over unchecked; the scene loader, whose parser normalizes, takes the
+second step alone.  `Complex(simplices)` checks both.  The simplex
 set is immutable, and every table fill computes a value from it alone and
 stores it once, so a repeated or concurrent fill stores an equal value and
 readers are safe.
@@ -44,6 +45,12 @@ def proper_faces(sigma: Simplex) -> list[Simplex]:
     return out
 
 
+def _face_codim(a: Simplex, b: Simplex) -> int:
+    """The codimension of the smaller simplex in the larger if a face of it, else 0."""
+    small, big = (a, b) if len(a) < len(b) else (b, a)
+    return len(big) - len(small) if set(big).issuperset(small) else 0
+
+
 def facets(sigma: Simplex) -> list[Simplex]:
     """Codimension-one faces of sigma."""
     if len(sigma) == 1:
@@ -74,9 +81,13 @@ class Complex:
     @classmethod
     def from_maximal(cls, maximal: Iterable[Iterable[int]]) -> "Complex":
         """Build a complex from (at least) its maximal simplices, completing the closure."""
+        return cls._from_normalized(map(simplex, maximal))
+
+    @classmethod
+    def _from_normalized(cls, maximal: Iterable[Simplex]) -> "Complex":
+        """from_maximal for simplices that are normalized already."""
         sset: set[Simplex] = set()
-        for m in maximal:
-            s = simplex(m)
+        for s in maximal:
             if s not in sset:  # a member's faces are members already
                 sset.add(s)
                 sset.update(proper_faces(s))
@@ -167,14 +178,18 @@ class Complex:
         return subset.issuperset(itertools.chain.from_iterable(self._closures(subset)))
 
     def is_convex(self, subset: Collection[Simplex]) -> bool:
-        """True iff no simplex outside the set lies between two members,
-        i.e. iff no member tau has a facet f outside it with a proper face
-        in it.  Such an f lies between; conversely, for g < rho < tau with
-        rho outside, the last simplex outside along a facet chain from rho
-        up to tau is such an f.  Members with at most two vertices have no
-        such f.  No closure table is read or filled.
+        """True iff no simplex outside the set lies between two members.
+        Two are convex unless one is a face of the other of codimension >= 2
+        (the complex holds the faces between).  Any set is, iff no member tau
+        has a facet f outside it with a proper face in it.  Such an f lies
+        between; conversely, for g < rho < tau with rho outside, the last
+        simplex outside along a facet chain from rho up to tau is such an f.
+        Members with at most two vertices have no such f.  No table is read.
         """
         subset = self.check_subset(subset)
+        if len(subset) == 2:
+            a, b = subset
+            return abs(len(a) - len(b)) < 2 or _face_codim(a, b) < 2
         for tau in subset:
             if len(tau) > 2:
                 for f in facets(tau):

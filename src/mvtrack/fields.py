@@ -3,13 +3,13 @@
 A multivector field is a partition of a complex into convex pieces.  Each
 piece is identified by its lexicographically smallest member simplex, which
 keeps identities stable across serialization.  Criticality of a piece is the
-non-vanishing of the relative homology of (closure, mouth) and is cached per
-(piece, characteristic), and validate_field's convexity report is stored;
-every fill is idempotent, so concurrent readers are safe.  Splits and merges
-derive their result from the parent's tables and keep the criticality of
-untouched pieces, as does `successor`, which builds the field a list of parts
-makes when it is one split or merge away.  A field records the step that
-made it, set by any of these.
+non-vanishing of the relative homology of (closure, mouth), read off the shape
+of a piece of one or two simplices; it is cached per (piece, characteristic),
+and validate_field's convexity report is stored; every fill is idempotent, so
+concurrent readers are safe.  Splits and merges derive their result from the
+parent's tables and keep the criticality of untouched pieces, as does
+`successor`, which builds the field a list of parts makes when it is one split
+or merge away.  A field records the step that made it, set by any of these.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from __future__ import annotations
 import weakref
 from typing import Collection, Iterable, Iterator, NamedTuple
 
-from .algebra import relative_homology
-from .complexes import Complex, Simplex, SimplexSet
+from .algebra import check_prime, relative_homology
+from .complexes import Complex, Simplex, SimplexSet, _face_codim
 
 
 class NotAtomicError(ValueError):
@@ -69,10 +69,6 @@ class MultivectorField:
         """Every slot but the step record: a weak reference cannot be pickled."""
         state = {name: getattr(self, name) for name in self.__slots__[:-2]}
         return None, {**state, "_step": None}
-
-    @classmethod
-    def singleton_field(cls, cx: Complex) -> "MultivectorField":
-        return cls(cx, [[s] for s in cx.simplices])
 
     @classmethod
     def from_parts(cls, cx: Complex, parts: Iterable[Collection[Simplex]],
@@ -129,13 +125,20 @@ class MultivectorField:
         return self.cx.closure_of(sigma) | self.part_of(sigma)
 
     def is_critical(self, ident: Simplex, p: int = 2) -> bool:
-        """Non-trivial relative homology of (closure, mouth) of the multivector."""
+        """Non-trivial relative homology of (closure, mouth) of the multivector.
+        One simplex is critical, and two, unless one is a face of the other of
+        codimension >= 2, are regular iff a facet pair (boundary +-1 at any p)."""
         key = (ident, p)
         cached = self._criticality.get(key)
         if cached is None:
             part = self._parts[ident]
-            closure = self.cx.closure(part)
-            cached = any(relative_homology(self.cx, closure, closure - part, p))
+            codim = _face_codim(*part) if len(part) == 2 else None
+            if len(part) == 1 or codim in (0, 1):
+                check_prime(p)
+                cached = codim != 1
+            else:
+                closure = self.cx.closure(part)
+                cached = any(relative_homology(self.cx, closure, closure - part, p))
             self._criticality[key] = cached
         return cached
 

@@ -72,12 +72,6 @@ class Barcode(NamedTuple):
     betti_per_position: list[tuple]
     step_of_position: Optional[list[int]] = None
 
-    def is_full(self) -> bool:
-        return all(b.birth == 1 and b.death == self.length for b in self.bars)
-
-    def bars_in_dim(self, k: int) -> list[Bar]:
-        return [b for b in self.bars if b.dim == k]
-
     def step_bars(self) -> list[tuple[int, int, int]]:
         """Bars as (dim, birth step, death step), using the position-to-step map."""
         if self.step_of_position is None:

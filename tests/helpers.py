@@ -24,7 +24,9 @@ table up front, and `kahn_gradient_field` the former gradient-field
 generator, which checked every candidate pair by a pass over the complex.
 `reference_protocol` is the tracking protocol rebuilt from these oracles and
 the paper's definitions, with every emitted pair checked against all four
-index-pair conditions.
+index-pair conditions.  `singleton_field`, `is_full`, `bars_in_dim` and
+`reduced_betti` were library wrappers that only the tests called; the last
+now reads the library's relative homology of the complex and one vertex.
 """
 
 from __future__ import annotations
@@ -40,6 +42,43 @@ from mvtrack.complexes import facets, proper_faces
 from mvtrack.dynamics import IndexPair
 from mvtrack.zigzag import (BACKWARD, FORWARD, Bar, Barcode, PairTag, PairZigzag,
                             interval_multiplicities, pair_zigzag_barcode)
+
+
+# Above 2**32 the old dense int64 elimination overflowed without error.
+BIG_P = 2 ** 32 + 15
+
+# The real projective plane, six vertices: its homology has 2-torsion.
+RP2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+       (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
+
+
+def oracle_prime(p):
+    """The prime for the dense int64 oracles: p, or 3 above 2**31, where
+    they overflow; the complexes tested with them have no odd torsion, so
+    both give the rational ranks."""
+    return p if p < 2 ** 31 else 3
+
+
+# ---------------------------------------------------- former library wrappers
+
+def singleton_field(cx):
+    """The field whose every multivector is a single simplex."""
+    return mv.MultivectorField(cx, [[s] for s in cx.simplices])
+
+
+def is_full(barcode):
+    """True iff every bar spans the whole zigzag."""
+    return all(b.birth == 1 and b.death == barcode.length for b in barcode.bars)
+
+
+def bars_in_dim(barcode, k):
+    return [b for b in barcode.bars if b.dim == k]
+
+
+def reduced_betti(cx, p=2):
+    """Reduced Betti numbers of a non-empty complex, indexed 0..dim, as the
+    library's relative homology of the complex relative to one vertex."""
+    return mv.relative_homology(cx, cx.simplices, {(min(cx.vertices),)}, p)
 
 
 # ---------------------------------------------------------------- generators
@@ -58,7 +97,7 @@ def random_complex(rng, n_vertices=6, n_maximal=3, max_dim=2, max_size=20):
 
 
 def random_field(rng, cx, merges=None):
-    fld = mv.MultivectorField.singleton_field(cx)
+    fld = singleton_field(cx)
     if merges is None:
         merges = rng.randint(0, max(1, len(cx) // 2))
     for _ in range(merges):

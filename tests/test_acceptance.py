@@ -14,10 +14,10 @@ from mvtrack.io import load_scene, load_zigzag
 from mvtrack.tracking import hull, run_protocol, track_step
 from mvtrack.zigzag import pair_zigzag_barcode
 
-from helpers import (brute_hull, brute_invariant_part, closed_subsets,
+from helpers import (bars_in_dim, brute_hull, brute_invariant_part, closed_subsets, is_full,
                      isolated_invariant_sets, random_coarsening, random_complex,
                      random_field, random_isolated_set, random_refinement,
-                     random_subset)
+                     random_subset, singleton_field)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -82,8 +82,8 @@ def test_criterion_04_naive_intersection_flagged_and_not_full():
                                  invariant_part(fld, middle.body))
     assert not report and report.problems
     barcode = pair_zigzag_barcode(zz)
-    assert not barcode.is_full()
-    dim2 = [(b.birth, b.death) for b in barcode.bars_in_dim(2)]
+    assert not is_full(barcode)
+    dim2 = [(b.birth, b.death) for b in bars_in_dim(barcode, 2)]
     assert dim2 == [(1, 1), (3, 3)]
     _report(4, f"middle pair rejected ({report.problems[0]}); barcode not full")
 
@@ -124,11 +124,11 @@ def test_criterion_05_continuation_barcodes_are_full():
         trace = run_protocol(fields, seed)
         assert all(s.case in "abcd" for s in trace.steps)
         barcode = trace.barcode
-        assert barcode.is_full(), f"sequence {i}: {barcode.bars}"
+        assert is_full(barcode), f"sequence {i}: {barcode.bars}"
         first = trace.zigzag.pairs[0]
         betti = mv.relative_homology(fields[0].cx, first.P, first.E)
         for dim, expected in enumerate(betti):
-            assert len(barcode.bars_in_dim(dim)) == expected
+            assert len(bars_in_dim(barcode, dim)) == expected
     elapsed = time.time() - start
     assert elapsed < 60.0
     _report(5, f"100 random continuation sequences, all barcodes full with "
@@ -282,7 +282,7 @@ def test_criterion_08_no_common_pair_when_continuation_breaks():
     rng = random.Random(1008)
     # sanity: on a continuation step the enumeration does find common pairs
     strip = mv.Complex.from_maximal([[0, 1, 2]])
-    fld = mv.MultivectorField.singleton_field(strip)
+    fld = singleton_field(strip)
     merged = fld.merge((0,), (0, 1))
     seed = frozenset({(0, 1, 2)})
     found = _common_pairs(strip, fld, merged, seed, closed_subsets(strip))

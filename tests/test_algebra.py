@@ -6,13 +6,14 @@ import pytest
 
 import mvtrack as mv
 from mvtrack.algebra import (MAX_PRIME, HomologyBasis, check_prime, induced_map, nullspace,
-                             reduced_betti, relative_homology)
+                             relative_homology)
 from mvtrack.dynamics import IndexPair
 from mvtrack.zigzag import FORWARD
 
 import helpers
-from helpers import (boundary_matrix, closed_subsets, cone_pair, dense, dense_reduced_betti,
-                     dense_relative_betti, induced_map_rank, random_complex, rank, solve)
+from helpers import (BIG_P, RP2, boundary_matrix, closed_subsets, cone_pair, dense,
+                     dense_reduced_betti, dense_relative_betti, induced_map_rank, oracle_prime,
+                     random_complex, rank, reduced_betti, solve)
 
 
 def test_rank_basics():
@@ -115,14 +116,6 @@ def test_euler_characteristic_consistency():
         assert chi_homology == chi_count
 
 
-# Above 2**32 the old dense int64 elimination overflowed without error.
-BIG_P = 2 ** 32 + 15
-
-
-RP2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-       (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
-
-
 def test_characteristic_matters_on_projective_plane():
     """Betti numbers over GF(2) and odd characteristics differ, which pins
     the boundary sign convention."""
@@ -187,16 +180,9 @@ def _nested_pairs(rng, n_cases, max_size=14):
     yield rp2, IndexPair(rp2.closure({(1, 2, 3), (2, 3, 6)}), vertex), IndexPair(every, vertex)
 
 
-def _oracle_p(p):
-    """The prime for the dense int64 oracles: p, or 3 above 2**31, where
-    they overflow; these complexes have no odd torsion, so both give the
-    rational ranks."""
-    return p if p < 2 ** 31 else 3
-
-
 def _cone_betti(cx, pair, p):
     """Reduced Betti numbers of the pair's cone by the dense oracle, 0..dim(K)."""
-    betti = dense_reduced_betti(cone_pair(cx, pair.P, pair.E), _oracle_p(p))
+    betti = dense_reduced_betti(cone_pair(cx, pair.P, pair.E), oracle_prime(p))
     padded = betti + (0,) * (cx.dim + 1 - len(betti))
     assert not any(padded[cx.dim + 1:])
     return list(padded[:cx.dim + 1])
@@ -223,7 +209,7 @@ def test_relative_basis_matches_the_cone_oracle(p):
         hb_small, hb_big = (HomologyBasis(cx, pair.P, pair.E, p) for pair in (small, big))
         assert hb_small.betti == _cone_betti(cx, small, p)
         assert hb_big.betti == _cone_betti(cx, big, p)
-        ranks = induced_map_rank(cx, small, big, FORWARD, _oracle_p(p))
+        ranks = induced_map_rank(cx, small, big, FORWARD, oracle_prime(p))
         for k in range(cx.dim + 1):
             cols = induced_map(hb_small, hb_big, k)
             assert rank(dense(cols, hb_big.betti[k]), p) == ranks[k]

@@ -13,7 +13,7 @@ from helpers import (brute_invariant_part, closed_subsets, grid_complex, grid_sc
                      oracle_isolates, oracle_pair_problems, random_coarsening, random_complex,
                      random_convex_compatible, random_field, random_gradient_field,
                      random_isolated_set, random_refinement, random_subset, scc_invariant_part,
-                     step_graph, strongly_connected_components)
+                     singleton_field, step_graph, strongly_connected_components)
 
 
 def test_index_pair_type():
@@ -24,7 +24,7 @@ def test_index_pair_type():
 
 
 def test_invariant_part_examples(triangle):
-    singles = MultivectorField.singleton_field(triangle)
+    singles = singleton_field(triangle)
     assert invariant_part(singles, triangle.simplices) == triangle.simplices
     assert invariant_part(singles, frozenset()) == frozenset()
     arrow = MultivectorField.from_parts(triangle, [[(0,), (0, 1)]],
@@ -196,7 +196,7 @@ def test_dynamics_on_a_long_path():
 
 
 def test_is_invariant(triangle):
-    singles = MultivectorField.singleton_field(triangle)
+    singles = singleton_field(triangle)
     assert is_invariant(singles, frozenset())
     assert is_invariant(singles, frozenset({(0, 1, 2)}))
     arrow = MultivectorField.from_parts(triangle, [[(0,), (0, 1)]],
@@ -246,12 +246,12 @@ def test_isolates_examples():
 
 
 def test_isolates_needs_closed_neighborhood(triangle):
-    singles = MultivectorField.singleton_field(triangle)
+    singles = singleton_field(triangle)
     assert not isolates(singles, frozenset({(0, 1)}), frozenset({(0, 1)}))
 
 
 def test_push_forward(triangle):
-    singles = MultivectorField.singleton_field(triangle)
+    singles = singleton_field(triangle)
     every = triangle.simplices
     assert push_forward(singles, every, every) == every
     assert push_forward(singles, frozenset(), every) == frozenset()
@@ -297,7 +297,7 @@ def test_canonical_index_pair(triangle, merging_saddles):
     assert mv.relative_homology(cx, pair.P, pair.E) == (0, 1, 0)
     empty = canonical_index_pair(fld, frozenset())
     assert empty.P == frozenset() and empty.E == frozenset()
-    singles = MultivectorField.singleton_field(triangle)
+    singles = singleton_field(triangle)
     with pytest.raises(mv.PreconditionError):
         canonical_index_pair(singles, frozenset({(0,), (0, 1, 2)}))
 

@@ -2,21 +2,24 @@ import gc
 import itertools
 import pickle
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import mvtrack as mv
-from mvtrack import io as mvio
+from mvtrack import fields as mvfields, io as mvio
+from mvtrack.algebra import MAX_PRIME
 from mvtrack.dynamics import PreconditionError
 from mvtrack.fields import (MultivectorField, NotAtomicError, classify_rearrangement,
                             intersect_fields, refinement_path, rearrangement_path,
                             validate_field)
 from mvtrack.io import Scene, SchemaError, scene_from_dict, scene_to_dict
 
-from helpers import (diff_rearrangement, full_convexity_report, grid_complex, grid_scene,
-                     kahn_gradient_field, random_coarsening, random_complex, random_field,
-                     random_gradient_field, random_refinement)
+from helpers import (BIG_P, RP2, all_faces, dense_relative_betti, diff_rearrangement,
+                     full_convexity_report, grid_complex, grid_scene, kahn_gradient_field,
+                     mouth_is_convex, oracle_prime, random_coarsening, random_complex,
+                     random_field, random_gradient_field, random_refinement, singleton_field)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -30,7 +33,7 @@ def test_partition_is_enforced(triangle):
 
 
 def test_singleton_field_is_valid(triangle):
-    fld = MultivectorField.singleton_field(triangle)
+    fld = singleton_field(triangle)
     assert validate_field(fld)
     assert len(fld) == len(triangle)
 
@@ -56,7 +59,7 @@ def test_disconnected_multivectors_are_accepted():
 
 
 def test_fmap_examples(triangle):
-    singles = MultivectorField.singleton_field(triangle)
+    singles = singleton_field(triangle)
     assert singles.fmap((0, 1, 2)) == triangle.simplices
     paired = MultivectorField.from_parts(triangle, [[(0, 1), (0, 1, 2)]],
                                          complete_singletons=True)
@@ -87,7 +90,7 @@ def test_fmap_grows_under_coarsening():
 
 
 def test_is_critical(triangle):
-    singles = MultivectorField.singleton_field(triangle)
+    singles = singleton_field(triangle)
     for s in triangle.simplices:
         assert singles.is_critical(singles.mv_id(s))
     arrow = MultivectorField.from_parts(triangle, [[(0,), (0, 1)]],
@@ -102,8 +105,89 @@ def test_saddle_multivector_is_critical(merging_saddles):
     assert fld.is_critical(ident)
 
 
+def _shape(subset):
+    """'single', 'incomparable', or 'codim k' for a simplex and a face of it."""
+    if len(subset) == 1:
+        return "single"
+    small, big = sorted(subset, key=len)
+    return f"codim {len(big) - len(small)}" if set(small) < set(big) else "incomparable"
+
+
+def _closed_difference_is_convex(subset):
+    """A = C \\ D for closed C and D iff cl(A) \\ A is closed (intersect C
+    and D with cl(A)); faces by vertex subsets, not by the library."""
+    mouth = all_faces(subset) - subset
+    return all(all_faces([rho]) <= mouth for rho in mouth)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, BIG_P])
+def test_one_and_two_simplex_multivectors_are_decided_by_shape(p):
+    """Every set of one or two simplices of random complexes up to dimension 3
+    and of the projective plane: `is_convex` against the mouth and the
+    closed-difference oracles, and, as the one non-singleton multivector of
+    a field, `is_critical` against the dense relative Betti numbers of
+    (closure, mouth).  A face pair of codimension >= 2 is not convex and
+    raises as a pair whose E is not closed; a non-prime p raises for every
+    shape."""
+    rng = random.Random(11)
+    complexes = [cx for cx in (random_complex(rng, n_vertices=6, n_maximal=3, max_dim=3)
+                               for _ in range(40)) if cx.dim >= 2][:12]
+    seen = Counter()
+    for cx in complexes + [mv.Complex.from_maximal(RP2)]:
+        for k in (1, 2):
+            for subset in map(frozenset, itertools.combinations(sorted(cx.simplices), k)):
+                seen[_shape(subset)] += 1
+                convex = cx.is_convex(subset)
+                assert convex == mouth_is_convex(cx, subset) \
+                    == _closed_difference_is_convex(subset), sorted(subset)
+                fld = MultivectorField.from_parts(cx, [subset], complete_singletons=True)
+                ident = min(subset)
+                if convex:
+                    closure = cx.closure(subset)
+                    betti = dense_relative_betti(cx, closure, closure - subset, oracle_prime(p))
+                    assert fld.is_critical(ident, p) == any(betti), sorted(subset)
+                else:
+                    with pytest.raises(ValueError, match="^E is not closed$"):
+                        fld.is_critical(ident, p)
+                with pytest.raises(ValueError, match="must be prime, got 4$"):
+                    fld.is_critical(ident, 4)
+                with pytest.raises(ValueError, match=f"must be below {MAX_PRIME}"):
+                    fld.is_critical(ident, MAX_PRIME)
+    assert min(seen[kind] for kind in
+               ("single", "incomparable", "codim 1", "codim 2", "codim 3")) >= 10, seen
+
+
+def test_only_multivectors_of_three_or_more_simplices_reduce_homology(monkeypatch):
+    """Loading random grid scenes and tracking their seeds and the invariant
+    part of the whole complex asks for the criticality of many multivectors
+    of one or two simplices, and reduces homology for none of them."""
+    rng = random.Random(23)
+    scenes = [scene for scene in (grid_scene(rng, n=4, steps=6) for _ in range(8)) if scene]
+    assert len(scenes) >= 4
+    asked, reduced = Counter(), Counter()
+    is_critical, relative_homology = MultivectorField.is_critical, mvfields.relative_homology
+
+    def counted_is_critical(fld, ident, p=2):
+        asked[min(len(fld.part(ident)), 3)] += 1
+        return is_critical(fld, ident, p)
+
+    def counted_relative_homology(cx, pset, eset, p=2):
+        reduced[min(len(pset - eset), 3)] += 1
+        return relative_homology(cx, pset, eset, p)
+
+    monkeypatch.setattr(MultivectorField, "is_critical", counted_is_critical)
+    monkeypatch.setattr(mvfields, "relative_homology", counted_relative_homology)
+    for fields, seed in scenes:
+        loaded = scene_from_dict(scene_to_dict(Scene(fields[0].cx, fields, seed)))
+        first = loaded.fields[0]
+        for start in (loaded.seed, mv.invariant_part(first, first.cx.simplices)):
+            mv.run_protocol(loaded.fields, start)
+    assert asked[1] >= 10 and asked[2] >= 10, asked
+    assert set(reduced) <= {3}, reduced
+
+
 def test_classify_rearrangement(triangle):
-    fld = MultivectorField.singleton_field(triangle)
+    fld = singleton_field(triangle)
     with pytest.raises(NotAtomicError):
         classify_rearrangement(fld, fld)
     merged = fld.merge((0,), (0, 1))
@@ -121,7 +205,7 @@ def test_classify_rearrangement(triangle):
 
 
 def test_refinement_path_basics(triangle):
-    singles = MultivectorField.singleton_field(triangle)
+    singles = singleton_field(triangle)
     assert refinement_path(singles) == [singles]
     two = singles.merge((0,), (0, 1))
     path = refinement_path(two)
@@ -141,7 +225,7 @@ def test_refinement_path_random():
 
 
 def test_rearrangement_path_trivial(triangle):
-    singles = MultivectorField.singleton_field(triangle)
+    singles = singleton_field(triangle)
     assert rearrangement_path(singles, singles) == [singles]
     fld = singles.merge((0,), (0, 1))
     path = rearrangement_path(fld, fld)
@@ -149,7 +233,7 @@ def test_rearrangement_path_trivial(triangle):
 
 
 def test_intersect_fields(triangle):
-    singles = MultivectorField.singleton_field(triangle)
+    singles = singleton_field(triangle)
     fld = singles.merge((0,), (0, 1)).merge((1,), (1, 2))
     assert intersect_fields(fld, fld) == fld
     assert intersect_fields(fld, singles) == singles
@@ -315,7 +399,7 @@ def test_successor_is_the_field_its_parts_make():
 def test_a_non_convex_field_fails_the_protocol_precondition(triangle):
     """A field's report comes from its own parts however it was made, so
     `run_protocol` names the non-convex multivector of field 1."""
-    singles = MultivectorField.singleton_field(triangle)
+    singles = singleton_field(triangle)
     assert validate_field(singles)
     def listed():
         return MultivectorField.from_parts(triangle, [[(0,), (0, 1, 2)]],
@@ -344,7 +428,7 @@ def test_a_child_is_checked_in_full_unless_its_parent_passed(triangle, monkeypat
         return original(cx, subset)
 
     monkeypatch.setattr(mv.Complex, "is_convex", counted)
-    good = MultivectorField.singleton_field(triangle)
+    good = singleton_field(triangle)
     assert validate_field(good)
     checked.clear()
     assert validate_field(good.merge((1,), (1, 2))) and len(checked) == 1
@@ -368,7 +452,7 @@ def test_a_child_is_checked_in_full_unless_its_parent_passed(triangle, monkeypat
 def test_a_field_made_by_a_step_pickles_without_its_record(triangle):
     """The step record holds a weak reference, which cannot be pickled; a
     pickled field leaves the record out and keeps everything else."""
-    parent = MultivectorField.singleton_field(triangle)
+    parent = singleton_field(triangle)
     child = parent.merge((0,), (0, 1))
     assert validate_field(child)
     copy = pickle.loads(pickle.dumps(child))

@@ -12,9 +12,10 @@ from mvtrack.tracking import (ZigzagAssemblyError, _adjacency_chunk, _chain, _na
                               run_protocol, track_step)
 from mvtrack.zigzag import BACKWARD, FORWARD, PairTag, PairZigzag
 
-from helpers import (brute_hull, dense_relative_betti, fixpoint_hull, grid_scene, random_complex,
-                     random_field, random_isolated_set, random_refinement, random_subset,
-                     reference_protocol, scc_invariant_part)
+from helpers import (bars_in_dim, brute_hull, dense_relative_betti, fixpoint_hull, grid_scene,
+                     is_full, random_complex, random_field, random_isolated_set,
+                     random_refinement, random_subset, reference_protocol, scc_invariant_part,
+                     singleton_field)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 SCENES = ("merging_saddles", "repeller_disk", "saddle_collision_nine", "unresolved_step")
@@ -65,7 +66,7 @@ def test_track_step_coarsening_cases(nine_fields):
 def test_track_step_case_b(triangle):
     # merged multivector inside the tracked set
     cx = triangle
-    singles = MultivectorField.singleton_field(cx)
+    singles = singleton_field(cx)
     seed = cx.simplices
     merged = singles.merge((0,), (0, 1))
     step = track_step(singles, merged, seed)
@@ -74,7 +75,7 @@ def test_track_step_case_b(triangle):
 
 
 def test_track_step_preconditions(triangle):
-    singles = MultivectorField.singleton_field(triangle)
+    singles = singleton_field(triangle)
     merged = singles.merge((0,), (0, 1))
     with pytest.raises(mv.PreconditionError):
         track_step(singles, merged, frozenset())
@@ -134,11 +135,11 @@ def test_continuation_to_zigzag_chain(nine_fields):
     shape = [FORWARD, BACKWARD] * 3 * len(trace.steps)
     zz = trace.zigzag
     assert all(d == shape[i] for i, d in enumerate(zz.directions) if zz.at[i] != zz.at[i + 1])
-    assert trace.barcode.is_full()
+    assert is_full(trace.barcode)
     pair = trace.steps[0].connecting_pair
     first = mv.relative_homology(fields[0].cx, pair.P, pair.E)
     for k, count in enumerate(first):
-        assert len(trace.barcode.bars_in_dim(k)) == count
+        assert len(bars_in_dim(trace.barcode, k)) == count
 
 
 def test_adjacency_zigzag(merging_saddles, monkeypatch):
@@ -162,13 +163,13 @@ def test_adjacency_zigzag(merging_saddles, monkeypatch):
     zz = _step_zigzag(v2, step1.result, step2)
     assert len(zz) == 5
     barcode = mv.pair_zigzag_barcode(zz)
-    dim1 = sorted((b.birth, b.death) for b in barcode.bars_in_dim(1))
+    dim1 = sorted((b.birth, b.death) for b in bars_in_dim(barcode, 1))
     assert dim1[0] == (1, 5) and dim1[1][1] == 5 and len(dim1) == 2
 
     # identical sets and fields: everything constant, full barcode
     pairs, _ = _adjacency_chunk(v1, v1, seed, seed, cx.closure(seed), 2, 1)
     same = PairZigzag(cx, [canonical_index_pair(v1, seed)] + pairs)
-    assert mv.pair_zigzag_barcode(same).is_full()
+    assert is_full(mv.pair_zigzag_barcode(same))
 
     # case g: the union of closures does not isolate both sets
     cx, fld, nxt, gseed = _case_g_instance()
@@ -202,7 +203,7 @@ def test_connect_push_forward_pair(repeller_disk):
     chain, tags = _chain(fld, center, pair, 2, 1)
     assert chain[0] == canonical_index_pair(fld, center) and chain[-1] == pair
     zz = PairZigzag(cx, chain[::-1], tags[::-1])
-    assert mv.pair_zigzag_barcode(zz).is_full()
+    assert is_full(mv.pair_zigzag_barcode(zz))
 
 
 def test_naive_intersection_zigzag(merging_saddles):
@@ -214,13 +215,13 @@ def test_naive_intersection_zigzag(merging_saddles):
     middle = zz.pairs[1]
     assert not mv.validate_index_pair(nxt, middle.P, middle.E,
                                       invariant_part(nxt, middle.body))
-    assert not mv.pair_zigzag_barcode(zz).is_full()
+    assert not is_full(mv.pair_zigzag_barcode(zz))
 
     cx = merging_saddles.cx
     seed = merging_saddles.seed
     pairs, _ = _naive_chunk(cx, seed, seed, 2)
     constant = PairZigzag(cx, [IndexPair(cx.closure(seed), cx.mouth(seed))] + pairs)
-    assert mv.pair_zigzag_barcode(constant).is_full()
+    assert is_full(mv.pair_zigzag_barcode(constant))
 
     # disjoint closures: the middle pair is empty and every bar dies
     strip = mv.Complex.from_maximal([[0, 1], [2, 3]])
@@ -249,7 +250,7 @@ def test_run_protocol_constant_fields_full_barcode(merging_saddles):
     trace = run_protocol([v1, w, v1], merging_saddles.seed)
     assert [s.case for s in trace.steps] == ["c", "a"]
     assert all(s.result == merging_saddles.seed for s in trace.steps)
-    assert trace.barcode.is_full()
+    assert is_full(trace.barcode)
     assert len(trace.barcode.bars) == 1 and trace.barcode.bars[0].dim == 1
 
 
@@ -261,7 +262,7 @@ def test_run_protocol_odd_characteristic(merging_saddles):
 
 def test_run_protocol_empties():
     cx = mv.Complex.from_maximal([[1, 2]])
-    v1 = MultivectorField.singleton_field(cx)
+    v1 = singleton_field(cx)
     v2 = v1.merge((1,), (1, 2))
     trace = run_protocol([v1, v2], frozenset({(1, 2)}))
     assert trace.stopped == "emptied"
@@ -517,7 +518,7 @@ def test_split_then_merge_back_continues_with_full_bars(p):
             trace = run_protocol([fld, *pair], seed, p)
             assert trace.stopped == "completed"
             assert all(step.case in "abcd" for step in trace.steps)
-            assert trace.barcode.is_full()
+            assert is_full(trace.barcode)
             checked += 1
     assert checked >= 60
 
@@ -557,7 +558,7 @@ def _agrees_with_reference(fields, seed, p, heuristic_g):
     cases = [case for case, *_ in steps]
     if all(case in "abcd" for case in cases):
         cx = fields[0].cx
-        assert barcode.is_full()
+        assert is_full(barcode)
         index = dense_relative_betti(cx, cx.closure(seed), cx.mouth(seed), p)
         for _, result, _, _ in steps:
             assert dense_relative_betti(cx, cx.closure(result), cx.mouth(result), p) == index

@@ -10,9 +10,9 @@ from mvtrack.dynamics import IndexPair
 from mvtrack.zigzag import (BACKWARD, FORWARD, Bar, PairTag, PairZigzag, homology_module,
                             interval_multiplicities, pair_zigzag_barcode)
 
-from helpers import (dense_arrows, induced_map_rank, oracle_multiplicities, per_position_barcode,
-                     random_complex, random_field, random_isolated_set, random_module,
-                     closed_subsets, sparse_arrows, windowed_multiplicities)
+from helpers import (bars_in_dim, dense_arrows, induced_map_rank, is_full, oracle_multiplicities,
+                     per_position_barcode, random_complex, random_field, random_isolated_set,
+                     random_module, closed_subsets, sparse_arrows, windowed_multiplicities)
 
 SWAP = {FORWARD: BACKWARD, BACKWARD: FORWARD}
 
@@ -179,7 +179,7 @@ def test_constant_zigzag_full_barcode(repeller_disk):
     pair = IndexPair(cx.closure(center), cx.mouth(center))
     zz = PairZigzag(cx, [pair] * 4)
     barcode = pair_zigzag_barcode(zz)
-    assert barcode.is_full()
+    assert is_full(barcode)
     assert [(b.dim, b.birth, b.death) for b in barcode.bars] == [(2, 1, 4)]
 
 
@@ -212,9 +212,9 @@ def test_naive_intersection_barcode_is_erratic(repeller_disk):
     assert not mv.validate_index_pair(fld, meet.P, meet.E,
                                       mv.invariant_part(fld, meet.body))
     barcode = pair_zigzag_barcode(PairZigzag(cx, [left, meet, right]))
-    assert not barcode.is_full()
-    assert [(b.birth, b.death) for b in barcode.bars_in_dim(2)] == [(1, 1), (3, 3)]
-    assert [(b.birth, b.death) for b in barcode.bars_in_dim(1)] == [(2, 2)]
+    assert not is_full(barcode)
+    assert [(b.birth, b.death) for b in bars_in_dim(barcode, 2)] == [(1, 1), (3, 3)]
+    assert [(b.birth, b.death) for b in bars_in_dim(barcode, 1)] == [(2, 2)]
     # pairs with disjoint bodies: the induced map vanishes in every dimension
     assert induced_map_rank(cx, meet, left, FORWARD) == (0, 0, 0)
 
