@@ -15,7 +15,8 @@ so one column format runs from the boundary matrices to the barcode.
 Primes are capped below 3,317,044,064,679,887,385,961,981, the least strong
 pseudoprime to the bases 2..41, below which Miller-Rabin with those bases is
 exact (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
-Math. Comp. 2017).
+Math. Comp. 2017).  `check_prime` remembers each prime it has verified, so
+Miller-Rabin runs once per characteristic however often a caller checks it.
 
 A homology basis of a pair (P, E) reduces the same quotient complex, with
 representatives.  An inclusion of pairs (P, E) <= (P', E') induces the
@@ -25,6 +26,7 @@ chain map that keeps a cell of P \\ E and sends one in E' to zero, so
 
 from __future__ import annotations
 
+import functools
 from typing import Collection, Iterator, Sequence
 
 from .complexes import Complex, Simplex, SimplexSet
@@ -60,6 +62,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+@functools.cache
 def check_prime(p: int) -> int:
     if p >= MAX_PRIME:
         raise ValueError(f"field characteristic must be below {MAX_PRIME}, got {p}")

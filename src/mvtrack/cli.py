@@ -267,23 +267,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "fields and compute Conley-index barcodes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, verbose):
         p.add_argument("--field-char", type=_prime, default=2, metavar="P",
                        help="prime field characteristic (default 2)")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--verbose", action="store_true",
-                       help="extra per-object detail in text output")
+        if verbose:
+            p.add_argument("--verbose", action="store_true",
+                           help="extra per-object detail in text output")
 
     p = sub.add_parser("validate", help="check fields, atomicity and the seed")
     p.add_argument("scene")
-    common(p)
+    common(p, verbose=True)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("conley", help="Betti vector of the canonical pair of a set")
     p.add_argument("scene")
     p.add_argument("selector", nargs="?", default="seed",
                    help="seed | mv:FIELD:V,V,... | set:FIELD:V,V,..;V,V,..")
-    common(p)
+    common(p, verbose=False)
     p.set_defaults(func=cmd_conley)
 
     p = sub.add_parser("track", help="run the tracking protocol and emit the barcode")
@@ -291,20 +292,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="DIR", help="write trace.json, barcode.json, barcode.txt")
     p.add_argument("--heuristic-g", action="store_true",
                    help="emit the flagged raw-intersection zigzag at unresolved steps")
-    common(p)
+    common(p, verbose=True)
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("barcode", help="barcode of a standalone zigzag file")
     p.add_argument("zigzag")
     p.add_argument("--out", metavar="PATH")
-    common(p)
+    common(p, verbose=False)
     p.set_defaults(func=cmd_barcode)
 
     p = sub.add_parser("rearrange-path",
                        help="atomic rearrangement path between the first and last field")
     p.add_argument("scene")
     p.add_argument("--out", required=True, metavar="PATH")
-    common(p)
     p.set_defaults(func=cmd_rearrange_path)
     return parser
 

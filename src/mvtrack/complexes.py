@@ -111,10 +111,6 @@ class Complex:
     def __repr__(self) -> str:
         return f"Complex({len(self.simplices)} simplices, dim {self.dim})"
 
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(s[0] for s in self.simplices if len(s) == 1))
-
     def sorted_simplices(self) -> tuple[Simplex, ...]:
         return tuple(sorted(self.simplices))
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Collection, NamedTuple, Optional
 
 from .algebra import relative_homology
-from .complexes import Simplex, SimplexSet
+from .complexes import Complex, Simplex, SimplexSet
 from .fields import AtomicRearrangement, CheckReport, MultivectorField
 
 
@@ -131,8 +131,7 @@ def _repair(field: MultivectorField, subset: SimplexSet, move: AtomicRearrangeme
     blocks kept; a peeled block pushes its neighbours, the only blocks that
     can lose one."""
     cx, peeled = field.cx, set()
-    stack = [min(part) for part in (move.parts if move.kind == "refinement" else (move.whole,))
-             if not part.isdisjoint(subset)]
+    stack = [min(part) for part in move.added if not part.isdisjoint(subset)]
     while stack:
         b = stack.pop()
         if b not in peeled and not field.is_critical(b, p):
@@ -187,6 +186,12 @@ def push_forward(field: MultivectorField, subset: Collection[Simplex],
     return frozenset(_reachable(field, nbhd, subset))
 
 
+def _canonical(cx: Complex, subset: SimplexSet) -> IndexPair:
+    """(closure, closure - subset), unchecked."""
+    closure = cx.closure(subset)
+    return IndexPair(closure, closure - subset)
+
+
 def canonical_index_pair(field: MultivectorField, subset: Collection[Simplex]) -> IndexPair:
     """(closure, mouth) of a convex compatible set: the minimal index pair
     for its invariant part."""
@@ -196,8 +201,7 @@ def canonical_index_pair(field: MultivectorField, subset: Collection[Simplex]) -
         raise PreconditionError("canonical index pair needs a convex set")
     if not field.is_compatible(subset):
         raise PreconditionError("canonical index pair needs a compatible set")
-    closure = cx.closure(subset)
-    return IndexPair(closure, closure - subset)
+    return _canonical(cx, subset)
 
 
 def validate_index_pair_in_n(field: MultivectorField, pset: Collection[Simplex],

@@ -4,12 +4,12 @@ A multivector field is a partition of a complex into convex pieces.  Each
 piece is identified by its lexicographically smallest member simplex, which
 keeps identities stable across serialization.  Criticality of a piece is the
 non-vanishing of the relative homology of (closure, mouth), read off the shape
-of a piece of one or two simplices; it is cached per (piece, characteristic),
-and validate_field's convexity report is stored; every fill is idempotent, so
-concurrent readers are safe.  Splits and merges derive their result from the
-parent's tables and keep the criticality of untouched pieces, as does
-`successor`, which builds the field a list of parts makes when it is one split
-or merge away.  A field records the step that made it, set by any of these.
+of a piece of one or two simplices and computed for a larger one, each time it
+is asked.  A field holds its part tables, validate_field's stored convexity
+report and the step that made it; the report fill is idempotent, so concurrent
+readers are safe.  Splits and merges derive their part tables from the
+parent's, as does `successor`, which builds the field a list of parts makes
+when it is one split or merge away.  Each of these records the step.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class MultivectorField:
     record whose parent is gone is dropped when next read, and none is pickled.
     """
 
-    __slots__ = ("cx", "_assign", "_parts", "_criticality", "_report", "_step", "__weakref__")
+    __slots__ = ("cx", "_assign", "_parts", "_report", "_step", "__weakref__")
 
     def __init__(self, cx: Complex, parts: Iterable[Collection[Simplex]]):
         self._partition(cx, map(cx.check_subset, parts))
@@ -58,11 +58,10 @@ class MultivectorField:
         missing = cx.simplices - assign.keys()
         if missing:
             raise ValueError(f"not a partition: {sorted(missing)[0]} unassigned")
-        self._adopt(cx, assign, part_map, {})
+        self._adopt(cx, assign, part_map)
 
-    def _adopt(self, cx: Complex, assign: dict, parts: dict, criticality: dict,
-               step: tuple | None = None) -> None:
-        self.cx, self._assign, self._parts, self._criticality = cx, assign, parts, criticality
+    def _adopt(self, cx: Complex, assign: dict, parts: dict, step: tuple | None = None) -> None:
+        self.cx, self._assign, self._parts = cx, assign, parts
         self._report, self._step = None, step
 
     def __getstate__(self):
@@ -128,19 +127,13 @@ class MultivectorField:
         """Non-trivial relative homology of (closure, mouth) of the multivector.
         One simplex is critical, and two, unless one is a face of the other of
         codimension >= 2, are regular iff a facet pair (boundary +-1 at any p)."""
-        key = (ident, p)
-        cached = self._criticality.get(key)
-        if cached is None:
-            part = self._parts[ident]
-            codim = _face_codim(*part) if len(part) == 2 else None
-            if len(part) == 1 or codim in (0, 1):
-                check_prime(p)
-                cached = codim != 1
-            else:
-                closure = self.cx.closure(part)
-                cached = any(relative_homology(self.cx, closure, closure - part, p))
-            self._criticality[key] = cached
-        return cached
+        part = self._parts[ident]
+        codim = _face_codim(*part) if len(part) == 2 else None
+        if len(part) == 1 or codim in (0, 1):
+            check_prime(p)
+            return codim != 1
+        closure = self.cx.closure(part)
+        return any(relative_homology(self.cx, closure, closure - part, p))
 
     def is_compatible(self, subset: Collection[Simplex]) -> bool:
         """True iff the set is a union of whole multivectors."""
@@ -176,26 +169,18 @@ class MultivectorField:
         return step and self._replace(step)
 
     def _replace(self, step: AtomicRearrangement) -> "MultivectorField":
-        """The field `step` makes from this one, recording `step`.  Criticality
-        entries of every replaced id are dropped: the half of a split that
-        keeps the minimum keeps its id, not its content."""
-        if step.kind == "refinement":
-            gone, born = (min(step.whole),), step.parts
-        else:
-            gone, born = tuple(map(min, step.parts)), (step.whole,)
+        """The field `step` makes from this one, recording `step`."""
         assign = dict(self._assign)
         parts = dict(self._parts)
-        for ident in gone:
-            del parts[ident]
-        for part in born:
+        for part in step.removed:
+            del parts[min(part)]
+        for part in step.added:
             ident = min(part)
             parts[ident] = part
             for s in part:
                 assign[s] = ident
-        criticality = {key: crit for key, crit in self._criticality.items()
-                       if key[0] not in gone}
         child = object.__new__(MultivectorField)
-        child._adopt(self.cx, assign, parts, criticality, (weakref.ref(self), step))
+        child._adopt(self.cx, assign, parts, (weakref.ref(self), step))
         return child
 
 
@@ -218,11 +203,7 @@ def validate_field(field: MultivectorField) -> CheckReport:
     added; any other field is checked part by part."""
     if field._report is None:
         record = _record(field)
-        if record is None or not record[0]._report:
-            checked = field.parts()
-        else:
-            step = record[1]
-            checked = step.parts if step.kind == "refinement" else (step.whole,)
+        checked = field.parts() if record is None or not record[0]._report else record[1].added
         problems = tuple(f"multivector {sorted(part)} is not convex"
                          for part in checked if not field.cx.is_convex(part))
         field._report = CheckReport(not problems, problems)
@@ -234,11 +215,20 @@ class AtomicRearrangement(NamedTuple):
 
     `whole` is the one multivector that splits (refinement, a part of the
     source field) or results from the merge (coarsening, a part of the
-    target field); `parts` are its two halves, in part-id order.
+    target field); `parts` are its two halves, in part-id order.  `removed`
+    and `added` are the parts the step takes away and puts in their place.
     """
     kind: str  # "refinement" | "coarsening"
     whole: SimplexSet
     parts: tuple[SimplexSet, SimplexSet]
+
+    @property
+    def removed(self) -> tuple[SimplexSet, ...]:
+        return (self.whole,) if self.kind == "refinement" else self.parts
+
+    @property
+    def added(self) -> tuple[SimplexSet, ...]:
+        return self.parts if self.kind == "refinement" else (self.whole,)
 
 
 def classify_rearrangement(field: MultivectorField,

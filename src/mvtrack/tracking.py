@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from .complexes import Complex, SimplexSet
-from .dynamics import (IndexPair, PreconditionError, _repair, invariant_part,
+from .dynamics import (IndexPair, PreconditionError, _canonical, _repair, invariant_part,
                        is_isolated_invariant_set, isolates, push_forward,
                        validate_index_pair_in_n)
 from .fields import (AtomicRearrangement, MultivectorField,
@@ -82,11 +82,6 @@ class TrackingTrace(NamedTuple):
     zigzag: PairZigzag
     barcode: Barcode
     stopped: str  # completed | emptied | unresolved
-
-
-def _canonical(cx: Complex, subset: SimplexSet) -> IndexPair:
-    closure = cx.closure(subset)
-    return IndexPair(closure, closure - subset)
 
 
 def _push_forward_pair(field: MultivectorField, pair: IndexPair, nbhd: SimplexSet) -> IndexPair:

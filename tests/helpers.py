@@ -78,7 +78,12 @@ def bars_in_dim(barcode, k):
 def reduced_betti(cx, p=2):
     """Reduced Betti numbers of a non-empty complex, indexed 0..dim, as the
     library's relative homology of the complex relative to one vertex."""
-    return mv.relative_homology(cx, cx.simplices, {(min(cx.vertices),)}, p)
+    return mv.relative_homology(cx, cx.simplices, {(min(vertices(cx)),)}, p)
+
+
+def vertices(cx):
+    """The vertex ids of a complex, in increasing order."""
+    return tuple(sorted(s[0] for s in cx.simplices if len(s) == 1))
 
 
 # ---------------------------------------------------------------- generators
@@ -370,6 +375,12 @@ def strongly_connected_components(adj):
     return out
 
 
+def _critical_ids(fld, subset, p):
+    """The multivectors meeting `subset` that are critical, each asked once:
+    criticality is computed on every call, not stored."""
+    return {i for i in {fld.mv_id(s) for s in subset} if fld.is_critical(i, p)}
+
+
 def scc_invariant_part(fld, subset, p=2):
     """The former library reduction: simplices that see an essential core in
     both directions, where the core collects the simplices of critical
@@ -379,7 +390,8 @@ def scc_invariant_part(fld, subset, p=2):
     if not subset:
         return frozenset()
     adj = step_graph(fld, subset)
-    core = {s for s in subset if fld.is_critical(fld.mv_id(s), p)}
+    critical = _critical_ids(fld, subset, p)
+    core = {s for s in subset if fld.mv_id(s) in critical}
     for comp in strongly_connected_components(adj):
         if len({fld.mv_id(s) for s in comp}) > 1:
             core |= comp
@@ -455,7 +467,8 @@ def brute_invariant_part(fld, subset, p=2):
     if not subset:
         return frozenset()
     adj = step_graph(fld, subset)
-    crit = {s: fld.is_critical(fld.mv_id(s), p) for s in subset}
+    critical = _critical_ids(fld, subset, p)
+    crit = {s: fld.mv_id(s) in critical for s in subset}
     mv_of = {s: fld.mv_id(s) for s in subset}
     cycles = _simple_cycles(adj)
     assert len(cycles) < 20000, "instance too dense for the brute-force oracle"
@@ -880,7 +893,7 @@ def cone_pair(cx, pset, eset, apex=None):
     """
     pset, eset = algebra._validate_pair(cx, pset, eset)
     if apex is None:
-        apex = max(cx.vertices, default=-1) + 1
+        apex = max(vertices(cx), default=-1) + 1
     if (apex,) in cx.simplices:
         raise ValueError(f"apex {apex} collides with an existing vertex")
     # P, the apex and the joins s + apex for s in E form a closed set; a
@@ -908,7 +921,7 @@ def induced_map_rank(cx, pair_a, pair_b, direction, p=2):
         raise ValueError(f"unknown direction {direction!r}")
     if not big.includes(small):
         raise ValueError("pairs are not nested in the claimed direction")
-    apex = max(cx.vertices, default=-1) + 1
+    apex = max(vertices(cx), default=-1) + 1
     small_cx = cone_pair(cx, small.P, small.E, apex=apex)
     big_cx = cone_pair(cx, big.P, big.E, apex=apex)
     return tuple(dense_induced_rank(small_cx, big_cx, k, p) for k in range(cx.dim + 1))

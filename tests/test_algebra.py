@@ -1,12 +1,16 @@
 import random
 import time
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mvtrack as mv
+from mvtrack import algebra
 from mvtrack.algebra import (MAX_PRIME, HomologyBasis, check_prime, induced_map, nullspace,
                              relative_homology)
+from mvtrack.cli import main
 from mvtrack.dynamics import IndexPair
 from mvtrack.zigzag import FORWARD
 
@@ -14,6 +18,8 @@ import helpers
 from helpers import (BIG_P, RP2, boundary_matrix, closed_subsets, cone_pair, dense,
                      dense_reduced_betti, dense_relative_betti, induced_map_rank, oracle_prime,
                      random_complex, rank, reduced_betti, solve)
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 
 def test_rank_basics():
@@ -292,10 +298,12 @@ def test_homology_is_exact_at_a_large_prime():
 
 
 def test_check_prime_is_exact_and_fast():
+    # timed on the Miller-Rabin test itself: check_prime remembers its primes
     start = time.perf_counter()
+    assert algebra._is_prime(2 ** 61 - 1) and algebra._is_prime(BIG_P)
+    assert time.perf_counter() - start < 1.0
     assert check_prime(2 ** 61 - 1) == 2 ** 61 - 1
     assert check_prime(BIG_P) == BIG_P
-    assert time.perf_counter() - start < 1.0
     for n in (-3, 0, 1, 4, 561, 2047, 3215031751, (2 ** 31 - 1) * (2 ** 31 + 11)):
         with pytest.raises(ValueError, match="must be prime"):
             check_prime(n)
@@ -311,6 +319,31 @@ def test_check_prime_is_exact_and_fast():
     for n in (MAX_PRIME, MAX_PRIME + 2):
         with pytest.raises(ValueError, match=f"below {MAX_PRIME}"):
             check_prime(n)
+
+
+def test_a_prime_is_tested_once_and_a_non_prime_on_every_call(monkeypatch):
+    """Tracking a fixture at a large prime runs Miller-Rabin once per
+    characteristic, though homology and criticality check it again and
+    again; a non-prime is tested, and rejected, each time it is given."""
+    calls, is_prime = Counter(), algebra._is_prime
+
+    def counted(n):
+        calls[n] += 1
+        return is_prime(n)
+
+    monkeypatch.setattr(algebra, "_is_prime", counted)
+    check_prime.cache_clear()
+    scene = str(FIXTURES / "merging_saddles.json")
+    for p in (2 ** 61 - 1, 3, 2 ** 61 - 1, 3):
+        assert main(["track", scene, "--field-char", str(p)]) == 0
+    assert calls == {2 ** 61 - 1: 1, 3: 1}
+    fld = mv.load_scene(scene).fields[0]
+    for k in range(1, 4):
+        with pytest.raises(ValueError, match="must be prime, got 2305843009213693953"):
+            check_prime(2 ** 61 + 1)
+        with pytest.raises(ValueError, match="must be prime, got 4"):
+            fld.is_critical(fld.ids()[0], 4)
+        assert calls[2 ** 61 + 1] == calls[4] == k
 
 
 def _accepted(n):

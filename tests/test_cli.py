@@ -14,6 +14,8 @@ from mvtrack.cli import main
 from mvtrack.io import (Scene, SchemaError, load_scene, load_zigzag, save_scene,
                         scene_from_dict, scene_to_dict, zigzag_from_dict)
 
+from helpers import vertices
+
 ROOT = Path(__file__).parent.parent
 FIXTURES = ROOT / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -233,11 +235,11 @@ def test_scene_round_trip(tmp_path):
     assert again.fields == scene.fields
     assert again.seed == scene.seed
     assert scene_to_dict(again) == scene_to_dict(scene)
-    assert again.labels == scene.labels and len(scene.labels) == len(scene.cx.vertices)
+    assert again.labels == scene.labels and len(scene.labels) == len(vertices(scene.cx))
     for s in scene.cx.sorted_simplices():
         assert again.format_simplex(s) == scene.format_simplex(s)
         assert [scene.labels[name] for name in scene.format_simplex(s).split(",")] == list(s)
-    assert scene.label_of(max(scene.cx.vertices) + 1) == str(max(scene.cx.vertices) + 1)
+    assert scene.label_of(max(vertices(scene.cx)) + 1) == str(max(vertices(scene.cx)) + 1)
 
 
 def test_ops_and_explicit_fields_agree(tmp_path):
@@ -795,6 +797,20 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, verb):
     assert run(capsys, verb, str(path)) == (2, "FAIL: invalid JSON: nested too deeply\n")
     with pytest.raises(SchemaError, match="nested too deeply"):
         (load_scene if verb == "validate" else load_zigzag)(path)
+
+
+def test_each_verb_takes_only_the_options_it_reads():
+    sub = cli.build_parser()._subparsers._group_actions[0]
+    options = {verb: {opt for action in parser._actions for opt in action.option_strings}
+               - {"-h", "--help"} for verb, parser in sub.choices.items()}
+    shared = {"--field-char", "--format"}
+    assert options == {
+        "validate": shared | {"--verbose"},
+        "conley": shared,
+        "track": shared | {"--verbose", "--out", "--heuristic-g"},
+        "barcode": shared | {"--out"},
+        "rearrange-path": {"--out"},
+    }
 
 
 def test_one_parser_serves_every_call(monkeypatch, capsys):

@@ -120,8 +120,6 @@ def _moves(rng, fld, subset, p):
     of the set with a multivector next to it: such a merge can make a source
     or a sink of the set regular, and starts the longest peels."""
     cx = fld.cx
-    for ident in fld.ids():  # filled before the moves, whose fields inherit it
-        fld.is_critical(ident, p)
     moves = [move(rng, fld) for move in (random_refinement, random_coarsening) for _ in range(2)]
     for a in sorted({fld.mv_id(s) for s in subset}):
         if fld.is_critical(a, p):

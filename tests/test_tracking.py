@@ -15,7 +15,7 @@ from mvtrack.zigzag import BACKWARD, FORWARD, PairTag, PairZigzag
 from helpers import (bars_in_dim, brute_hull, dense_relative_betti, fixpoint_hull, grid_scene,
                      is_full, random_complex, random_field, random_isolated_set,
                      random_refinement, random_subset, reference_protocol, scc_invariant_part,
-                     singleton_field)
+                     singleton_field, vertices)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 SCENES = ("merging_saddles", "repeller_disk", "saddle_collision_nine", "unresolved_step")
@@ -474,9 +474,9 @@ def test_relabeling_vertices_keeps_cases_and_barcode(name, p):
     scene = mv.load_scene(FIXTURES / f"{name}.json")
     base = run_protocol(scene.fields, scene.seed, p)
     rng = random.Random(name)
-    vertices = list(scene.cx.vertices)
+    ids = list(vertices(scene.cx))
     for _ in range(3):
-        fields, seed = _relabeled(scene, dict(zip(vertices, rng.sample(vertices, len(vertices)))))
+        fields, seed = _relabeled(scene, dict(zip(ids, rng.sample(ids, len(ids)))))
         trace = run_protocol(fields, seed, p)
         assert [s.case for s in trace.steps] == [s.case for s in base.steps]
         assert trace.stopped == base.stopped
