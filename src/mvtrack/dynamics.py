@@ -14,6 +14,7 @@ All functions are pure; scratch state is private per call.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Collection, NamedTuple, Optional
 
 from .algebra import relative_homology
@@ -86,7 +87,7 @@ def invariant_part(field: MultivectorField, subset: Collection[Simplex],
     none is left, keeps exactly these: a block on an essential solution keeps
     its neighbours on that solution, and a remaining regular block has a
     remaining predecessor and successor, so walks from it both ways end at a
-    critical block or on a cycle.
+    critical block or on a cycle.  A block popped again is not decided again.
     """
     cx = field.cx
     subset = cx.check_subset(subset)
@@ -103,10 +104,11 @@ def invariant_part(field: MultivectorField, subset: Collection[Simplex],
                     if c != b:
                         succ[b].add(c)
                         pred[c].add(b)
+    critical = cache(lambda b: field.is_critical(b, p))
     stack = [b for b in blocks if not succ[b] or not pred[b]]
     while stack:
         b = stack.pop()
-        if b not in blocks or field.is_critical(b, p):
+        if b not in blocks or critical(b):
             continue
         del blocks[b]
         for c in succ.pop(b):
@@ -129,12 +131,14 @@ def _repair(field: MultivectorField, subset: SimplexSet, move: AtomicRearrangeme
     the peel.  A popped block is peeled unless critical or left with a
     successor (a face) and a predecessor (a coface in the set) among the
     blocks kept; a peeled block pushes its neighbours, the only blocks that
-    can lose one."""
+    can lose one.  A block popped again, being critical or kept with both
+    neighbours, is not decided again."""
     cx, peeled = field.cx, set()
+    critical = cache(lambda b: field.is_critical(b, p))
     stack = [min(part) for part in move.added if not part.isdisjoint(subset)]
     while stack:
         b = stack.pop()
-        if b not in peeled and not field.is_critical(b, p):
+        if b not in peeled and not critical(b):
             members = field.part(b) & subset
             succ = {field.mv_id(t) for s in members for t in cx.closure_of(s) if t in subset}
             pred = {field.mv_id(t) for s in members for t in cx.star((s,)) if t in subset}

@@ -7,14 +7,16 @@ non-vanishing of the relative homology of (closure, mouth), read off the shape
 of a piece of one or two simplices and computed for a larger one, each time it
 is asked.  A field holds its part tables, validate_field's stored convexity
 report and the step that made it; the report fill is idempotent, so concurrent
-readers are safe.  Splits and merges derive their part tables from the
-parent's, as does `successor`, which builds the field a list of parts makes
-when it is one split or merge away.  Each of these records the step.
+readers are safe.  Splits, merges and `successor` (the field a list of parts
+makes when one split or merge away) share an ancestor's part tables under an
+overlay of what changed since, folded into flat tables once more than sqrt|K|
+simplices have moved; each records the step.
 """
 
 from __future__ import annotations
 
 import weakref
+from itertools import chain, compress, filterfalse
 from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .algebra import check_prime, relative_homology
@@ -33,9 +35,18 @@ class MultivectorField:
     reported rather than merely rejected.  `_step` is None or (weak reference
     to the parent, the AtomicRearrangement that made this field from it); a
     record whose parent is gone is dropped when next read, and none is pickled.
+
+    `_assign` (simplex to id) and `_parts` (id to part) are a base field's flat
+    tables, shared and never changed; the overlay `_moved` maps each simplex
+    a step since then gave a new id to it, and `_changed` each id made or
+    removed since then to its part or None.  A field built from parts is its
+    own base.  A derived field copies its parent's overlay and adds its step,
+    unless over sqrt|K| simplices would then have moved: then it folds them
+    into flat tables, so one O(|K|) fold is paid per sqrt|K| moved simplices.
     """
 
-    __slots__ = ("cx", "_assign", "_parts", "_report", "_step", "__weakref__")
+    __slots__ = ("cx", "_assign", "_parts", "_moved", "_changed", "_len", "_report", "_step",
+                 "__weakref__")
 
     def __init__(self, cx: Complex, parts: Iterable[Collection[Simplex]]):
         self._partition(cx, map(cx.check_subset, parts))
@@ -58,10 +69,12 @@ class MultivectorField:
         missing = cx.simplices - assign.keys()
         if missing:
             raise ValueError(f"not a partition: {sorted(missing)[0]} unassigned")
-        self._adopt(cx, assign, part_map)
+        self._adopt(cx, assign, part_map, {}, {}, len(part_map))
 
-    def _adopt(self, cx: Complex, assign: dict, parts: dict, step: tuple | None = None) -> None:
+    def _adopt(self, cx: Complex, assign: dict, parts: dict, moved: dict, changed: dict,
+               count: int, step: tuple | None = None) -> None:
         self.cx, self._assign, self._parts = cx, assign, parts
+        self._moved, self._changed, self._len = moved, changed, count
         self._report, self._step = None, step
 
     def __getstate__(self):
@@ -86,38 +99,52 @@ class MultivectorField:
         return field
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, MultivectorField)
-                and self.cx == other.cx
-                and set(self._parts.values()) == set(other._parts.values()))
+        return (isinstance(other, MultivectorField) and self.cx == other.cx
+                and self._part_set() == other._part_set())
 
     def __hash__(self) -> int:
-        return hash((self.cx, frozenset(self._parts.values())))
+        return hash((self.cx, frozenset(self._part_set())))
 
     def __repr__(self) -> str:
-        return f"MultivectorField({len(self._parts)} multivectors on {self.cx!r})"
+        return f"MultivectorField({len(self)} multivectors on {self.cx!r})"
 
     def mv_id(self, sigma: Simplex) -> Simplex:
-        return self._assign[sigma]
+        return self._moved.get(sigma) or self._assign[sigma]
 
     def part(self, ident: Simplex) -> SimplexSet:
-        return self._parts[ident]
+        part = self._changed.get(ident, self._parts.get(ident))
+        if part is None:
+            raise KeyError(ident)
+        return part
 
     def part_of(self, sigma: Simplex) -> SimplexSet:
         """The unique multivector containing sigma."""
-        return self._parts[self._assign[sigma]]
+        ident = self._moved.get(sigma) or self._assign[sigma]
+        return self._changed.get(ident) or self._parts[ident]
 
-    def parts_meeting(self, members: Iterable[Simplex]) -> Iterator[SimplexSet]:
+    def parts_meeting(self, members: Collection[Simplex]) -> Iterator[SimplexSet]:
         """Each multivector with a simplex in `members`, once."""
-        return map(self._parts.__getitem__, set(map(self._assign.__getitem__, members)))
+        ids = set(map(self._moved.get, members, map(self._assign.__getitem__, members)))
+        return map(self._changed.get, ids, map(self._parts.get, ids))
 
     def ids(self) -> tuple[Simplex, ...]:
-        return tuple(sorted(self._parts))
+        changed = self._changed
+        return tuple(sorted(chain(filterfalse(changed.__contains__, self._parts),
+                                  compress(changed, changed.values()))))
 
     def parts(self) -> tuple[SimplexSet, ...]:
-        return tuple(self._parts[i] for i in self.ids())
+        ids = self.ids()
+        return tuple(map(self._changed.get, ids, map(self._parts.get, ids)))
+
+    def _part_set(self) -> set[SimplexSet]:
+        """The base's parts but those the overlay replaces, and the overlay's."""
+        parts = set(self._parts.values())
+        parts.difference_update(map(self._parts.get, self._changed))
+        parts.update(filter(None, self._changed.values()))
+        return parts
 
     def __len__(self) -> int:
-        return len(self._parts)
+        return self._len
 
     def fmap(self, sigma: Simplex) -> SimplexSet:
         """Induced multivalued map: closure of sigma united with its multivector."""
@@ -127,7 +154,7 @@ class MultivectorField:
         """Non-trivial relative homology of (closure, mouth) of the multivector.
         One simplex is critical, and two, unless one is a face of the other of
         codimension >= 2, are regular iff a facet pair (boundary +-1 at any p)."""
-        part = self._parts[ident]
+        part = self.part(ident)
         codim = _face_codim(*part) if len(part) == 2 else None
         if len(part) == 1 or codim in (0, 1):
             check_prime(p)
@@ -142,7 +169,7 @@ class MultivectorField:
 
     def split(self, ident: Simplex, off: Collection[Simplex]) -> "MultivectorField":
         """Atomic refinement splitting one multivector into `off` and the rest."""
-        part = self._parts[ident]
+        part = self.part(ident)
         off = frozenset(off)
         if not off or not off < part:
             raise ValueError("split piece must be a proper non-empty subset of the multivector")
@@ -153,7 +180,7 @@ class MultivectorField:
         """Atomic coarsening merging two multivectors into one."""
         if ident_a == ident_b:
             raise ValueError("cannot merge a multivector with itself")
-        a, b = self._parts[ident_a], self._parts[ident_b]
+        a, b = self.part(ident_a), self.part(ident_b)
         halves = (a, b) if ident_a < ident_b else (b, a)
         return self._replace(AtomicRearrangement("coarsening", a | b, halves))
 
@@ -170,17 +197,20 @@ class MultivectorField:
 
     def _replace(self, step: AtomicRearrangement) -> "MultivectorField":
         """The field `step` makes from this one, recording `step`."""
-        assign = dict(self._assign)
-        parts = dict(self._parts)
-        for part in step.removed:
-            del parts[min(part)]
+        moved, changed = dict(self._moved), dict(self._changed)
+        removed = {min(part): part for part in step.removed}
+        changed.update(dict.fromkeys(removed))
         for part in step.added:
             ident = min(part)
-            parts[ident] = part
-            for s in part:
-                assign[s] = ident
+            changed[ident] = part
+            moved.update(dict.fromkeys(part.difference(removed.get(ident, ())), ident))
+        tables = self._assign, self._parts, moved, changed
+        if len(moved) ** 2 > len(self._assign):
+            parts = {ident: part for ident, part in {**self._parts, **changed}.items() if part}
+            tables = {**self._assign, **moved}, parts, {}, {}
+        count = len(self) + len(step.added) - len(removed)
         child = object.__new__(MultivectorField)
-        child._adopt(self.cx, assign, parts, (weakref.ref(self), step))
+        child._adopt(self.cx, *tables, count, (weakref.ref(self), step))
         return child
 
 
@@ -245,7 +275,7 @@ def classify_rearrangement(field: MultivectorField,
         return record[1]
     if field.cx != other.cx:
         raise NotAtomicError("fields live on different complexes")
-    gone, born = _change(field, other._parts.values())
+    gone, born = _change(field, other._part_set())
     step = _atomic(gone, born)
     if step is None:
         raise NotAtomicError(
@@ -268,7 +298,7 @@ def _change(field: MultivectorField, parts: Collection[SimplexSet]):
     simplex `parts` leave out being a singleton."""
     new = set(parts)
     used = frozenset().union(*new)
-    old = set(field._parts.values())
+    old = field._part_set()
     gone = [part for part in old - new if len(part) > 1 or part <= used]
     born = new - old
     born.update(frozenset([s]) for part in gone for s in part - used)

@@ -267,12 +267,13 @@ def save_scene(scene: Scene, path):
 
 
 def _plain_key(raw) -> Optional[tuple]:
-    """A key for an array of simplices whose every token is an int or a str,
-    else None.  Two such arrays have equal keys exactly when they hold the
-    same tokens; a bool or a float may equal an int, so neither gets a key."""
+    """For an array of simplices whose every token is an int or a str, its
+    length, first and last simplex, else None.  Two such arrays hold the same
+    tokens exactly when they are ==; a bool or a float may equal an int, so an
+    array holding one gets no key."""
     if (isinstance(raw, list) and set(map(type, raw)) <= {list}
             and set(map(type, itertools.chain.from_iterable(raw))) <= {int, str}):
-        return tuple(map(tuple, raw))
+        return len(raw), *map(tuple, raw[:1] + raw[-1:])
     return None
 
 
@@ -285,16 +286,17 @@ def zigzag_from_dict(doc: dict) -> tuple[PairZigzag, Optional[dict[str, int]]]:
     raw_pairs = doc.get("pairs")
     if not isinstance(raw_pairs, list) or not raw_pairs:
         raise SchemaError("'pairs' must be a non-empty array")
-    parsed: dict[tuple, frozenset] = {}
+    parsed: dict[tuple, list[tuple[list, frozenset]]] = {}
     closed: set[frozenset] = set()
 
     def simplex_set(raw, what: str) -> frozenset:
         key = _plain_key(raw)
-        if key in parsed:
-            return parsed[key]
+        for earlier, out in parsed.get(key, ()):
+            if earlier == raw:
+                return out
         out = frozenset(_parse_simplex_set(raw, labels, what))
         if key is not None:
-            parsed[key] = out
+            parsed.setdefault(key, []).append((raw, out))
         return out
 
     pairs = []

@@ -89,8 +89,9 @@ class PairZigzag:
     distinct P and E is checked once for membership in the complex and for
     closedness, so the homology bases of `homology_module` need no further
     checks.
-    `directions[i]` is FORWARD when pair i is included in pair i+1, else
-    BACKWARD; consecutive pairs not nested either way are rejected.
+    `directions[i]` is FORWARD when pair i is included in pair i+1 (equal
+    pairs, being one object, without a subset test), else BACKWARD;
+    consecutive pairs not nested either way are rejected.
     """
 
     def __init__(self, cx: Complex, pairs: Sequence[IndexPair],
@@ -120,7 +121,7 @@ class PairZigzag:
 
     @staticmethod
     def _infer(a: IndexPair, b: IndexPair, k: int) -> str:
-        if b.includes(a):
+        if a is b or b.includes(a):
             return FORWARD
         if a.includes(b):
             return BACKWARD

@@ -1,9 +1,11 @@
+import itertools
 import random
 from collections import Counter
 
 import pytest
 
 import mvtrack as mv
+from mvtrack import dynamics, fields as mvfields
 from mvtrack.dynamics import (IndexPair, _repair, canonical_index_pair, invariant_part,
                               is_invariant, is_isolated_invariant_set, isolates, push_forward, validate_index_pair,
                               validate_index_pair_in_n)
@@ -165,6 +167,51 @@ def test_repair_matches_the_full_peel(p):
         check(random_gradient_field(rng, grid_complex(8)), False)
     assert len(where) == 3 and min(where.values()) >= 20 and by_definition >= 200, where
     assert sum(count >= 1 for count in peeled) >= 10
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_peel_computes_homology_once_per_block(p, monkeypatch):
+    """Counts work: within one call of `invariant_part` or `_repair`,
+    `relative_homology` runs at most once per block.  The fields are random
+    gradient fields on a 4 x 4 grid after six random splits and merges, the
+    peels are of the whole grid, of a random subset, and the repairs after
+    the moves of `_moves`.  The same call with every pop deciding its block
+    afresh (`dynamics.cache` undone) gives the same set, and runs some
+    block's homology twice in at least three calls of each peel."""
+    runs = Counter()
+    homology = mvfields.relative_homology
+
+    def counted(cx, pset, eset, q):
+        runs[pset - eset] += 1
+        return homology(cx, pset, eset, q)
+
+    def most_runs(peel, *args):
+        """`peel(*args)` and the most homology runs of one block in it."""
+        runs.clear()
+        return peel(*args), max(runs.values(), default=0)
+
+    monkeypatch.setattr(mvfields, "relative_homology", counted)
+    rng = random.Random(90 + p)
+    repeated = Counter()
+    for tries in itertools.count(1):
+        if min(repeated[invariant_part], repeated[_repair]) >= 3:
+            break
+        assert tries <= 60, f"peels that decide a block twice in {tries - 1} fields: {repeated}"
+        fld = random_gradient_field(rng, grid_complex(4))
+        for _ in range(6):
+            fld = rng.choice([random_refinement, random_coarsening])(rng, fld) or fld
+        subset = invariant_part(fld, fld.cx.simplices, p)
+        peels = [(invariant_part, fld, fld.cx.simplices, p),
+                 (invariant_part, fld, random_subset(rng, fld.cx.simplices), p)]
+        peels += [(_repair, nxt, subset, classify_rearrangement(fld, nxt), p)
+                  for nxt in _moves(rng, fld, subset, p)]
+        for peel in peels:
+            result, most = most_runs(*peel)
+            with monkeypatch.context() as undone:
+                undone.setattr(dynamics, "cache", lambda decide: decide)
+                again, most_undone = most_runs(*peel)
+            assert most <= 1 and again == result
+            repeated[peel[0]] += most_undone > 1
 
 
 def _flow_down_a_path(n):

@@ -2,6 +2,7 @@ import gc
 import itertools
 import pickle
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -549,7 +550,7 @@ def _critical(fld, ident, p):
 
 
 def test_split_and_merge_match_fields_built_from_scratch():
-    """A derived field has the tables of one built from its parts, and every
+    """A derived field reads as one built from its parts does, and every
     multivector is as critical as in that field, at p = 2 and 3, the split
     half that keeps the whole's id included, whatever the parent was asked."""
     rng = random.Random(31)
@@ -565,10 +566,7 @@ def test_split_and_merge_match_fields_built_from_scratch():
             if child is None:
                 continue
             fresh = MultivectorField(cx, child.parts())
-            assert child._assign == fresh._assign
-            assert child._parts == fresh._parts
-            assert child.ids() == fresh.ids() == tuple(sorted(fresh._parts))
-            assert child.parts() == fresh.parts() and child == fresh
+            _assert_reads_as(child, fresh)
             for ident in child.ids():
                 for p in (2, 3):
                     assert _critical(child, ident, p) == _critical(fresh, ident, p)
@@ -580,6 +578,107 @@ def test_split_and_merge_match_fields_built_from_scratch():
                                for p in (2, 3))
             checked += 1
     assert checked >= 100 and kept >= 40 and flipped >= 20, (checked, kept, flipped)
+
+
+def _unknown(fld, ident):
+    """Whether `fld.part(ident)` raises KeyError."""
+    try:
+        fld.part(ident)
+    except KeyError:
+        return True
+    return False
+
+
+def _assert_reads_as(fld, fresh):
+    """`fld` answers every lookup as `fresh`, a field built from parts, does:
+    ids and parts of every simplex, the part of every id, a KeyError for every
+    other simplex, the ids, the parts, length, equality and hash."""
+    simplices = sorted(fresh.cx.simplices)
+    assert [fld.mv_id(s) for s in simplices] == [fresh.mv_id(s) for s in simplices]
+    assert [fld.part_of(s) for s in simplices] == [fresh.part_of(s) for s in simplices]
+    ids = fresh.ids()
+    assert fld.ids() == ids and [fld.part(i) for i in ids] == [fresh.part(i) for i in ids]
+    assert all(_unknown(fld, s) for s in fresh.cx.simplices.difference(ids))
+    assert fld.parts() == fresh.parts() and len(fld) == len(fresh)
+    assert sorted(fld.parts_meeting(simplices), key=min) == list(fresh.parts())
+    assert fld == fresh and fresh == fld and hash(fld) == hash(fresh)
+
+
+def test_a_long_rearrangement_path_reads_as_fields_built_from_parts():
+    """Every field of a rearrangement path of over 200 steps on a random grid
+    field, across several folds of its overlay into flat tables, reads as
+    the field its parts build, and is the step from the field before it that
+    the fields built from parts differ by: recorded on the way down, found
+    by diffing the part sets on the way up."""
+    rng = random.Random(37)
+    cx = grid_complex(8)
+    path = rearrangement_path(random_field(rng, cx), random_field(rng, cx))
+    folded = [not fld._moved for fld in path[1:]]
+    assert len(path) > 200 and 3 <= sum(folded) < len(folded) // 4, (len(path), sum(folded))
+    fresh = [MultivectorField.from_parts(cx, fld.parts()) for fld in path]
+    for fld, built in zip(path, fresh):
+        _assert_reads_as(fld, built)
+    for k in range(1, len(path)):
+        assert classify_rearrangement(path[k - 1], path[k]) == diff_rearrangement(*fresh[k - 1:k + 1])
+
+
+def _overlay_lineage(rng, n=4):
+    """A flat field on an n x n grid, its child by a split and its grandchild by
+    a merge, each storing an overlay."""
+    cx = grid_complex(n)
+    flat = MultivectorField.from_parts(cx, random_field(rng, cx).parts())
+    child = random_refinement(rng, flat)
+    grandchild = random_coarsening(rng, child)
+    assert not flat._moved and child._moved and grandchild._moved
+    return flat, child, grandchild
+
+
+def test_an_overlay_field_pickles_to_an_equal_field_without_its_record():
+    """A child and a grandchild that store overlays pickle with their shared
+    tables and overlays, and load as equal fields that read the same."""
+    rng = random.Random(41)
+    for _ in range(10):
+        for fld in _overlay_lineage(rng)[1:]:
+            copy = pickle.loads(pickle.dumps(fld))
+            assert fld._step is not None and copy._step is None
+            _assert_reads_as(copy, MultivectorField.from_parts(fld.cx, fld.parts()))
+            assert copy == fld
+
+
+def test_a_field_whose_ancestors_were_collected_answers_every_lookup():
+    """A derived field holds the tables it reads, not its parent, so it reads
+    the same once its parent and grandparent are gone."""
+    rng = random.Random(43)
+    kept = []
+    for _ in range(10):
+        grandchild = _overlay_lineage(rng)[-1]
+        kept.append((grandchild, MultivectorField.from_parts(grandchild.cx, grandchild.parts())))
+    gc.collect()
+    for grandchild, fresh in kept:
+        assert grandchild._step[0]() is None
+        _assert_reads_as(grandchild, fresh)
+
+
+def test_derived_fields_retain_less_than_three_flat_fields():
+    """Forty fields, each one split from the one before, retain less under
+    tracemalloc than three flat fields of the same complex (a copy of the
+    tables per field would retain forty): each keeps an overlay of what
+    changed since the flat field it shares."""
+    cx = grid_complex(24)
+    flat = random_gradient_field(random.Random(47), cx)
+    pairs = [part for part in flat.parts() if len(part) == 2]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fields = [MultivectorField.from_parts(cx, flat.parts())]
+        one_flat = tracemalloc.get_traced_memory()[0] - start
+        for pair in pairs[:40]:
+            fields.append(fields[-1].split(min(pair), {max(pair)}))
+        gc.collect()
+        derived = tracemalloc.get_traced_memory()[0] - start - one_flat
+    finally:
+        tracemalloc.stop()
+    assert len(fields) == 41 and derived < 3 * one_flat, (derived, one_flat)
 
 
 def test_random_gradient_field_matches_the_kahn_generator():

@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -362,6 +363,36 @@ def test_runs_give_the_per_position_barcode(p):
             for zz in (PairZigzag(cx, repeated), PairZigzag(cx, repeated, tags)):
                 assert pair_zigzag_barcode(zz, p) == per_position_barcode(zz, p)
     assert repeats >= 50
+
+
+def _nesting(zz):
+    """Each arrow of `zz` as subset tests on P and E find it."""
+    return [FORWARD if a.P <= b.P and a.E <= b.E else BACKWARD
+            for a, b in zip(zz.pairs, zz.pairs[1:])]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_equal_neighbours_point_forward_as_subset_tests_say(p):
+    """`directions` are the arrows that subset tests find, on the tracked
+    zigzag of every fixture scene, on both zigzag fixtures, and on the random
+    sequences of test_runs_give_the_per_position_barcode (the same draws),
+    where equal neighbours are one interned pair."""
+    fixtures = Path(__file__).parent.parent / "fixtures"
+    scenes = [io.load_scene(fixtures / f"{name}.json") for name in
+              ("merging_saddles", "repeller_disk", "saddle_collision_nine", "unresolved_step")]
+    zigzags = [mv.run_protocol(scene.fields, scene.seed).zigzag for scene in scenes]
+    zigzags += [io.load_zigzag(fixtures / f"{name}.json")[0]
+                for name in ("repeller_naive_intersection", "repeller_pairs_in_n")]
+    rng = random.Random(48 + p)
+    for cx, pairs in _random_pair_sequences(rng, 12):
+        for seq in (pairs, pairs[::-1], pairs + pairs[-2::-1]):
+            repeated = [pr for pr in seq for _ in range(rng.randint(1, 4))]
+            zigzags.append(PairZigzag(cx, [IndexPair(pr.P, pr.E) for pr in repeated]))
+    same = 0
+    for zz in zigzags:
+        assert zz.directions == _nesting(zz)
+        same += sum(a is b for a, b in zip(zz.pairs, zz.pairs[1:]))
+    assert same >= 100
 
 
 def test_sweep_takes_one_position_per_run(repeller_disk, nine_fields, monkeypatch):
