@@ -174,7 +174,8 @@ def cmd_conley(args) -> int:
 
 
 def trace_doc(scene: Scene, trace) -> dict:
-    steps = []
+    results = {st.result for st in trace.steps}  # steps that end on equal sets share one list
+    steps, formatted = [], {r: sorted(scene.format_simplex(s) for s in r or ()) for r in results}
     for st in trace.steps:
         steps.append({
             "index": st.index,
@@ -182,7 +183,7 @@ def trace_doc(scene: Scene, trace) -> dict:
             "kind": st.rearrangement.kind,
             "set_size": len(st.current),
             "result_size": len(st.result) if st.result is not None else None,
-            "result": sorted(scene.format_simplex(s) for s in st.result or ()),
+            "result": formatted[st.result],
             "appended_pairs": [
                 {"p_size": len(pr.P), "e_size": len(pr.E), "role": tag.role}
                 for pr, tag in zip(st.appended_pairs, st.appended_tags)],

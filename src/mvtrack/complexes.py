@@ -15,6 +15,9 @@ second step alone.  `Complex(simplices)` checks both.  The simplex
 set is immutable, and every table fill computes a value from it alone and
 stores it once, so a repeated or concurrent fill stores an equal value and
 readers are safe.
+A set closed by construction (`closure`, a push-forward, a convex set's
+mouth, a meet or union of such sets, a set a check found closed) is a private
+`frozenset` subclass, which `is_closed` answers and `check_subset` keeps.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ from typing import Collection, FrozenSet, Iterable, Tuple
 
 Simplex = Tuple[int, ...]
 SimplexSet = FrozenSet[Simplex]
+
+
+class _Closed(frozenset):
+    """A simplex set closed under faces by construction."""
+    __slots__ = ()
 
 
 def simplex(vertices: Iterable[int]) -> Simplex:
@@ -116,7 +124,7 @@ class Complex:
 
     def check_subset(self, subset: Collection[Simplex]) -> SimplexSet:
         """Normalize a collection of simplices, requiring membership in the complex."""
-        out = frozenset(subset)
+        out = subset if isinstance(subset, frozenset) else frozenset(subset)
         if not out <= self.simplices:
             missing = next(s for s in out if s not in self.simplices)
             raise ValueError(f"simplex {missing} not in complex")
@@ -151,7 +159,7 @@ class Complex:
     def closure(self, subset: Collection[Simplex]) -> SimplexSet:
         """Union of the closures of the members."""
         subset = self.check_subset(subset)
-        return frozenset().union(*self._closures(subset))
+        return _Closed(frozenset().union(*self._closures(subset)))
 
     def star(self, subset: Collection[Simplex]) -> SimplexSet:
         """Every simplex having a member as a face, the members included."""
@@ -171,7 +179,8 @@ class Complex:
 
     def is_closed(self, subset: Collection[Simplex]) -> bool:
         subset = self.check_subset(subset)
-        return subset.issuperset(itertools.chain.from_iterable(self._closures(subset)))
+        return isinstance(subset, _Closed) or subset.issuperset(
+            itertools.chain.from_iterable(self._closures(subset)))
 
     def is_convex(self, subset: Collection[Simplex]) -> bool:
         """True iff no simplex outside the set lies between two members.

@@ -8,6 +8,8 @@ cannot lie on an essential solution.  The peel is validated against a
 direct essential-solution search and against the former strongly connected
 component reduction in the test suite.  Index pairs have one validator,
 `validate_index_pair_in_n`, and one scan, which names the least offender.
+It, `isolates` and `push_forward` scan every set for closedness but one
+closed by construction (see `complexes`), as a push-forward is.
 
 All functions are pure; scratch state is private per call.
 """
@@ -18,7 +20,7 @@ from functools import cache
 from typing import Collection, NamedTuple, Optional
 
 from .algebra import relative_homology
-from .complexes import Complex, Simplex, SimplexSet
+from .complexes import Complex, Simplex, SimplexSet, _Closed
 from .fields import AtomicRearrangement, CheckReport, MultivectorField
 
 
@@ -31,7 +33,8 @@ class IndexPair(NamedTuple("IndexPair", [("P", SimplexSet), ("E", SimplexSet)]))
     __slots__ = ()
 
     def __new__(cls, P: Collection[Simplex], E: Collection[Simplex]) -> "IndexPair":
-        P, E = frozenset(P), frozenset(E)
+        P = P if isinstance(P, frozenset) else frozenset(P)
+        E = E if isinstance(E, frozenset) else frozenset(E)
         if not E <= P:
             raise ValueError("E must be a subset of P")
         return super().__new__(cls, P, E)
@@ -46,9 +49,12 @@ class IndexPair(NamedTuple("IndexPair", [("P", SimplexSet), ("E", SimplexSet)]))
 
 def _reachable(field: MultivectorField, nbhd: SimplexSet,
                seeds: Collection[Simplex]) -> set[Simplex]:
-    """Everything reachable from `seeds` by steps of the dynamics inside `nbhd`."""
+    """Everything reachable from `seeds` by steps of the dynamics inside `nbhd`.
+    Closed seeds hold their faces, so only their multivectors lead on."""
     seen = set(seeds)
-    stack = list(seen)
+    stack = ([s for s in _image(field, seeds) - seeds if s in nbhd]
+             if isinstance(seeds, _Closed) else list(seen))
+    seen.update(stack)
     while stack:
         for nxt in field.fmap(stack.pop()) & nbhd:
             if nxt not in seen:
@@ -59,8 +65,9 @@ def _reachable(field: MultivectorField, nbhd: SimplexSet,
 
 def _image(field: MultivectorField, members: Collection[Simplex]) -> SimplexSet:
     """The one-step image of `members`: their closures and multivectors, each
-    multivector taken once."""
-    return frozenset().union(*map(field.cx.closure_of, members), *field.parts_meeting(members))
+    multivector taken once.  A closed set is its own closure."""
+    closures = (members,) if isinstance(members, _Closed) else map(field.cx.closure_of, members)
+    return frozenset().union(*closures, *field.parts_meeting(members))
 
 
 def _least_leaving(field: MultivectorField, members: SimplexSet, target: SimplexSet,
@@ -122,20 +129,15 @@ def invariant_part(field: MultivectorField, subset: Collection[Simplex],
     return frozenset(s for members in blocks.values() for s in members)
 
 
-def _repair(field: MultivectorField, subset: SimplexSet, move: AtomicRearrangement,
-            p: int = 2) -> SimplexSet:
-    """invariant_part(field, subset) for a set invariant under the field that
-    `move` made `field` from.  A block of a part the move keeps is the same
-    set, as critical, and each neighbour it had under the old field lies in
-    another block, so only the blocks of the parts the move adds can start
-    the peel.  A popped block is peeled unless critical or left with a
-    successor (a face) and a predecessor (a coface in the set) among the
-    blocks kept; a peeled block pushes its neighbours, the only blocks that
-    can lose one.  A block popped again, being critical or kept with both
-    neighbours, is not decided again."""
+def _peel(field: MultivectorField, subset: SimplexSet, seeds: Collection[Simplex],
+          p: int = 2) -> SimplexSet:
+    """invariant_part(field, subset) by its peel from the blocks `seeds`, for a
+    set whose every other block is critical or has a successor (a face) and a
+    predecessor (a coface in the set); a peeled block pushes its neighbours,
+    the only blocks that can lose one.  A block popped again is not decided again."""
     cx, peeled = field.cx, set()
     critical = cache(lambda b: field.is_critical(b, p))
-    stack = [min(part) for part in move.added if not part.isdisjoint(subset)]
+    stack = list(seeds)
     while stack:
         b = stack.pop()
         if b not in peeled and not critical(b):
@@ -145,7 +147,14 @@ def _repair(field: MultivectorField, subset: SimplexSet, move: AtomicRearrangeme
             if not succ - peeled - {b} or not pred - peeled - {b}:
                 peeled.add(b)
                 stack += (succ | pred) - peeled
-    return subset.difference(*map(field.part, peeled))
+    return subset.difference(*map(field.part, peeled)) if peeled else subset
+
+
+def _repair(field: MultivectorField, subset: SimplexSet, move: AtomicRearrangement,
+            p: int = 2) -> SimplexSet:
+    """invariant_part(field, subset) for a set invariant under the field that
+    `move` made `field` from: kept parts' blocks keep their neighbours, so added parts seed."""
+    return _peel(field, subset, [min(a) for a in move.added if not a.isdisjoint(subset)], p)
 
 
 def is_invariant(field: MultivectorField, subset: Collection[Simplex], p: int = 2) -> bool:
@@ -187,13 +196,14 @@ def push_forward(field: MultivectorField, subset: Collection[Simplex],
         raise ValueError("push-forward seed must lie inside the ambient set")
     if not cx.is_closed(nbhd):
         raise ValueError("push-forward ambient set must be closed")
-    return frozenset(_reachable(field, nbhd, subset))
+    return _Closed(_reachable(field, nbhd, subset))
 
 
-def _canonical(cx: Complex, subset: SimplexSet) -> IndexPair:
-    """(closure, closure - subset), unchecked."""
+def _canonical(cx: Complex, subset: SimplexSet, convex: bool = False) -> IndexPair:
+    """(closure, closure - subset), unchecked; a convex set's mouth is closed,
+    as a mouth simplex with a face in the set lies between two members."""
     closure = cx.closure(subset)
-    return IndexPair(closure, closure - subset)
+    return IndexPair(closure, (_Closed if convex else frozenset)(closure - subset))
 
 
 def canonical_index_pair(field: MultivectorField, subset: Collection[Simplex]) -> IndexPair:
@@ -205,7 +215,7 @@ def canonical_index_pair(field: MultivectorField, subset: Collection[Simplex]) -
         raise PreconditionError("canonical index pair needs a convex set")
     if not field.is_compatible(subset):
         raise PreconditionError("canonical index pair needs a compatible set")
-    return _canonical(cx, subset)
+    return _canonical(cx, subset, convex=True)
 
 
 def validate_index_pair_in_n(field: MultivectorField, pset: Collection[Simplex],

@@ -15,6 +15,7 @@ simplices have moved; each records the step.
 
 from __future__ import annotations
 
+import heapq
 import weakref
 from itertools import chain, compress, filterfalse
 from typing import Collection, Iterable, Iterator, NamedTuple
@@ -325,19 +326,19 @@ def refinement_path(field: MultivectorField) -> list[MultivectorField]:
 
     Deterministic: always split the lexicographically smallest non-singleton
     multivector at its lexicographically smallest maximal element.  Splitting
-    off a maximal element keeps both halves convex.
-    """
-    path = [field]
-    current = field
-    while True:
-        targets = [i for i in current.ids() if len(current.part(i)) > 1]
-        if not targets:
-            return path
-        ident = targets[0]
-        part = current.part(ident)
-        sigma = min(s for s in part if not any(c in part for c in current.cx.cofacets(s)))
-        current = current.split(ident, {sigma})
-        path.append(current)
+    off a maximal element keeps both halves convex.  The non-singleton ids
+    are a heap, to which a split returns at most the rest's id."""
+    path, heap = [field], [i for i in field.ids() if len(field.part(i)) > 1]
+    while heap:
+        part = path[-1].part(heap[0])
+        sigma = min(s for s in part if not any(c in part for c in field.cx.cofacets(s)))
+        path.append(path[-1].split(heap[0], {sigma}))
+        rest = part - {sigma}
+        if len(rest) > 1:
+            heapq.heapreplace(heap, min(rest))
+        else:
+            heapq.heappop(heap)
+    return path
 
 
 def rearrangement_path(field: MultivectorField,

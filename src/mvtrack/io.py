@@ -34,7 +34,7 @@ import itertools
 import json
 from typing import Optional
 
-from .complexes import Complex, Simplex, simplex
+from .complexes import Complex, Simplex, _Closed, simplex
 from .dynamics import IndexPair
 from .fields import MultivectorField, classify_rearrangement, validate_field
 from .zigzag import PairZigzag
@@ -279,7 +279,7 @@ def _plain_key(raw) -> Optional[tuple]:
 
 def zigzag_from_dict(doc: dict) -> tuple[PairZigzag, Optional[dict[str, int]]]:
     """Load a zigzag file.  Each distinct `p` or `e` array is parsed once, and
-    each distinct set checked once for membership and closedness."""
+    each distinct set checked once for membership and closedness, and tagged."""
     if not isinstance(doc, dict):
         raise SchemaError("zigzag file must be a JSON object")
     cx, labels = _parse_complex(doc)
@@ -287,7 +287,7 @@ def zigzag_from_dict(doc: dict) -> tuple[PairZigzag, Optional[dict[str, int]]]:
     if not isinstance(raw_pairs, list) or not raw_pairs:
         raise SchemaError("'pairs' must be a non-empty array")
     parsed: dict[tuple, list[tuple[list, frozenset]]] = {}
-    closed: set[frozenset] = set()
+    closed: dict[frozenset, frozenset] = {}
 
     def simplex_set(raw, what: str) -> frozenset:
         key = _plain_key(raw)
@@ -310,8 +310,8 @@ def zigzag_from_dict(doc: dict) -> tuple[PairZigzag, Optional[dict[str, int]]]:
                 if part not in closed:
                     if not cx.is_closed(part):
                         raise SchemaError("components must be closed")  # prefixed below
-                    closed.add(part)
-            pairs.append(IndexPair(pset, eset))
+                    closed[part] = _Closed(part)
+            pairs.append(IndexPair(closed[pset], closed[eset]))
         except ValueError as exc:
             raise SchemaError(f"pair {k + 1}: {exc}") from exc
     try:

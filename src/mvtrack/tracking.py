@@ -11,27 +11,30 @@ unresolved; an optional heuristic emits the raw intersection of canonical
 pairs, which is generally not an index pair and is flagged as such.
 
 Loop invariant: the zigzag ends on a validated canonical pair (closure,
-mouth) of the tracked set under the field the next step starts from.  A set
-is an isolated invariant set exactly when that pair is an index pair for it,
-so `run_protocol` checks the seed once and no step re-checks its start.
-Continuation is by definition: S continues to S' when one pair (P,E)
-isolates S under the first field and S' is the invariant part of P \\ E
-under the next.  In cases a-c that pair is canonical(S): S' is the peel
-repaired from the blocks the step touches, and the chains under the first
-field, and under the next where S' = S, need no push-forward.  Every other
-pair a step appends is checked once per field, for the conditions that can
-fail; a failure raises, since it signals a bug, not bad input.  A step reads
-its rearrangement from the next field's record where there is one, and
-appends pairs only: `PairZigzag` infers every arrow.
+mouth) of the tracked set under the field the next step starts from, both
+tagged closed (see `complexes`).  A set is an isolated invariant set exactly
+when that pair is an index pair for it, so `run_protocol` checks the seed
+once and no step re-checks its start.  Continuation is by definition: S
+continues to S' when one pair (P,E) isolates S under the first field and S'
+is the invariant part of P \\ E under the next.  In cases a-c that pair is
+canonical(S): S' is the peel repaired from the blocks the step touches, and
+the chains under the first field, and under the next where S' = S, need no
+push-forward.  In cases d and f the hull grows from S, and its test peels
+the blocks outside S.  Every other pair a step appends is checked once per
+field, for the conditions that can fail; a failure raises, since it signals
+a bug, not bad input.  A step takes one closure, of S' where it is new, and
+tags every set it builds but the mouth of S', whose check is that S' is
+convex.  A step reads its rearrangement from the next field's record where
+there is one, and appends pairs only: `PairZigzag` infers every arrow.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .complexes import Complex, SimplexSet
-from .dynamics import (IndexPair, PreconditionError, _canonical, _repair, invariant_part,
-                       is_isolated_invariant_set, isolates, push_forward,
+from .complexes import Complex, SimplexSet, _Closed, facets
+from .dynamics import (IndexPair, PreconditionError, _canonical, _peel, _repair,
+                       invariant_part, is_isolated_invariant_set, isolates, push_forward,
                        validate_index_pair_in_n)
 from .fields import (AtomicRearrangement, MultivectorField,
                      classify_rearrangement, validate_field)
@@ -43,19 +46,28 @@ class ZigzagAssemblyError(RuntimeError):
 
 
 def hull(field: MultivectorField, subset: SimplexSet) -> SimplexSet:
-    """Minimal convex and compatible superset, by alternating the two closures.
+    """Minimal convex and compatible superset, grown from the empty set."""
+    return _grow(field, frozenset(), frozenset(), field.cx.check_subset(subset))[0]
 
-    The convex hull of A is closure(A) & star(A): the simplices lying between
-    two members.  Both operators only add simplices, so the loop ends at the
-    least fixed point, the intersection of all convex compatible supersets."""
+
+def _grow(field: MultivectorField, current: SimplexSet, closure: SimplexSet,
+          added: SimplexSet) -> tuple[SimplexSet, SimplexSet]:
+    """hull(field, current | added) and its closure, for a convex `current`
+    with closure `closure` whose every multivector lies in current | added.
+    Each new member, taken once, adds its multivector, its facets with a face
+    in the set and its cofacets in the closure so far, whence a chain of such
+    steps from the member of two taken last reaches what lies between them."""
     cx = field.cx
-    out = cx.check_subset(subset)
-    while True:
-        grown = out.union(*field.parts_meeting(out))
-        grown = cx.closure(grown) & cx.star(grown)
-        if grown == out:
-            return out
-        out = grown
+    out, faces, stack = set(current | added), set(), list(added - current)
+    while stack:
+        x = stack.pop()
+        faces.update(cx.closure_of(x))
+        new = {f for f in facets(x) if f not in out and not out.isdisjoint(cx.closure_of(f))}
+        new.update(c for c in cx.cofacets(x) if c not in out and (c in closure or c in faces))
+        new.update(field.part_of(x) - out)
+        out.update(new)
+        stack += new
+    return frozenset(out), _Closed(closure | faces)
 
 
 class TrackingStep(NamedTuple):
@@ -90,9 +102,15 @@ def _push_forward_pair(field: MultivectorField, pair: IndexPair, nbhd: SimplexSe
     return IndexPair(pushed_p, push_forward(field, pair.E, nbhd))
 
 
+def _meet(a: IndexPair, b: IndexPair) -> IndexPair:
+    """(P & P', E & E'), each tagged closed where both of its sides are."""
+    return IndexPair(*(_Closed(x & y) if isinstance(x, _Closed) and isinstance(y, _Closed)
+                       else x & y for x, y in zip(a, b)))
+
+
 def _check(field: MultivectorField, pair: IndexPair, subset: Optional[SimplexSet], p: int,
-           what: str, nbhd: Optional[SimplexSet] = None):
-    """`pair` as an index pair for `subset` inside `nbhd` (P by default).
+           what: str, nbhd: Optional[SimplexSet] = None) -> IndexPair:
+    """`pair`, tagged closed, as an index pair for `subset` inside `nbhd` (P by default).
 
     The fourth condition, Inv(P \\ E) = subset, is checked only where it can
     fail.  Every set a step checks pairs for is invariant under that field,
@@ -102,36 +120,42 @@ def _check(field: MultivectorField, pair: IndexPair, subset: Optional[SimplexSet
                                       None if pair.body == subset else subset, p)
     if not report:
         raise ZigzagAssemblyError(f"{what}: " + "; ".join(report.problems))
+    return IndexPair(*(x if isinstance(x, _Closed) else _Closed(x) for x in pair))
 
 
 _CHAIN = ("canonical", "pushforward", "meet", "connecting")
 
 
 def _chain(field: MultivectorField, subset: SimplexSet, pair: IndexPair, p: int, tag: int,
-           start: Optional[IndexPair] = None) -> tuple[list[IndexPair], list[PairTag]]:
+           start: Optional[IndexPair] = None, canonical: Optional[IndexPair] = None
+           ) -> tuple[list[IndexPair], list[PairTag]]:
     """canonical(S) <= pf-pair >= meet <= (P,E), each an index pair for S.
 
-    The connecting pair (P,E) needs no fourth condition: S is the invariant
-    part of its body by definition of S' under the next field, and by the
-    hull test of case d under the first.  Each distinct pair but `start`, the
-    zigzag's validated end, is checked once, from (P,E) back.  If (P,E) is
-    canonical(S) the chain is (P,E) four times: pushed inside P, P is P and E
-    is E by the exit condition, of the loop invariant under the first field
-    and checked below under the next."""
-    canonical = _canonical(field.cx, subset)
+    canonical(S) is `start`, the zigzag's validated end, else `canonical`,
+    else built.  The connecting pair (P,E) needs no fourth condition: S is
+    the invariant part of its body by definition of S' under the next field,
+    and by the hull test of case d under the first.  Each distinct pair but
+    `start` is checked once, from (P,E) back, and stands in the chain as
+    checked.  If (P,E) is canonical(S) the chain is (P,E) four times: pushed
+    inside P, P is P and E is E by the exit condition, of the loop invariant
+    under the first field and checked below under the next."""
+    canonical = start or canonical or _canonical(field.cx, subset)
     pf_pair = pair if canonical == pair else _push_forward_pair(field, canonical, pair.P)
-    chain = [canonical, pf_pair, IndexPair(pair.P & pf_pair.P, pair.E & pf_pair.E), pair]
-    seen = {start}
-    for role, candidate in reversed(list(zip(_CHAIN, chain))):
-        if candidate not in seen:
-            seen.add(candidate)
-            _check(field, candidate, None if candidate is pair else subset, p, f"{role} pair")
+    chain = [canonical, pf_pair, _meet(pair, pf_pair), pair]
+    checked = {start: start}
+    for i in reversed(range(len(chain))):
+        if chain[i] not in checked:
+            checked[chain[i]] = _check(field, chain[i], None if i == 3 else subset, p,
+                                       f"{_CHAIN[i]} pair")
+        chain[i] = checked[chain[i]]
     return chain, [PairTag(tag, role) for role in _CHAIN]
 
 
 def _adjacency_chunk(field: MultivectorField, nxt: MultivectorField, current: SimplexSet,
-                     result: SimplexSet, ambient: SimplexSet, p: int, index: int):
-    """canonical(S) <= pf >= meet <= pf' >= canonical(S'), pairs after canonical(S).
+                     result: SimplexSet, ambient: SimplexSet, p: int, index: int,
+                     start: Optional[IndexPair] = None, closing: Optional[IndexPair] = None):
+    """canonical(S) <= pf >= meet <= pf' >= canonical(S'), pairs after canonical(S);
+    those two are `start` and `closing` where given.
 
     A push-forward pair is an index pair once it passes in the common
     isolating set, and so in its own P: canonical(S') is checked only where
@@ -140,16 +164,15 @@ def _adjacency_chunk(field: MultivectorField, nxt: MultivectorField, current: Si
     differs from pf.  Only a merge reaches this chunk, since a refinement
     continues (case a), and the common refinement of a field and a merge of
     two of its parts is that field: `field`, the field pf is checked under."""
-    pf1 = _push_forward_pair(field, _canonical(field.cx, current), ambient)
-    closing = _canonical(nxt.cx, result)
+    pf1 = _push_forward_pair(field, start or _canonical(field.cx, current), ambient)
+    closing = closing or _canonical(nxt.cx, result)
     pf2 = _push_forward_pair(nxt, closing, ambient)
-    meet = IndexPair(pf1.P & pf2.P, pf1.E & pf2.E)
+    meet = _meet(pf1, pf2)
     for fld, pf, subset in ((field, pf1, current), (nxt, pf2, result)):
         _check(fld, pf, subset, p, "push-forward pair in the common isolating set", ambient)
     if meet != pf1:
         _check(field, meet, None, p, "intersected pair under the common refinement", ambient)
-    if closing != pf2:
-        _check(nxt, closing, result, p, "canonical pair")
+    closing = pf2 if closing == pf2 else _check(nxt, closing, result, p, "canonical pair")
     tags = [PairTag(index, "pushforward"), PairTag(index + 1, "meet"),
             PairTag(index + 1, "pushforward"), PairTag(index + 1, "canonical")]
     return [pf1, meet, pf2, closing], tags
@@ -175,25 +198,29 @@ def _step(field: MultivectorField, nxt: MultivectorField, current: SimplexSet,
         case = "a" if move.kind == "refinement" else "b" if merged <= current else "c"
         result = _repair(nxt, current, move, p)
     else:
-        hull_set = hull(nxt, current | merged)
-        case = "d" if invariant_part(field, hull_set, p) == current else "f"
-        pair = _canonical(cx, hull_set) if case == "d" else None
+        hull_set, hull_closure = _grow(nxt, current, known.P, merged)
+        # Inv(field, hull) holds the invariant `current`: equal iff the blocks outside peel
+        outside = {field.mv_id(s) for s in hull_set - current}
+        case = "d" if _peel(field, hull_set, outside, p) == current else "f"
+        pair = IndexPair(hull_closure, _Closed(hull_closure - hull_set)) if case == "d" else None
         # The hull is convex, so it is the body of canonical(hull): one S' for d and f.
         result = invariant_part(nxt, hull_set, p)
+    closing = known if result == current else _canonical(cx, result)
 
     if pair is not None:
         if case == "c" and result != current:
             raise ZigzagAssemblyError("case c: a merge outside the set changed its invariant part")
         out, out_tags = _chain(field, current, pair, p, index, known)
-        back, back_tags = _chain(nxt, result, pair, p, index + 1)
+        back, back_tags = _chain(nxt, result, pair, p, index + 1, None, closing)
         return TrackingStep(index, case, current, result, move, connecting_pair=pair,
                             hull_set=hull_set, appended_pairs=out[1:] + back[-2::-1],
                             appended_tags=out_tags[1:] + back_tags[-2::-1])
 
     # No continuation exists past this point; fall back to persistence.
-    ambient = cx.closure(current) | cx.closure(result)
+    ambient = _Closed(known.P | closing.P)
     if isolates(field, ambient, current, p) and isolates(nxt, ambient, result, p):
-        pairs, tags = _adjacency_chunk(field, nxt, current, result, ambient, p, index)
+        pairs, tags = _adjacency_chunk(field, nxt, current, result, ambient, p, index,
+                                       known, closing)
         return TrackingStep(index, "f", current, result, move, hull_set=hull_set,
                             adjacency_set=ambient, appended_pairs=pairs, appended_tags=tags,
                             notes=("continuation broken",))
@@ -203,7 +230,7 @@ def _step(field: MultivectorField, nxt: MultivectorField, current: SimplexSet,
         return TrackingStep(index, "g", current, None, move, [], [], hull_set=hull_set,
                             notes=notes, resolved=False)
     pairs, tags = _naive_chunk(cx, current, result, index + 1)
-    _check(nxt, pairs[-1], result, p, "canonical pair")
+    pairs[-1] = _check(nxt, pairs[-1], result, p, "canonical pair")
     middle = validate_index_pair_in_n(nxt, pairs[0].P, pairs[0].E, pairs[0].P, None)
     notes += ("heuristic intersection emitted"
               + ("" if middle else "; middle pair is not an index pair"),)
@@ -221,7 +248,8 @@ def track_step(field: MultivectorField, nxt: MultivectorField, current: SimplexS
         raise PreconditionError("tracking needs a nonempty seed")
     if not is_isolated_invariant_set(field, current, p):
         raise PreconditionError("tracked set is not an isolated invariant set")
-    return _step(field, nxt, current, _canonical(field.cx, current), p, heuristic_g, step_index)
+    return _step(field, nxt, current, _canonical(field.cx, current, convex=True), p,
+                 heuristic_g, step_index)
 
 
 def run_protocol(fields: Sequence[MultivectorField], seed: SimplexSet,
@@ -241,7 +269,7 @@ def run_protocol(fields: Sequence[MultivectorField], seed: SimplexSet,
     if not is_isolated_invariant_set(fields[0], seed, p):
         raise PreconditionError("seed is not an isolated invariant set under the first field")
 
-    zz_pairs: list[IndexPair] = [_canonical(cx, seed)]
+    zz_pairs: list[IndexPair] = [_canonical(cx, seed, convex=True)]
     zz_tags: list[PairTag] = [PairTag(1, "canonical")]
     steps: list[TrackingStep] = []
     current = seed

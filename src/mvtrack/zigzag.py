@@ -5,17 +5,18 @@ between nested pairs induces a map on it.  Each arrow's direction is
 inferred from the two pairs it joins; where they are equal the identity
 points forward.  A zigzag repeats a few pairs many times: `PairZigzag`
 interns equal pairs and checks each distinct one when it is built, and
-`homology_module` builds one homology basis per distinct pair and one map
-per distinct pair of pairs.  A maximal run of equal consecutive pairs is
-joined by identity arrows, which are isomorphisms, and no interval summand
-begins or ends at an isomorphism; so the module is taken over the runs, one
-position each, and a bar on runs [b, d] spans the positions from the first
-of run b to the last of run d.  The interval decomposition of each
-per-dimension homology module comes from one left-to-right sweep (after
-Carlsson & de Silva, "Zigzag persistence", and Carlsson, de Silva & Morozov,
-"Zigzag persistent homology and real-valued functions").  The sweep keeps
-the bars alive at position i, ordered from senior to junior, each with its
-birth and a representative in V_i; together they form a basis of V_i.
+`homology_module` builds one homology basis per distinct body P \\ E, all
+its relative chain complex depends on, and one map per pair of bodies.  A
+maximal run of equal consecutive pairs is joined by identity arrows, which
+are isomorphisms, and no interval summand begins or ends at an isomorphism;
+so the module is taken over the runs, one position each, and a bar on runs
+[b, d] spans the positions from the first of run b to the last of run d.
+The interval decomposition of each per-dimension homology module comes from
+one left-to-right sweep (after Carlsson & de Silva, "Zigzag persistence",
+and Carlsson, de Silva & Morozov, "Zigzag persistent homology and
+real-valued functions").  The sweep keeps the bars alive at position i,
+ordered from senior to junior, each with its birth and a representative in
+V_i; together they form a basis of V_i.
 
 * Forward arrow f: V_i -> V_{i+1}.  Reduce f of every representative, in
   order, then the unit vectors of V_{i+1}.  A bar whose image reduces to zero
@@ -207,14 +208,15 @@ def homology_module(zz: PairZigzag, p: int = 2):
 
     Returns the runs as (first, last) positions, the Betti vector of each
     run, and per dimension the (dims, arrows) of the module with one
-    position per run.  Homology bases are built once per distinct pair of
-    `zz`, which has already checked every pair, and maps once per distinct
-    arrow."""
+    position per run.  Homology bases are built once per distinct body of
+    `zz`, which has already checked every pair, and maps once per arrow."""
     check_prime(p)
     runs = _runs(zz.at)
-    at = [zz.at[first] for first, _ in runs]
+    bodies: dict[frozenset, int] = {}
+    body_of = [bodies.setdefault(pair.body, len(bodies)) for pair in zz.distinct]
+    at = [body_of[zz.at[first]] for first, _ in runs]
     directions = [zz.directions[last] for _, last in runs[:-1]]
-    bases = [HomologyBasis(zz.cx, pair.P, pair.E, p) for pair in zz.distinct]
+    bases = [HomologyBasis(zz.cx, body, frozenset(), p) for body in bodies]
     betti = [tuple(bases[j].betti) for j in at]
     modules = []
     map_cache: dict[tuple[int, int, int], list[Column]] = {}

@@ -24,7 +24,11 @@ table up front, and `kahn_gradient_field` the former gradient-field
 generator, which checked every candidate pair by a pass over the complex.
 `reference_protocol` is the tracking protocol rebuilt from these oracles and
 the paper's definitions, with every emitted pair checked against all four
-index-pair conditions.  `singleton_field`, `is_full`, `bars_in_dim` and
+index-pair conditions.  `scan_refinement_path` is the former
+`refinement_path`, which rescanned every multivector id at each step.
+`alternating_hull` is the former `hull`, which grew the whole set each round.
+`bench_scenes` executes the benchmark's scene generators from source.
+`singleton_field`, `is_full`, `bars_in_dim` and
 `reduced_betti` were library wrappers that only the tests called; the last
 now reads the library's relative homology of the complex and one vertex.
 """
@@ -32,7 +36,10 @@ now reads the library's relative homology of the complex and one vertex.
 from __future__ import annotations
 
 import itertools
+import sys
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -301,6 +308,35 @@ def diff_rearrangement(field, other):
         f"fields differ by {len(gone)} removed / {len(born)} added multivectors")
 
 
+def scan_refinement_path(field):
+    """The former `refinement_path`: at each step, sort every id and split the
+    least non-singleton multivector at its least maximal element."""
+    path = [field]
+    current = field
+    while True:
+        targets = [i for i in current.ids() if len(current.part(i)) > 1]
+        if not targets:
+            return path
+        ident = targets[0]
+        part = current.part(ident)
+        sigma = min(s for s in part if not any(c in part for c in current.cx.cofacets(s)))
+        current = current.split(ident, {sigma})
+        path.append(current)
+
+
+def bench_scenes():
+    """perfbench/scenes.py as a module, run from its source so that nothing is
+    written under perfbench/ (the generators import nothing from mvtrack)."""
+    path = Path(__file__).parent.parent / "perfbench" / "scenes.py"
+    module = sys.modules.get("bench_scenes")
+    if module is None:
+        module = types.ModuleType("bench_scenes")
+        module.__file__ = str(path)
+        sys.modules[module.__name__] = module  # dataclasses look the module up
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
 # ----------------------------------------------- invariant-part oracles
 
 def step_graph(fld, subset):
@@ -545,6 +581,20 @@ def brute_hull(fld, seed):
         if seed <= sub and fld.is_compatible(sub) and fld.cx.is_convex(sub):
             out &= sub
     return out
+
+
+def alternating_hull(fld, seed):
+    """The former `hull`: alternate adding the multivector of every member
+    with the convex hull closure(A) & star(A), the simplices lying between
+    two members, over the whole set, until neither adds anything."""
+    cx = fld.cx
+    out = frozenset(seed)
+    while True:
+        grown = out.union(*(fld.part_of(s) for s in out))
+        grown = cx.closure(grown) & cx.star(grown)
+        if grown == out:
+            return out
+        out = grown
 
 
 def enumerate_index_pairs(fld, subset, p=2, closed=None):

@@ -71,6 +71,29 @@ def test_is_closed(triangle):
     assert triangle.is_closed(triangle.closure({(0, 1)}))
 
 
+def test_a_closure_is_tagged_closed_and_not_scanned_again(monkeypatch):
+    """`closure` returns a set tagged closed, `check_subset` keeps it as it
+    is, and `is_closed` answers it after the membership check without a
+    scan.  Set operations return plain frozensets, and a caller's plain set,
+    closed or not, is scanned as before."""
+    cx = Complex.from_maximal([[0, 1, 2], [2, 3]])
+    closed = cx.closure({(0, 1, 2)})
+    assert isinstance(closed, complexes._Closed) and closed == all_faces([(0, 1, 2)])
+    assert cx.check_subset(closed) is closed
+    for derived in (closed - {(0, 1, 2)}, closed | {(3,)}, closed & closed, frozenset(closed)):
+        assert type(derived) is frozenset
+    scans = []
+    closures = Complex._closures
+    monkeypatch.setattr(Complex, "_closures", lambda self, members: scans.append(members)
+                        or closures(self, members))
+    assert cx.is_closed(closed) and not scans
+    assert cx.is_closed(frozenset(closed)) and len(scans) == 1
+    assert not cx.is_closed(closed - {(0, 1)}) and len(scans) == 2
+    assert not cx.is_closed([(2, 3)]) and len(scans) == 3
+    with pytest.raises(ValueError, match="not in complex"):
+        Complex.from_maximal([[0, 1]]).is_closed(closed)
+
+
 def test_is_convex_examples(triangle):
     assert triangle.is_convex({(0, 1, 2)})
     assert triangle.is_convex(frozenset())

@@ -6,12 +6,13 @@ import pytest
 
 import mvtrack as mv
 from mvtrack import dynamics, fields as mvfields
-from mvtrack.dynamics import (IndexPair, _repair, canonical_index_pair, invariant_part,
+from mvtrack.complexes import _Closed
+from mvtrack.dynamics import (IndexPair, _image, _peel, _repair, canonical_index_pair, invariant_part,
                               is_invariant, is_isolated_invariant_set, isolates, push_forward, validate_index_pair,
                               validate_index_pair_in_n)
 from mvtrack.fields import MultivectorField, classify_rearrangement, intersect_fields
 
-from helpers import (brute_invariant_part, closed_subsets, grid_complex, grid_scene,
+from helpers import (all_faces, brute_invariant_part, closed_subsets, grid_complex, grid_scene,
                      oracle_isolates, oracle_pair_problems, random_coarsening, random_complex,
                      random_convex_compatible, random_field, random_gradient_field,
                      random_isolated_set, random_refinement, random_subset, scc_invariant_part,
@@ -319,6 +320,59 @@ def test_push_forward_monotone_idempotent():
         assert small <= pf_small <= pf_big
         assert push_forward(fld, pf_small, nbhd) == pf_small
         assert cx.is_closed(pf_small)
+
+
+def test_a_closed_seed_pushes_forward_as_a_plain_one():
+    """A seed tagged closed starts the push-forward from its multivectors
+    only, and its image is itself plus its multivectors: both equal what the
+    same seed gives untagged.  A push-forward inside a closed set is tagged
+    closed, and is closed by a scan blind to the tag."""
+    rng = random.Random(13)
+    for _ in range(40):
+        cx = random_complex(rng, max_size=14)
+        fld = random_field(rng, cx)
+        nbhd = cx.closure(random_subset(rng, cx.simplices))
+        seed = cx.closure(random_subset(rng, nbhd))
+        assert isinstance(seed, _Closed)
+        pushed = push_forward(fld, seed, nbhd)
+        assert isinstance(pushed, _Closed) and all_faces(pushed) <= pushed
+        assert pushed == push_forward(fld, frozenset(seed), nbhd)
+        assert _image(fld, seed) == _image(fld, frozenset(seed))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_anchored_peel_decides_the_hull_test(p):
+    """For an isolated invariant set S inside a set X, the peel seeded by the
+    blocks of X \\ S gives Inv(X), as the full peel, the former reduction and,
+    on small sets, the definition do.  So it decides Inv(X) == S, the hull
+    test of cases d and f.  X is S plus a few random simplices, or the hull
+    of that; each outcome of the test reaches a floor, and the brute-force
+    oracle a floor of its own, within an attempt cap."""
+    rng = random.Random(70 + p)
+    outcomes, by_definition = Counter(), 0
+    for tries in itertools.count(1):
+        if min(outcomes[True], outcomes[False]) >= 40 and by_definition >= 40:
+            break
+        assert tries <= 600, f"{outcomes}, {by_definition} by definition in {tries - 1} fields"
+        if tries % 2:
+            cx = random_complex(rng, n_vertices=5, n_maximal=3, max_dim=2, max_size=12)
+            fld = random_field(rng, cx, merges=rng.randint(0, 4))
+        else:
+            fld = random_gradient_field(rng, grid_complex(4))
+            for _ in range(4):
+                fld = rng.choice([random_refinement, random_coarsening])(rng, fld) or fld
+        current = random_isolated_set(rng, fld, p)
+        if current is None:
+            continue
+        big = current | random_subset(rng, fld.cx.simplices - current, max_size=4)
+        if rng.random() < 0.5:
+            big = mv.hull(fld, big)
+        anchored = _peel(fld, big, {fld.mv_id(s) for s in big - current}, p)
+        assert anchored == invariant_part(fld, big, p) == scc_invariant_part(fld, big, p)
+        if len(big) <= 6:
+            assert anchored == brute_invariant_part(fld, big, p)
+            by_definition += 1
+        outcomes[anchored == current] += 1
 
 
 def test_validate_index_pair_examples(merging_saddles):

@@ -20,7 +20,8 @@ from mvtrack.io import Scene, SchemaError, scene_from_dict, scene_to_dict
 from helpers import (BIG_P, RP2, all_faces, dense_relative_betti, diff_rearrangement,
                      full_convexity_report, grid_complex, grid_scene, kahn_gradient_field,
                      mouth_is_convex, oracle_prime, random_coarsening, random_complex,
-                     random_field, random_gradient_field, random_refinement, singleton_field)
+                     random_field, random_gradient_field, random_refinement,
+                     scan_refinement_path, singleton_field)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -223,6 +224,26 @@ def test_refinement_path_random():
         for a, b in zip(path, path[1:]):
             assert classify_rearrangement(a, b).kind == "refinement"
         assert all(validate_field(f) for f in path)
+
+
+def test_refinement_path_matches_the_scan_on_grid_fields():
+    """The heap of non-singleton ids gives the path the former scan over every
+    id gives, field for field and step for step, on random gradient fields
+    of grids after random merges, with multivectors of up to 3 simplices
+    and more."""
+    rng = random.Random(23)
+    biggest = 0
+    for n in (3, 4, 5, 6):
+        for _ in range(3):
+            fld = random_gradient_field(rng, grid_complex(n))
+            for _ in range(3 * n):
+                fld = random_coarsening(rng, fld) or fld
+            path = refinement_path(fld)
+            assert path == scan_refinement_path(fld)
+            assert [classify_rearrangement(a, b) for a, b in zip(path, path[1:])] == [
+                diff_rearrangement(a, b) for a, b in zip(path, path[1:])]
+            biggest = max(biggest, max(map(len, fld.parts())))
+    assert biggest >= 3
 
 
 def test_rearrangement_path_trivial(triangle):

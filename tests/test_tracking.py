@@ -1,21 +1,25 @@
+import itertools
 import random
+from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 import mvtrack as mv
-from mvtrack import dynamics, tracking
-from mvtrack.complexes import simplex
+from mvtrack import complexes, dynamics, tracking
+from mvtrack.complexes import Complex, proper_faces, simplex
 from mvtrack.dynamics import IndexPair, canonical_index_pair, invariant_part, isolates
-from mvtrack.fields import MultivectorField, intersect_fields
+from mvtrack.fields import MultivectorField, classify_rearrangement, intersect_fields
 from mvtrack.tracking import (ZigzagAssemblyError, _adjacency_chunk, _chain, _naive_chunk, hull,
                               run_protocol, track_step)
 from mvtrack.zigzag import BACKWARD, FORWARD, PairTag, PairZigzag
 
-from helpers import (bars_in_dim, brute_hull, dense_relative_betti, fixpoint_hull, grid_scene,
-                     is_full, random_complex, random_field, random_isolated_set,
-                     random_refinement, random_subset, reference_protocol, scc_invariant_part,
-                     singleton_field, vertices)
+from helpers import (all_faces, alternating_hull, bars_in_dim, brute_hull, dense_relative_betti,
+                     fixpoint_hull, grid_complex, grid_scene, is_full, random_coarsening,
+                     random_complex, random_convex_compatible, random_field, random_gradient_field,
+                     random_isolated_set, random_refinement, random_subset, reference_protocol,
+                     scc_invariant_part, singleton_field, vertices)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 SCENES = ("merging_saddles", "repeller_disk", "saddle_collision_nine", "unresolved_step")
@@ -36,7 +40,8 @@ def test_hull_matches_brute_force():
         cx = random_complex(rng, n_vertices=5, n_maximal=2, max_dim=2, max_size=10)
         fld = random_field(rng, cx)
         seed = random_subset(rng, cx.simplices, max_size=6)
-        assert hull(fld, seed) == brute_hull(fld, seed) == fixpoint_hull(fld, seed)
+        assert hull(fld, seed) == brute_hull(fld, seed) == fixpoint_hull(fld, seed) \
+            == alternating_hull(fld, seed)
 
 
 def test_track_step_cases(merging_saddles):
@@ -573,14 +578,11 @@ def test_reference_protocol_agrees_on_the_fixtures(name, p, heuristic_g):
     _agrees_with_reference(scene.fields, scene.seed, p, heuristic_g)
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_reference_protocol_agrees_on_random_grid_scenes(p):
-    """30 random grid scenes, tracked from a small isolated set and from the
-    invariant part of the whole grid, with heuristic g on.  Case d, whose S'
-    is the invariant part of the hull as in case f, fires 34 times at p = 2
-    and 27 at p = 3; the floor of 12 keeps that path under test."""
+def _reference_scenes(p):
+    """The scenes of the random reference-protocol test: 30 random grid
+    scenes, each yielded as (fields, start) from a small isolated set and
+    from the invariant part of the whole grid."""
     rng = random.Random(100 + p)
-    cases = []
     scenes = tries = 0
     while scenes < 30:
         tries += 1
@@ -590,7 +592,135 @@ def test_reference_protocol_agrees_on_random_grid_scenes(p):
             continue
         fields, seed = scene
         for start in (seed, scc_invariant_part(fields[0], fields[0].cx.simplices, p)):
-            cases += _agrees_with_reference(fields, start, p, True)
+            yield fields, start
         scenes += 1
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_reference_protocol_agrees_on_random_grid_scenes(p):
+    """30 random grid scenes, tracked from a small isolated set and from the
+    invariant part of the whole grid, with heuristic g on.  Case d, whose S'
+    is the invariant part of the hull as in case f, fires 34 times at p = 2
+    and 27 at p = 3; the floor of 12 keeps that path under test."""
+    cases = [case for fields, start in _reference_scenes(p)
+             for case in _agrees_with_reference(fields, start, p, True)]
     counts = {case: cases.count(case) for case in "abcd"}
     assert min(counts.values()) >= 1 and counts["d"] >= 12, counts
+
+
+def test_the_local_hull_is_the_hull():
+    """The hull grown from a convex compatible set S by the multivector a
+    merge makes is hull(nxt, S | merged), grown from the empty set, as the
+    former whole-set rounds, the fixpoint and, on small complexes, the
+    brute-force oracle give it, and comes with its closure.
+    The merges are random, and straddle S, lie outside it and inside it,
+    each a floor of times, within an attempt cap."""
+    rng = random.Random(29)
+    where, by_definition = Counter(), 0
+    for tries in itertools.count(1):
+        if len(where) == 3 and min(where.values()) >= 30 and by_definition >= 30:
+            break
+        assert tries <= 1500, f"{where}, {by_definition} by definition in {tries - 1} merges"
+        small = tries % 2
+        if small:
+            fld = random_field(rng, random_complex(rng, n_vertices=5, n_maximal=3, max_size=10))
+        else:
+            fld = random_gradient_field(rng, grid_complex(5))
+        current = random_convex_compatible(rng, fld)
+        nxt = random_coarsening(rng, fld)
+        if nxt is None:
+            continue
+        merged = classify_rearrangement(fld, nxt).whole
+        grown, closure = tracking._grow(nxt, current, fld.cx.closure(current), merged)
+        assert grown == hull(nxt, current | merged) == alternating_hull(nxt, current | merged)
+        assert grown == fixpoint_hull(nxt, current | merged)
+        assert isinstance(closure, complexes._Closed) and closure == fld.cx.closure(grown)
+        if small:
+            assert grown == brute_hull(nxt, current | merged)
+            by_definition += 1
+        where["inside" if merged <= current else "outside" if merged.isdisjoint(current)
+              else "straddling"] += 1
+
+
+@contextmanager
+def _tagged_sets():
+    """Every set tagged closed while the block runs."""
+    made = []
+    complexes._Closed.__init__ = lambda self, *args: made.append(self)
+    try:
+        yield made
+    finally:
+        del complexes._Closed.__init__
+
+
+def _non_convex_repair(scene):
+    """A stand-in for `_repair` whose S' adds to S a vertex v of a triangle
+    t in S, with an edge between v and t outside S: S' is not convex."""
+    v = next(v for t in sorted(scene.seed) if len(t) == 3
+             for e in proper_faces(t) if len(e) == 2 and e not in scene.seed
+             for v in proper_faces(e))
+    return lambda field, subset, move, p=2: subset | {v}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_every_set_tagged_closed_is_closed(p, monkeypatch):
+    """Each set a run tags closed passes a closedness scan blind to the tag:
+    on every fixture and on the random reference-protocol scenes, and in a
+    step whose S' is not convex.  There the mouth of S' is not closed, so it
+    is not tagged, and the closing pair's one check of E raises."""
+    with _tagged_sets() as made:
+        for name in SCENES:
+            scene = mv.load_scene(FIXTURES / f"{name}.json")
+            run_protocol(scene.fields, scene.seed, p, heuristic_g=True)
+        for fields, start in _reference_scenes(p):
+            run_protocol(fields, start, p, heuristic_g=True)
+        scene = mv.load_scene(FIXTURES / "merging_saddles.json")
+        monkeypatch.setattr(tracking, "_repair", _non_convex_repair(scene))
+        with pytest.raises(ZigzagAssemblyError, match="^canonical pair: E is not closed"):
+            run_protocol(scene.fields, scene.seed, p)
+    assert len(made) >= 1000
+    assert all(all_faces(x) <= x for x in made)
+
+
+@pytest.mark.parametrize("name", SCENES)
+def test_a_step_builds_one_closure_and_scans_no_set_it_built(name, monkeypatch):
+    """Counts work: outside the criticality of multivectors, a run takes the
+    closure of the seed and of S' in each step where S' differs from S, and
+    no other but case g's two canonical pairs.  It scans for closedness only
+    sets no step tagged: the mouth of a new S', at most once, and the raw
+    meet of case g."""
+    scene = mv.load_scene(FIXTURES / f"{name}.json")
+    closures, scans, deciding = [], Counter(), []
+    closure, is_closed = Complex.closure, Complex.is_closed
+    is_critical = MultivectorField.is_critical
+
+    def counted_closure(cx, subset):
+        if not deciding:
+            closures.append(subset)
+        return closure(cx, subset)
+
+    def counted_is_closed(cx, subset):
+        if not deciding and not isinstance(subset, complexes._Closed):
+            scans[subset] += 1
+        return is_closed(cx, subset)
+
+    def deciding_critical(field, ident, p=2):
+        deciding.append(ident)
+        try:
+            return is_critical(field, ident, p)
+        finally:
+            deciding.pop()
+
+    monkeypatch.setattr(Complex, "closure", counted_closure)
+    monkeypatch.setattr(Complex, "is_closed", counted_is_closed)
+    monkeypatch.setattr(MultivectorField, "is_critical", deciding_critical)
+    trace = run_protocol(scene.fields, scene.seed, heuristic_g=True)
+    expected = [scene.seed]
+    for step in trace.steps:
+        expected += [step.result] if step.result != step.current else []
+        expected += [step.current, step.result] if step.case == "g" else []
+    assert closures == expected
+    mouths = {scene.cx.mouth(step.result) for step in trace.steps if step.result != step.current}
+    naive = {part for step in trace.steps if step.case == "g" for part in step.appended_pairs[0]}
+    assert scans.keys() <= mouths | naive
+    assert all(scans[mouth] <= 1 for mouth in mouths - naive)

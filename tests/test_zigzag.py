@@ -5,13 +5,13 @@ from pathlib import Path
 import pytest
 
 import mvtrack as mv
-from mvtrack import cli, io, zigzag
+from mvtrack import algebra, cli, complexes, io, zigzag
 from mvtrack.cli import main
 from mvtrack.dynamics import IndexPair
 from mvtrack.zigzag import (BACKWARD, FORWARD, Bar, PairTag, PairZigzag, homology_module,
                             interval_multiplicities, pair_zigzag_barcode)
 
-from helpers import (bars_in_dim, dense_arrows, induced_map_rank, is_full, oracle_multiplicities,
+from helpers import (bars_in_dim, bench_scenes, dense_arrows, induced_map_rank, is_full, oracle_multiplicities,
                      per_position_barcode, random_complex, random_field, random_isolated_set,
                      random_module, closed_subsets, sparse_arrows, windowed_multiplicities)
 
@@ -371,12 +371,10 @@ def _nesting(zz):
             for a, b in zip(zz.pairs, zz.pairs[1:])]
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_equal_neighbours_point_forward_as_subset_tests_say(p):
-    """`directions` are the arrows that subset tests find, on the tracked
-    zigzag of every fixture scene, on both zigzag fixtures, and on the random
-    sequences of test_runs_give_the_per_position_barcode (the same draws),
-    where equal neighbours are one interned pair."""
+def _fixture_and_random_zigzags(p):
+    """The tracked zigzag of every fixture scene, both zigzag fixtures, and
+    the random sequences of test_runs_give_the_per_position_barcode (the same
+    draws), each pair a fresh copy."""
     fixtures = Path(__file__).parent.parent / "fixtures"
     scenes = [io.load_scene(fixtures / f"{name}.json") for name in
               ("merging_saddles", "repeller_disk", "saddle_collision_nine", "unresolved_step")]
@@ -388,6 +386,15 @@ def test_equal_neighbours_point_forward_as_subset_tests_say(p):
         for seq in (pairs, pairs[::-1], pairs + pairs[-2::-1]):
             repeated = [pr for pr in seq for _ in range(rng.randint(1, 4))]
             zigzags.append(PairZigzag(cx, [IndexPair(pr.P, pr.E) for pr in repeated]))
+    return zigzags
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_equal_neighbours_point_forward_as_subset_tests_say(p):
+    """`directions` are the arrows that subset tests find, on the zigzags of
+    _fixture_and_random_zigzags, where equal neighbours are one interned
+    pair."""
+    zigzags = _fixture_and_random_zigzags(p)
     same = 0
     for zz in zigzags:
         assert zz.directions == _nesting(zz)
@@ -425,6 +432,68 @@ def test_sweep_takes_one_position_per_run(repeller_disk, nine_fields, monkeypatc
     lengths.clear()
     pair_zigzag_barcode(zz)
     assert lengths and set(lengths) == {runs} and runs < len(zz)
+
+
+def _grid_index_zigzag(tmp_path):
+    """The tracked zigzag of the benchmark's grid-index scene (seed 1)."""
+    scenes = bench_scenes()
+    scenes.write_scene(scenes.grid_index(tmp_path), 1, tmp_path / "scene.json")
+    scene = io.load_scene(tmp_path / "scene.json")
+    return mv.run_protocol(scene.fields, scene.seed).zigzag
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_one_homology_basis_per_distinct_body(p, tmp_path, monkeypatch):
+    """Counts work: `homology_module` builds one basis per distinct body
+    P \\ E, and the barcode is that of one basis per distinct pair
+    (`per_position_barcode`), on the zigzags of _fixture_and_random_zigzags
+    and on the grid-index zigzag, whose 3 distinct pairs have 2 bodies."""
+    zigzags = _fixture_and_random_zigzags(p)
+    grid = _grid_index_zigzag(tmp_path)
+    assert (len(grid.distinct), len({pair.body for pair in grid.distinct})) == (3, 2)
+    builds = []
+    build = algebra.HomologyBasis.__init__
+
+    def counted(basis, cx, pset, eset, q=2):
+        builds.append(pset - eset)
+        build(basis, cx, pset, eset, q)
+
+    shared = 0
+    for zz in zigzags + [grid]:
+        bodies = {pair.body for pair in zz.distinct}
+        shared += len(zz.distinct) - len(bodies)
+        with monkeypatch.context() as counting:
+            counting.setattr(algebra.HomologyBasis, "__init__", counted)
+            barcode = pair_zigzag_barcode(zz, p)
+        assert sorted(map(sorted, builds)) == sorted(map(sorted, bodies))
+        builds.clear()
+        assert barcode == per_position_barcode(zz, p)
+    assert shared >= 10
+
+
+def test_a_loaded_zigzag_scans_each_distinct_set_once(tmp_path, monkeypatch):
+    """Counts work on the grid-index zigzag file: the loader scans each
+    distinct P and E for closedness once and tags it closed, so `PairZigzag`
+    and the barcode scan none again."""
+    tracked = _grid_index_zigzag(tmp_path)
+    path = tmp_path / "zz.json"
+    path.write_text(json.dumps(_zigzag_doc(tracked)))
+    sets = {part for pr in tracked.pairs for part in (pr.P, pr.E)}
+    scanned = []
+    closures = mv.Complex._closures
+
+    def counted(cx, members):
+        scanned.append(members)
+        return closures(cx, members)
+
+    monkeypatch.setattr(mv.Complex, "_closures", counted)
+    zz, _ = io.load_zigzag(path)
+    assert sorted(map(sorted, scanned)) == sorted(map(sorted, sets))
+    assert all(isinstance(part, complexes._Closed) for pair in zz.pairs for part in pair)
+    scanned.clear()
+    PairZigzag(zz.cx, list(zz.pairs))
+    pair_zigzag_barcode(zz)
+    assert not scanned
 
 
 def _random_pair(rng, closed):
