@@ -4,8 +4,11 @@ The dynamics of a field on a subset A is the directed graph with vertex set
 A and an edge sigma -> tau whenever tau lies in the induced multivalued map
 of sigma, restricted to A.  The invariant part of A is a union of blocks,
 the simplices of A in one multivector, and is found by peeling blocks that
-cannot lie on an essential solution.  The peel is validated against a
-direct essential-solution search and against the former strongly connected
+cannot lie on an essential solution.  One loop, `_peel`, does every peel:
+`invariant_part` starts it from each block without a neighbour on one side,
+with every block's neighbours tabled, and the tracking protocol from the
+blocks a step touched.  The peel is validated against a direct
+essential-solution search and against the former strongly connected
 component reduction in the test suite.  Index pairs have one validator,
 `validate_index_pair_in_n`, and one scan, which names the least offender.
 It, `isolates` and `push_forward` scan every set for closedness but one
@@ -83,19 +86,8 @@ def _least_leaving(field: MultivectorField, members: SimplexSet, target: Simplex
 
 def invariant_part(field: MultivectorField, subset: Collection[Simplex],
                    p: int = 2) -> SimplexSet:
-    """Simplices of the subset lying on an essential solution inside it.
-
-    A block is the set of simplices of the subset that lie in one multivector.
-    Each block maps onto itself, since fmap(s) contains the multivector of s,
-    so the answer is a union of blocks, and the only steps between blocks go
-    to faces.  The essential blocks are those that reach, and are reached
-    from, a critical block or a cycle of blocks.  Peeling every regular block
-    without a predecessor or a successor among the remaining blocks, until
-    none is left, keeps exactly these: a block on an essential solution keeps
-    its neighbours on that solution, and a remaining regular block has a
-    remaining predecessor and successor, so walks from it both ways end at a
-    critical block or on a cycle.  A block popped again is not decided again.
-    """
+    """Simplices of the subset lying on an essential solution inside it: the
+    peel of every block, each block's neighbours tabled once for the set."""
     cx = field.cx
     subset = cx.check_subset(subset)
     blocks: dict[Simplex, list[Simplex]] = {}
@@ -111,40 +103,45 @@ def invariant_part(field: MultivectorField, subset: Collection[Simplex],
                     if c != b:
                         succ[b].add(c)
                         pred[c].add(b)
-    critical = cache(lambda b: field.is_critical(b, p))
-    stack = [b for b in blocks if not succ[b] or not pred[b]]
-    while stack:
-        b = stack.pop()
-        if b not in blocks or critical(b):
-            continue
-        del blocks[b]
-        for c in succ.pop(b):
-            pred[c].discard(b)
-            if not pred[c]:
-                stack.append(c)
-        for c in pred.pop(b):
-            succ[c].discard(b)
-            if not succ[c]:
-                stack.append(c)
-    return frozenset(s for members in blocks.values() for s in members)
+    return _peel(field, subset, [b for b in blocks if not succ[b] or not pred[b]], p, (succ, pred))
 
 
 def _peel(field: MultivectorField, subset: SimplexSet, seeds: Collection[Simplex],
-          p: int = 2) -> SimplexSet:
-    """invariant_part(field, subset) by its peel from the blocks `seeds`, for a
-    set whose every other block is critical or has a successor (a face) and a
-    predecessor (a coface in the set); a peeled block pushes its neighbours,
-    the only blocks that can lose one.  A block popped again is not decided again."""
-    cx, peeled = field.cx, set()
+          p: int = 2, links: Optional[tuple[dict, dict]] = None) -> SimplexSet:
+    """invariant_part(field, subset) by the peel from the blocks `seeds`.
+
+    A block is the set of simplices of the subset in one multivector.  Each
+    block maps onto itself, since fmap(s) holds the multivector of s, so the
+    answer is a union of blocks, and steps between blocks go to faces.  The
+    essential blocks reach, and are reached from, a critical block or a cycle
+    of blocks.  Peeling every regular block without a successor (a face) or a
+    predecessor (a coface) among those left, until none is, keeps exactly
+    these: a block on an essential solution keeps its neighbours on it, and
+    a regular block left has a successor and a predecessor left, so walks
+    from it both ways end at a critical block or on a cycle.  A peeled block
+    pushes its neighbours, the only blocks that can lose one, so the seeds
+    need only hold each regular block lacking a successor or a predecessor.
+    Hence the peel of X = `subset` is exact when X holds a set S = Inv(f, S)
+    under some field f, every block meeting X \\ S is a seed, and so is every
+    block of a multivector that `field` has and f lacks: any other block is
+    one of S under f, as critical, and its neighbours there lie in others.
+    `_repair` is X = S, f the field before a move; in `tracking`, the hull
+    test is f = `field`, and S' f the field before the merge.  Neighbours
+    come from `links`, every block's successors and predecessors, else from
+    the popped block's members.  A block popped again is not decided again."""
+    cx, mv_id, peeled = field.cx, field.mv_id, set()
     critical = cache(lambda b: field.is_critical(b, p))
     stack = list(seeds)
     while stack:
         b = stack.pop()
         if b not in peeled and not critical(b):
-            members = field.part(b) & subset
-            succ = {field.mv_id(t) for s in members for t in cx.closure_of(s) if t in subset}
-            pred = {field.mv_id(t) for s in members for t in cx.star((s,)) if t in subset}
-            if not succ - peeled - {b} or not pred - peeled - {b}:
+            if links is None:
+                part = field.part(b) & subset
+                succ = {mv_id(t) for s in part for t in cx.closure_of(s) if t in subset} - {b}
+                pred = {mv_id(t) for s in part for t in cx.star((s,)) if t in subset} - {b}
+            else:
+                succ, pred = links[0][b], links[1][b]
+            if succ <= peeled or pred <= peeled:
                 peeled.add(b)
                 stack += (succ | pred) - peeled
     return subset.difference(*map(field.part, peeled)) if peeled else subset
@@ -153,7 +150,7 @@ def _peel(field: MultivectorField, subset: SimplexSet, seeds: Collection[Simplex
 def _repair(field: MultivectorField, subset: SimplexSet, move: AtomicRearrangement,
             p: int = 2) -> SimplexSet:
     """invariant_part(field, subset) for a set invariant under the field that
-    `move` made `field` from: kept parts' blocks keep their neighbours, so added parts seed."""
+    `move` made `field` from: its added parts seed the peel (see `_peel`)."""
     return _peel(field, subset, [min(a) for a in move.added if not a.isdisjoint(subset)], p)
 
 
@@ -172,7 +169,7 @@ def is_isolated_invariant_set(field: MultivectorField, subset: Collection[Simple
 
 
 def isolates(field: MultivectorField, nbhd: Collection[Simplex],
-             subset: Collection[Simplex], p: int = 2) -> bool:
+             subset: Collection[Simplex]) -> bool:
     """Does the closed set `nbhd` isolate the invariant set `subset`?
 
     Requires the one-step image of the set inside `nbhd`, and no path within

@@ -19,13 +19,15 @@ continues to S' when one pair (P,E) isolates S under the first field and S'
 is the invariant part of P \\ E under the next.  In cases a-c that pair is
 canonical(S): S' is the peel repaired from the blocks the step touches, and
 the chains under the first field, and under the next where S' = S, need no
-push-forward.  In cases d and f the hull grows from S, and its test peels
-the blocks outside S.  Every other pair a step appends is checked once per
-field, for the conditions that can fail; a failure raises, since it signals
-a bug, not bad input.  A step takes one closure, of S' where it is new, and
-tags every set it builds but the mouth of S', whose check is that S' is
-convex.  A step reads its rearrangement from the next field's record where
-there is one, and appends pairs only: `PairZigzag` infers every arrow.
+push-forward.  In cases d, f and g the hull grows from S, and its test and
+S' = Inv(hull) under the next field both peel from the blocks of hull \\ S,
+so no step peels a whole set.  Every other pair a step appends is checked
+once per field, for the conditions that can fail; a failure raises, since
+it signals a bug, not bad input.  A step takes one closure, of S' where it
+is new, and tags every set it builds but the mouth of S', whose check is
+that S' is convex.  A step reads its rearrangement from the next field's
+record where there is one, and appends pairs only: `PairZigzag` infers
+every arrow.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .complexes import Complex, SimplexSet, _Closed, facets
 from .dynamics import (IndexPair, PreconditionError, _canonical, _peel, _repair,
-                       invariant_part, is_isolated_invariant_set, isolates, push_forward,
-                       validate_index_pair_in_n)
+                       is_isolated_invariant_set, isolates, push_forward, validate_index_pair_in_n)
 from .fields import (AtomicRearrangement, MultivectorField,
                      classify_rearrangement, validate_field)
 from .zigzag import Barcode, PairTag, PairZigzag, pair_zigzag_barcode
@@ -199,12 +200,13 @@ def _step(field: MultivectorField, nxt: MultivectorField, current: SimplexSet,
         result = _repair(nxt, current, move, p)
     else:
         hull_set, hull_closure = _grow(nxt, current, known.P, merged)
-        # Inv(field, hull) holds the invariant `current`: equal iff the blocks outside peel
-        outside = {field.mv_id(s) for s in hull_set - current}
-        case = "d" if _peel(field, hull_set, outside, p) == current else "f"
+        # Inv(hull) under either field is the peel from the blocks of hull - current (see
+        # `_peel`): the merged multivector meets it, and every other block is one of `current`.
+        outside = hull_set - current
+        case = "d" if _peel(field, hull_set, set(map(field.mv_id, outside)), p) == current else "f"
         pair = IndexPair(hull_closure, _Closed(hull_closure - hull_set)) if case == "d" else None
         # The hull is convex, so it is the body of canonical(hull): one S' for d and f.
-        result = invariant_part(nxt, hull_set, p)
+        result = _peel(nxt, hull_set, set(map(nxt.mv_id, outside)), p)
     closing = known if result == current else _canonical(cx, result)
 
     if pair is not None:
@@ -218,7 +220,7 @@ def _step(field: MultivectorField, nxt: MultivectorField, current: SimplexSet,
 
     # No continuation exists past this point; fall back to persistence.
     ambient = _Closed(known.P | closing.P)
-    if isolates(field, ambient, current, p) and isolates(nxt, ambient, result, p):
+    if isolates(field, ambient, current) and isolates(nxt, ambient, result):
         pairs, tags = _adjacency_chunk(field, nxt, current, result, ambient, p, index,
                                        known, closing)
         return TrackingStep(index, "f", current, result, move, hull_set=hull_set,

@@ -28,6 +28,9 @@ index-pair conditions.  `scan_refinement_path` is the former
 `refinement_path`, which rescanned every multivector id at each step.
 `alternating_hull` is the former `hull`, which grew the whole set each round.
 `bench_scenes` executes the benchmark's scene generators from source.
+`small_runs` enumerates every two-field run on a small complex (each convex
+field, each nonempty isolated invariant set, each atomic split or merge)
+for the exhaustive reference-protocol test.
 `singleton_field`, `is_full`, `bars_in_dim` and
 `reduced_betti` were library wrappers that only the tests called; the last
 now reads the library's relative homology of the complex and one vertex.
@@ -622,6 +625,56 @@ def isolated_invariant_sets(fld, p=2):
             if fld.cx.is_convex(union) and mv.is_invariant(fld, union, p):
                 out.append(union)
     return out
+
+
+def _set_partitions(items):
+    """Every partition of the list `items` into blocks, each once."""
+    if not items:
+        yield []
+        return
+    for blocks in _set_partitions(items[1:]):
+        yield [[items[0]], *blocks]
+        for i in range(len(blocks)):
+            yield [*blocks[:i], [items[0], *blocks[i]], *blocks[i + 1:]]
+
+
+def convex_fields(cx):
+    """Every field on `cx` whose multivectors are all convex, in a fixed order."""
+    return [mv.MultivectorField.from_parts(cx, blocks)
+            for blocks in _set_partitions(sorted(cx.simplices))
+            if all(cx.is_convex(frozenset(block)) for block in blocks)]
+
+
+def atomic_neighbours(fld):
+    """The fields one convex split or merge from `fld`, made by `split` and
+    `merge`: each split once, named by the half holding the least simplex of
+    the multivector, and each merge of two multivectors with a convex union."""
+    cx, out = fld.cx, []
+    for a in fld.ids():
+        least, *rest = sorted(fld.part(a))
+        for k in range(len(rest)):
+            for more in itertools.combinations(rest, k):
+                off = frozenset((least, *more))
+                if cx.is_convex(off) and cx.is_convex(fld.part(a) - off):
+                    out.append(fld.split(a, off))
+    out += [fld.merge(a, b) for a, b in itertools.combinations(fld.ids(), 2)
+            if cx.is_convex(fld.part(a) | fld.part(b))]
+    return out
+
+
+def small_runs(cx, p=2, stride=1):
+    """Every `stride`-th two-field run on a small complex, as (fields, seed):
+    for each convex field, each nonempty isolated invariant set of it as the
+    seed and each of its atomic neighbours as the next field, in a fixed
+    order.  Stride 1 is the exhaustive sweep."""
+    def every():
+        for fld in convex_fields(cx):
+            seeds = [seed for seed in isolated_invariant_sets(fld, p) if seed]
+            neighbours = atomic_neighbours(fld) if seeds else []
+            for seed in seeds:
+                for nxt in neighbours:
+                    yield [fld, nxt], seed
+    return itertools.islice(every(), 0, None, stride)
 
 
 # ------------------------------------------------------ reference protocol

@@ -340,20 +340,49 @@ def test_a_closed_seed_pushes_forward_as_a_plain_one():
         assert _image(fld, seed) == _image(fld, frozenset(seed))
 
 
+def _cascades(fld, subset, kept):
+    """Does the peel of `subset` down to `kept` remove a block that has a live
+    neighbour?  It does iff some removed block has a neighbouring block in
+    `subset`: of the two, the one removed first had the other alive."""
+    cx = fld.cx
+    return any(t in subset and fld.mv_id(t) != fld.mv_id(s)
+               for s in subset - kept for t in cx.closure_of(s) | cx.star((s,)))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_the_anchored_peel_decides_the_hull_test(p):
     """For an isolated invariant set S inside a set X, the peel seeded by the
     blocks of X \\ S gives Inv(X), as the full peel, the former reduction and,
     on small sets, the definition do.  So it decides Inv(X) == S, the hull
     test of cases d and f.  X is S plus a few random simplices, or the hull
-    of that; each outcome of the test reaches a floor, and the brute-force
-    oracle a floor of its own, within an attempt cap."""
+    of that.  The same holds under a merge of a multivector of S with one
+    outside it, for X the hull of that X and the merged multivector under
+    the merged field, seeded by its blocks of X \\ S: S' of cases d, f and g.
+    Each outcome of the hull test reaches a floor, as do the brute-force
+    oracle, the merges whose S' differs from S, and the peels that remove a
+    block with a live neighbour, within an attempt cap."""
     rng = random.Random(70 + p)
-    outcomes, by_definition = Counter(), 0
+    outcomes, by_definition, changed, cascades = Counter(), Counter(), 0, 0
+    small = {"hull test": 6, "S'": 5}  # the search grows with the cycles in a block
+
+    def peeled(fld, big, seeds, what):
+        """The anchored peel of `big`, checked against the oracles, and by
+        definition on a small set."""
+        nonlocal cascades
+        anchored = _peel(fld, big, seeds, p)
+        assert anchored == invariant_part(fld, big, p) == scc_invariant_part(fld, big, p)
+        if len(big) <= small[what]:
+            assert anchored == brute_invariant_part(fld, big, p)
+            by_definition[what] += 1
+        cascades += _cascades(fld, big, anchored)
+        return anchored
+
     for tries in itertools.count(1):
-        if min(outcomes[True], outcomes[False]) >= 40 and by_definition >= 40:
+        if (min(outcomes[True], outcomes[False]) >= 40 and by_definition["hull test"] >= 40
+                and by_definition["S'"] >= 20 and changed >= 40 and cascades >= 40):
             break
-        assert tries <= 600, f"{outcomes}, {by_definition} by definition in {tries - 1} fields"
+        assert tries <= 600, (f"{outcomes}, {by_definition} by definition, {changed} changed, "
+                              f"{cascades} cascades in {tries - 1} fields")
         if tries % 2:
             cx = random_complex(rng, n_vertices=5, n_maximal=3, max_dim=2, max_size=12)
             fld = random_field(rng, cx, merges=rng.randint(0, 4))
@@ -364,15 +393,21 @@ def test_the_anchored_peel_decides_the_hull_test(p):
         current = random_isolated_set(rng, fld, p)
         if current is None:
             continue
-        big = current | random_subset(rng, fld.cx.simplices - current, max_size=4)
+        cx = fld.cx
+        big = current | random_subset(rng, cx.simplices - current, max_size=4)
         if rng.random() < 0.5:
             big = mv.hull(fld, big)
-        anchored = _peel(fld, big, {fld.mv_id(s) for s in big - current}, p)
-        assert anchored == invariant_part(fld, big, p) == scc_invariant_part(fld, big, p)
-        if len(big) <= 6:
-            assert anchored == brute_invariant_part(fld, big, p)
-            by_definition += 1
-        outcomes[anchored == current] += 1
+        outcomes[peeled(fld, big, {fld.mv_id(s) for s in big - current}, "hull test") == current] += 1
+        # S is compatible, so a multivector lies outside it iff its id does
+        straddling = [(a, b) for a in sorted({fld.mv_id(s) for s in current})
+                      for b in sorted({fld.mv_id(t) for s in fld.part(a)
+                                       for t in cx.closure_of(s).union(cx.cofacets(s))} - current)
+                      if cx.is_convex(fld.part(a) | fld.part(b))]
+        if straddling:
+            a, b = rng.choice(straddling)
+            nxt = fld.merge(a, b)
+            big = mv.hull(nxt, big | nxt.part_of(a))
+            changed += peeled(nxt, big, {nxt.mv_id(s) for s in big - current}, "S'") != current
 
 
 def test_validate_index_pair_examples(merging_saddles):
@@ -526,7 +561,7 @@ def test_pair_checks_match_the_oracle_and_name_the_least_offender(p):
 
         if cx.is_closed(nbhd):
             for s in (subset, pset - eset):
-                isolated = isolates(fld, nbhd, s, p)
+                isolated = isolates(fld, nbhd, s)
                 assert isolated == oracle_isolates(fld, nbhd, s)
                 seen["isolates"] += isolated
     assert min(seen[k] for k in ("images", "exits", "re-entry", "invariant part")) >= 50, seen
