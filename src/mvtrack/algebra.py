@@ -62,8 +62,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)  # typed: 2.0 is not the cached 2
 def check_prime(p: int) -> int:
+    if not isinstance(p, int):
+        raise ValueError(f"field characteristic must be an integer, got {p!r}")
     if p >= MAX_PRIME:
         raise ValueError(f"field characteristic must be below {MAX_PRIME}, got {p}")
     if not _is_prime(p):

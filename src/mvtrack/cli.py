@@ -6,11 +6,17 @@ barcode), barcode (standalone zigzag file), rearrange-path (atomic path
 between the first and last field of a scene).
 
 Exit codes: 0 success, 2 validation failure, 3 protocol stopped at an
-unresolved step.  A verb raises on bad input, and `main` owns exit 2: a
-SchemaError, PreconditionError or NotAtomicError becomes one `FAIL:` line,
-or the `{"ok": false, "error": ...}` document of `validate --format json`.
-Output is byte-deterministic for a fixed input and configuration; there is
-no floating point anywhere.
+unresolved step.  A verb returns (exit code, JSON document or None, text
+lines) and writes nothing to stdout; `track --out` writes its own three
+files.  `_run` renders what a verb returns, the document under `--format
+json` and the lines otherwise, to stdout or to the file `barcode --out`
+names, and returns the verb's code, so 3 comes from `track` alone.  A verb
+raises on bad input, and `_run` owns exit 2: a SchemaError,
+PreconditionError or NotAtomicError becomes one `FAIL:` line, or the
+`{"ok": false, "error": ...}` document of `validate --format json`, and an
+OSError from any write becomes `FAIL: cannot write ...`.  Output is
+byte-deterministic for a fixed input and configuration; there is no
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -36,11 +42,6 @@ def _emit(text: str, out: Path | None):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
     else:
         out.write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
-
-
-def _cannot_write(exc: OSError) -> int:
-    _emit(f"FAIL: cannot write {exc.filename}: {exc.strerror}", None)
-    return FAIL
 
 
 def _dump(doc) -> str:
@@ -114,7 +115,7 @@ def _parse_selector(scene: Scene, selector: str):
     raise SchemaError(f"unknown selector kind {kind!r}")
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args):
     scene = load_scene(args.scene)
     p = args.field_char
     # load_scene raises SchemaError for a field that fails validate_field
@@ -134,25 +135,20 @@ def cmd_validate(args) -> int:
     ok = not problems
     seed_entry = {"size": len(scene.seed), "ok": ok, "problems": problems}
     doc = {"ok": ok, "fields": entries, "seed": seed_entry}
-    if args.format == "json":
-        _emit(_dump(doc), None)
-    else:
-        lines = []
-        for i, e in enumerate(entries):
-            lines.append(f"field {e['field']}: {e['multivectors']} multivectors - OK")
-            if args.verbose:
-                for part in scene.fields[i].parts():
-                    if len(part) > 1:
-                        lines.append("  multivector "
-                                     + " ".join(scene.format_simplex(s)
-                                                for s in sorted(part)))
-        status = "OK" if seed_entry["ok"] else "FAIL: " + "; ".join(seed_entry["problems"])
-        lines.append(f"seed: {seed_entry['size']} simplices - {status}")
-        _emit("\n".join(lines), None)
-    return OK if ok else FAIL
+    lines = []
+    for i, e in enumerate(entries):
+        lines.append(f"field {e['field']}: {e['multivectors']} multivectors - OK")
+        if args.verbose:
+            for part in scene.fields[i].parts():
+                if len(part) > 1:
+                    lines.append("  multivector "
+                                 + " ".join(scene.format_simplex(s) for s in sorted(part)))
+    status = "OK" if seed_entry["ok"] else "FAIL: " + "; ".join(seed_entry["problems"])
+    lines.append(f"seed: {seed_entry['size']} simplices - {status}")
+    return (OK if ok else FAIL), doc, lines
 
 
-def cmd_conley(args) -> int:
+def cmd_conley(args):
     scene = load_scene(args.scene)
     idx, subset = _parse_selector(scene, args.selector)
     fld = scene.fields[idx - 1]
@@ -162,15 +158,12 @@ def cmd_conley(args) -> int:
         raise PreconditionError("selected set is not convex and compatible, its "
                                 "closure/mouth pair is not an index pair") from None
     isolated = bool(subset) and is_invariant(fld, subset, args.field_char)
-    if args.format == "json":
-        _emit(_dump({"field": idx, "size": len(subset), "betti": list(betti),
-                     "isolated_invariant": isolated}), None)
-    else:
-        lines = [f"set of {len(subset)} simplices under field {idx}"
-                 f" (isolated invariant: {'yes' if isolated else 'no'})"]
-        lines += [f"dimension {k}: {b}" for k, b in enumerate(betti)]
-        _emit("\n".join(lines), None)
-    return OK
+    doc = {"field": idx, "size": len(subset), "betti": list(betti),
+           "isolated_invariant": isolated}
+    lines = [f"set of {len(subset)} simplices under field {idx}"
+             f" (isolated invariant: {'yes' if isolated else 'no'})"]
+    lines += [f"dimension {k}: {b}" for k, b in enumerate(betti)]
+    return OK, doc, lines
 
 
 def trace_doc(scene: Scene, trace) -> dict:
@@ -194,64 +187,48 @@ def trace_doc(scene: Scene, trace) -> dict:
             "stopped": trace.stopped}
 
 
-def cmd_track(args) -> int:
+def cmd_track(args):
     scene = load_scene(args.scene)
     trace = run_protocol(scene.fields, scene.seed, p=args.field_char,
                          heuristic_g=args.heuristic_g)
-    tdoc = trace_doc(scene, trace)
-    bdoc = barcode_doc(trace.barcode)
+    doc = {"trace": trace_doc(scene, trace), "barcode": barcode_doc(trace.barcode)}
+    text = barcode_text(trace.barcode)
     if args.out:
         outdir = Path(args.out)
-        try:
-            outdir.mkdir(parents=True, exist_ok=True)
-            _emit(_dump(tdoc), outdir / "trace.json")
-            _emit(_dump(bdoc), outdir / "barcode.json")
-            _emit(barcode_text(trace.barcode), outdir / "barcode.txt")
-        except OSError as exc:
-            return _cannot_write(exc)
-    if args.format == "json":
-        _emit(_dump({"trace": tdoc, "barcode": bdoc}), None)
-    else:
-        lines = []
-        for st in trace.steps:
-            result = len(st.result) if st.result is not None else "-"
-            lines.append(f"step {st.index}: case {st.case} ({st.rearrangement.kind}), "
-                         f"|S| {len(st.current)} -> {result}"
-                         + (f"  [{'; '.join(st.notes)}]" if st.notes else ""))
-        lines.append(f"stopped: {trace.stopped}; zigzag of {len(trace.zigzag)} pairs")
-        if args.verbose:
-            for pos, (pair, tag) in enumerate(zip(trace.zigzag.pairs,
-                                                  trace.zigzag.tags), start=1):
-                lines.append(f"  position {pos}: field {tag.field_index} "
-                             f"{tag.role} |P|={len(pair.P)} |E|={len(pair.E)}")
-        lines.append(barcode_text(trace.barcode))
-        _emit("\n".join(lines), None)
-    return UNRESOLVED if trace.stopped == "unresolved" else OK
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, body in (("trace.json", _dump(doc["trace"])),
+                           ("barcode.json", _dump(doc["barcode"])), ("barcode.txt", text)):
+            _emit(body, outdir / name)
+    lines = []
+    for st in trace.steps:
+        result = len(st.result) if st.result is not None else "-"
+        lines.append(f"step {st.index}: case {st.case} ({st.rearrangement.kind}), "
+                     f"|S| {len(st.current)} -> {result}"
+                     + (f"  [{'; '.join(st.notes)}]" if st.notes else ""))
+    lines.append(f"stopped: {trace.stopped}; zigzag of {len(trace.zigzag)} pairs")
+    if args.verbose:
+        for pos, (pair, tag) in enumerate(zip(trace.zigzag.pairs,
+                                              trace.zigzag.tags), start=1):
+            lines.append(f"  position {pos}: field {tag.field_index} "
+                         f"{tag.role} |P|={len(pair.P)} |E|={len(pair.E)}")
+    lines.append(text)
+    return (UNRESOLVED if trace.stopped == "unresolved" else OK), doc, lines
 
 
-def cmd_barcode(args) -> int:
+def cmd_barcode(args):
     zz, _labels = load_zigzag(args.zigzag)
     barcode = pair_zigzag_barcode(zz, args.field_char)
-    text = _dump(barcode_doc(barcode)) if args.format == "json" else barcode_text(barcode)
-    try:
-        _emit(text, Path(args.out) if args.out else None)
-    except OSError as exc:
-        return _cannot_write(exc)
-    return OK
+    return OK, barcode_doc(barcode), [barcode_text(barcode)]
 
 
-def cmd_rearrange_path(args) -> int:
+def cmd_rearrange_path(args):
     scene = load_scene(args.scene, check_atomic=False)
     if len(scene.fields) < 2:
         raise SchemaError("need a scene with at least two fields")
     path = rearrangement_path(scene.fields[0], scene.fields[-1])
     path_scene = Scene(scene.cx, path, scene.seed, scene.labels)
-    try:
-        save_scene(path_scene, args.out)
-    except OSError as exc:
-        return _cannot_write(exc)
-    _emit(f"wrote {len(path_scene.fields)} fields to {args.out}", None)
-    return OK
+    save_scene(path_scene, args.out)
+    return OK, None, [f"wrote {len(path_scene.fields)} fields to {args.out}"]
 
 
 def _prime(text: str) -> int:
@@ -316,14 +293,24 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+def _run(args) -> int:
+    """Run the verb `args` names, render what it returns and give its exit code."""
     try:
-        return args.func(args)
+        code, doc, lines = args.func(args)
+        text = _dump(doc) if doc is not None and args.format == "json" else "\n".join(lines)
+        _emit(text, Path(args.out) if args.command == "barcode" and args.out else None)
+        return code
+    except OSError as exc:
+        _emit(f"FAIL: cannot write {exc.filename}: {exc.strerror}", None)
+        return FAIL
     except (SchemaError, PreconditionError, NotAtomicError) as exc:
         json_doc = args.command == "validate" and args.format == "json"
         _emit(_dump({"ok": False, "error": str(exc)}) if json_doc else f"FAIL: {exc}", None)
         return FAIL
+
+
+def main(argv=None) -> int:
+    return _run(_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -230,7 +230,7 @@ def _read_json(path):
         raise SchemaError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed text, or an integer beyond the digit limit
         raise SchemaError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError("invalid JSON: nested too deeply") from exc

@@ -19,9 +19,11 @@ ordered from senior to junior, each with its birth and a representative in
 V_i; together they form a basis of V_i.
 
 * Forward arrow f: V_i -> V_{i+1}.  Reduce f of every representative, in
-  order, then the unit vectors of V_{i+1}.  A bar whose image reduces to zero
-  dies at i; the others continue with their reduced image.  Each unit vector
-  that stays nonzero opens a bar born at i+1, at the junior end.
+  order.  A bar whose image reduces to zero dies at i; the others continue
+  with their reduced image.  Each unit vector e_r of V_{i+1} whose row r is
+  the low of no reduced image opens a bar born at i+1, at the junior end, in
+  ascending r.  These are the units that would survive reduction after the
+  images, and unreduced, since every lower row is already spanned.
 * Backward arrow g: V_i <- V_{i+1}.  Reduce the columns of g, then the
   representatives in order, recording V.  A bar whose representative
   survives is not in im g plus its seniors and dies at i.  A bar that reduces
@@ -172,15 +174,14 @@ def interval_multiplicities(dims: list[int], arrows: list[tuple[str, list[Column
         nxt = []
         if direction == FORWARD:
             images = [_image(cols, rep, p) for _, rep in alive]
-            units = [{r: 1} for r in range(dims[i + 1])]
-            pivots, _ = reduce_columns(images + units, p)
+            pivots, _ = reduce_columns(images, p)
             kept = set(pivots.values())
             for j, (birth, _) in enumerate(alive):
                 if j in kept:
                     nxt.append((birth, images[j]))
                 else:
                     out[(birth, i)] += 1
-            nxt += [(i + 1, col) for j, col in enumerate(units, len(alive)) if j in kept]
+            nxt += [(i + 1, {r: 1}) for r in range(dims[i + 1]) if r not in pivots]
         else:
             m = len(cols)
             pivots, vs = reduce_columns(cols + [rep for _, rep in alive], p, record=True)

@@ -321,6 +321,20 @@ def test_check_prime_is_exact_and_fast():
             check_prime(n)
 
 
+def test_check_prime_rejects_a_characteristic_that_is_not_an_int(triangle):
+    """A float or numpy integer equal to a prime is refused up front, not by
+    a `pow` deep inside elimination, and not from the cached int's entry."""
+    assert check_prime(2) == 2 and check_prime(3) == 3
+    for p in (2.0, 3.0, np.int64(3)):
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            check_prime(p)
+    with pytest.raises(ValueError, match="must be prime, got True"):
+        check_prime(True)
+    top = frozenset({(0, 1, 2)})
+    with pytest.raises(ValueError, match="must be an integer, got 2.0"):
+        relative_homology(triangle, triangle.closure(top), triangle.mouth(top), 2.0)
+
+
 def test_a_prime_is_tested_once_and_a_non_prime_on_every_call(monkeypatch):
     """Tracking a fixture at a large prime runs Miller-Rabin once per
     characteristic, though homology and criticality check it again and

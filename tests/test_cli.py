@@ -799,6 +799,19 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, verb):
         (load_scene if verb == "validate" else load_zigzag)(path)
 
 
+@pytest.mark.parametrize("verb", ["validate", "conley", "track", "barcode", "rearrange-path"])
+def test_an_integer_beyond_the_digit_limit_exits_2(tmp_path, capsys, verb):
+    """`json` parses an over-long integer with `int`, which raises a plain
+    ValueError; every verb reports it as invalid JSON, with no traceback."""
+    path = tmp_path / "big.json"
+    path.write_text("[" + "9" * (sys.get_int_max_str_digits() + 1) + "]")
+    argv = [verb, str(path)] + (["--out", str(tmp_path / "path.json")]
+                                if verb == "rearrange-path" else [])
+    code, out = run(capsys, *argv)
+    assert code == 2 and out.startswith("FAIL: invalid JSON: Exceeds the limit")
+    assert out.count("\n") == 1
+
+
 def test_each_verb_takes_only_the_options_it_reads():
     sub = cli.build_parser()._subparsers._group_actions[0]
     options = {verb: {opt for action in parser._actions for opt in action.option_strings}
@@ -844,8 +857,7 @@ def test_one_parser_serves_every_call(monkeypatch, capsys):
     assert len(builds) == 1
 
     def fresh_main(argv):
-        args = original().parse_args(argv)
-        return args.func(args)
+        return cli._run(original().parse_args(argv))
 
     assert shared == [outcome(fresh_main, argv) for argv in calls]
     assert shared[2][0] == ("exit", 2) and "must be prime, got 4" in shared[2][2]

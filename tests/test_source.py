@@ -37,3 +37,45 @@ def test_every_parameter_in_the_library_is_read():
     unused = [(path.name, *found) for path in sorted(SRC.glob("*.py"))
               for found in unused_parameters(path.read_text(encoding="utf-8"), str(path))]
     assert not unused, unused
+
+
+def render_faults(source, filename="<source>"):
+    """(verb, fault) for each `cmd_*` function that reads `args.format` or
+    calls `_emit` with stdout as a possible target (no target, `None`, or a
+    conditional with a `None` branch): a verb returns its output, and one
+    function renders and writes it."""
+    def may_be_none(target):
+        if isinstance(target, ast.IfExp):
+            return may_be_none(target.body) or may_be_none(target.orelse)
+        return isinstance(target, ast.Constant) and target.value is None
+
+    out = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not isinstance(node, ast.FunctionDef) or not node.name.startswith("cmd_"):
+            continue
+        for n in ast.walk(node):
+            if (isinstance(n, ast.Attribute) and n.attr == "format"
+                    and isinstance(n.value, ast.Name) and n.value.id == "args"):
+                out.append((node.name, "reads args.format"))
+            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_emit":
+                targets = n.args[1:] + [k.value for k in n.keywords if k.arg == "out"]
+                if not targets or may_be_none(targets[0]):
+                    out.append((node.name, "writes to stdout"))
+    return sorted(out)
+
+
+def test_the_check_finds_a_verb_that_renders():
+    source = ("def cmd_a(args):\n    if args.format == 'json':\n        _emit(doc)\n"
+              "def cmd_b(args):\n    _emit(text, None)\n    _emit(text, out=path)\n"
+              "def cmd_c(args):\n    _emit(text, out=None)\n    _emit(text, path)\n"
+              "def cmd_d(args):\n    _emit(text, path if args.out else None)\n"
+              "def _run(args):\n    _emit(args.format)\n")
+    assert render_faults(source) == [("cmd_a", "reads args.format"), ("cmd_a", "writes to stdout"),
+                                     ("cmd_b", "writes to stdout"), ("cmd_c", "writes to stdout"),
+                                     ("cmd_d", "writes to stdout")]
+
+
+def test_no_verb_renders_its_own_output():
+    path = SRC / "cli.py"
+    faults = render_faults(path.read_text(encoding="utf-8"), str(path))
+    assert not faults, faults
