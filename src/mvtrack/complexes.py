@@ -11,10 +11,10 @@ facets and reads no table.
 
 `from_maximal` normalizes each simplex, then completes the closure and hands
 the set over unchecked; the scene loader, whose parser normalizes, takes the
-second step alone.  `Complex(simplices)` checks both.  The simplex
-set is immutable, and every table fill computes a value from it alone and
-stores it once, so a repeated or concurrent fill stores an equal value and
-readers are safe.
+second step alone, and both refuse more than MAX_FACES faces before building
+one.  `Complex(simplices)` checks both steps.  The simplex set is immutable,
+and every table fill computes a value from it alone and stores it once, so a
+repeated or concurrent fill stores an equal value and readers are safe.
 A set closed by construction (`closure`, a push-forward, a convex set's
 mouth, a meet or union of such sets, a set a check found closed) is a private
 `frozenset` subclass, which `is_closed` answers and `check_subset` keeps.
@@ -27,6 +27,7 @@ from typing import Collection, FrozenSet, Iterable, Tuple
 
 Simplex = Tuple[int, ...]
 SimplexSet = FrozenSet[Simplex]
+MAX_FACES = 10 ** 6  # 2^k - 1 faces for each listed k-vertex simplex, summed
 
 
 class _Closed(frozenset):
@@ -94,6 +95,9 @@ class Complex:
     @classmethod
     def _from_normalized(cls, maximal: Iterable[Simplex]) -> "Complex":
         """from_maximal for simplices that are normalized already."""
+        maximal = list(maximal)
+        if sum(2 ** len(s) - 1 for s in maximal) > MAX_FACES:
+            raise ValueError(f"the listed simplices have more than MAX_FACES = {MAX_FACES} faces")
         sset: set[Simplex] = set()
         for s in maximal:
             if s not in sset:  # a member's faces are members already

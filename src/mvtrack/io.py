@@ -175,7 +175,10 @@ def _parse_complex(doc) -> tuple[Complex, Optional[dict[str, int]]]:
     maximal = _parse_simplex_set(doc["maximal_simplices"], labels, "'maximal_simplices'")
     if not maximal:
         raise SchemaError("'maximal_simplices' must not be empty")
-    return Complex._from_normalized(maximal), labels
+    try:
+        return Complex._from_normalized(maximal), labels
+    except ValueError as exc:
+        raise SchemaError(f"'maximal_simplices': {exc}") from exc
 
 
 def scene_from_dict(doc: dict, check_atomic: bool = True) -> Scene:

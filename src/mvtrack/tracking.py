@@ -21,13 +21,13 @@ canonical(S): S' is the peel repaired from the blocks the step touches, and
 the chains under the first field, and under the next where S' = S, need no
 push-forward.  In cases d, f and g the hull grows from S, and its test and
 S' = Inv(hull) under the next field both peel from the blocks of hull \\ S,
-so no step peels a whole set.  Every other pair a step appends is checked
-once per field, for the conditions that can fail; a failure raises, since
-it signals a bug, not bad input.  A step takes one closure, of S' where it
-is new, and tags every set it builds but the mouth of S', whose check is
-that S' is convex.  A step reads its rearrangement from the next field's
-record where there is one, and appends pairs only: `PairZigzag` infers
-every arrow.
+so no step peels a whole set.  One loop checks each other pair a step
+appends once per field and set N it is checked in, for the conditions that
+can fail; a failure raises, since it signals a bug, not bad input.  A step
+takes one closure, of S' where it is new, and tags every set it builds but
+the mouth of S', whose check is that S' is convex.  A step reads its
+rearrangement from the next field's record where there is one, and appends
+pairs only: `PairZigzag` infers every arrow.
 """
 
 from __future__ import annotations
@@ -109,90 +109,60 @@ def _meet(a: IndexPair, b: IndexPair) -> IndexPair:
                        else x & y for x, y in zip(a, b)))
 
 
-def _check(field: MultivectorField, pair: IndexPair, subset: Optional[SimplexSet], p: int,
-           what: str, nbhd: Optional[SimplexSet] = None) -> IndexPair:
-    """`pair`, tagged closed, as an index pair for `subset` inside `nbhd` (P by default).
+def _checked(field: MultivectorField, known: IndexPair, links: list, p: int, roles: tuple,
+             index: int) -> tuple:
+    """The pairs a step appends and their tags, read off its checked links by
+    `roles`: (link index, field offset of the tag, role) for each, in zigzag order.
 
-    The fourth condition, Inv(P \\ E) = subset, is checked only where it can
-    fail.  Every set a step checks pairs for is invariant under that field,
-    and the invariant part is idempotent, so the condition holds for a body
-    equal to `subset`; `subset` None means it holds by construction."""
-    report = validate_index_pair_in_n(field, pair.P, pair.E, pair.P if nbhd is None else nbhd,
-                                      None if pair.body == subset else subset, p)
-    if not report:
-        raise ZigzagAssemblyError(f"{what}: " + "; ".join(report.problems))
-    return IndexPair(*(x if isinstance(x, _Closed) else _Closed(x) for x in pair))
-
-
-_CHAIN = ("canonical", "pushforward", "meet", "connecting")
-
-
-def _chain(field: MultivectorField, subset: SimplexSet, pair: IndexPair, p: int, tag: int,
-           start: Optional[IndexPair] = None, canonical: Optional[IndexPair] = None
-           ) -> tuple[list[IndexPair], list[PairTag]]:
-    """canonical(S) <= pf-pair >= meet <= (P,E), each an index pair for S.
-
-    canonical(S) is `start`, the zigzag's validated end, else `canonical`,
-    else built.  The connecting pair (P,E) needs no fourth condition: S is
-    the invariant part of its body by definition of S' under the next field,
-    and by the hull test of case d under the first.  Each distinct pair but
-    `start` is checked once, from (P,E) back, and stands in the chain as
-    checked.  If (P,E) is canonical(S) the chain is (P,E) four times: pushed
-    inside P, P is P and E is E by the exit condition, of the loop invariant
-    under the first field and checked below under the next."""
-    canonical = start or canonical or _canonical(field.cx, subset)
-    pf_pair = pair if canonical == pair else _push_forward_pair(field, canonical, pair.P)
-    chain = [canonical, pf_pair, _meet(pair, pf_pair), pair]
-    checked = {start: start}
-    for i in reversed(range(len(chain))):
-        if chain[i] not in checked:
-            checked[chain[i]] = _check(field, chain[i], None if i == 3 else subset, p,
-                                       f"{_CHAIN[i]} pair")
-        chain[i] = checked[chain[i]]
-    return chain, [PairTag(tag, role) for role in _CHAIN]
+    A link is (pair, field, subset, what, nbhd).  Each distinct pair is checked
+    once per field and set N it is checked inside, `nbhd` or else P, in link
+    order, and stands in the step tagged closed: an index pair inside N is
+    one inside its own P, and `known` one under `field`.  The fourth
+    condition, Inv(P \\ E) = subset, is checked only where it can fail: every
+    set a step checks pairs for is invariant under that field, and the
+    invariant part is idempotent, so it holds for a body equal to `subset`;
+    `subset` None means it holds by construction."""
+    checked = {(id(field), known, known.P): known}
+    for pair, fld, subset, what, nbhd in links:
+        nbhd = pair.P if nbhd is None else nbhd
+        if (id(fld), pair, nbhd) not in checked:
+            report = validate_index_pair_in_n(fld, pair.P, pair.E, nbhd,
+                                              None if pair.body == subset else subset, p)
+            if not report:
+                raise ZigzagAssemblyError(f"{what}: " + "; ".join(report.problems))
+            checked[id(fld), pair, nbhd] = checked[id(fld), pair, pair.P] = IndexPair(
+                *(x if isinstance(x, _Closed) else _Closed(x) for x in pair))
+    pairs = [checked[id(fld), pair, pair.P] for pair, fld, _, _, _ in links]
+    return [pairs[i] for i, _, _ in roles], [PairTag(index + k, role) for _, k, role in roles]
 
 
-def _adjacency_chunk(field: MultivectorField, nxt: MultivectorField, current: SimplexSet,
-                     result: SimplexSet, ambient: SimplexSet, p: int, index: int,
-                     start: Optional[IndexPair] = None, closing: Optional[IndexPair] = None):
-    """canonical(S) <= pf >= meet <= pf' >= canonical(S'), pairs after canonical(S);
-    those two are `start` and `closing` where given.
-
-    A push-forward pair is an index pair once it passes in the common
-    isolating set, and so in its own P: canonical(S') is checked only where
-    it differs from pf'.  The meet encodes the invariant part of its body,
-    and is checked under the common refinement of the two fields where it
-    differs from pf.  Only a merge reaches this chunk, since a refinement
-    continues (case a), and the common refinement of a field and a merge of
-    two of its parts is that field: `field`, the field pf is checked under."""
-    pf1 = _push_forward_pair(field, start or _canonical(field.cx, current), ambient)
-    closing = closing or _canonical(nxt.cx, result)
-    pf2 = _push_forward_pair(nxt, closing, ambient)
-    meet = _meet(pf1, pf2)
-    for fld, pf, subset in ((field, pf1, current), (nxt, pf2, result)):
-        _check(fld, pf, subset, p, "push-forward pair in the common isolating set", ambient)
-    if meet != pf1:
-        _check(field, meet, None, p, "intersected pair under the common refinement", ambient)
-    closing = pf2 if closing == pf2 else _check(nxt, closing, result, p, "canonical pair")
-    tags = [PairTag(index, "pushforward"), PairTag(index + 1, "meet"),
-            PairTag(index + 1, "pushforward"), PairTag(index + 1, "canonical")]
-    return [pf1, meet, pf2, closing], tags
-
-
-def _naive_chunk(cx: Complex, current: SimplexSet, result: SimplexSet, tag_nxt: int):
-    """canonical(S) >= raw meet <= canonical(S'), the meet tagged naive-meet."""
-    first, second = _canonical(cx, current), _canonical(cx, result)
-    meet = IndexPair(first.P & second.P, first.E & second.E)
-    tags = [PairTag(tag_nxt, "naive-meet"), PairTag(tag_nxt, "canonical")]
-    return [meet, second], tags
+_CONTINUED = ((2, 0, "pushforward"), (1, 0, "meet"), (0, 0, "connecting"),
+              (5, 1, "meet"), (6, 1, "pushforward"), (7, 1, "canonical"))
+_ADJACENT = ((0, 0, "pushforward"), (2, 1, "meet"), (1, 1, "pushforward"), (3, 1, "canonical"))
 
 
 def _step(field: MultivectorField, nxt: MultivectorField, current: SimplexSet,
           known: IndexPair, p: int, heuristic_g: bool, index: int) -> TrackingStep:
     """One step from `known`, the validated canonical pair of `current` under
-    `field`, to canonical(result) under `nxt`.  Continuation connects through
-    `known` in cases a-c, and through canonical(hull) in case d."""
-    cx = field.cx
+    `field`, to canonical(result) under `nxt`.
+
+    Continuation connects through (P,E), `known` in cases a-c and
+    canonical(hull) in case d: canonical(S) <= pf >= meet <= (P,E) under
+    `field`, then (P,E) >= meet' <= pf' >= canonical(S') under `nxt`, each
+    an index pair for its set, checked from (P,E) back.  (P,E) needs no
+    fourth condition: S is the invariant part of its body by definition of
+    S' under the next field, and by the hull test of case d under the first.
+    A start equal to (P,E) gives its chain as (P,E) four times: pushed inside
+    P, P is P and E is E by the exit condition.
+
+    Case f goes canonical(S) <= pf >= meet <= pf' >= canonical(S') in the
+    common isolating set N.  A push-forward pair is an index pair once it
+    passes in N, and so in its own P: canonical(S') is checked only where it
+    differs from pf'.  The meet encodes the invariant part of its body, and
+    is checked under the common refinement of the two fields where it
+    differs from pf.  Only a merge reaches case f, since a refinement
+    continues (case a), and the common refinement of a field and a merge of
+    two of its parts is that field: `field`, the field pf is checked under."""
     move = classify_rearrangement(field, nxt)
     merged, hull_set, pair = move.whole, None, known
     if move.kind == "refinement" or merged <= current or not merged & current:
@@ -207,37 +177,48 @@ def _step(field: MultivectorField, nxt: MultivectorField, current: SimplexSet,
         pair = IndexPair(hull_closure, _Closed(hull_closure - hull_set)) if case == "d" else None
         # The hull is convex, so it is the body of canonical(hull): one S' for d and f.
         result = _peel(nxt, hull_set, set(map(nxt.mv_id, outside)), p)
-    closing = known if result == current else _canonical(cx, result)
+    closing = known if result == current else _canonical(field.cx, result)
 
     if pair is not None:
         if case == "c" and result != current:
             raise ZigzagAssemblyError("case c: a merge outside the set changed its invariant part")
-        out, out_tags = _chain(field, current, pair, p, index, known)
-        back, back_tags = _chain(nxt, result, pair, p, index + 1, None, closing)
-        return TrackingStep(index, case, current, result, move, connecting_pair=pair,
-                            hull_set=hull_set, appended_pairs=out[1:] + back[-2::-1],
-                            appended_tags=out_tags[1:] + back_tags[-2::-1])
+        links = []
+        for fld, subset, start in ((field, current, known), (nxt, result, closing)):
+            pf = pair if start == pair else _push_forward_pair(fld, start, pair.P)
+            links += [(pair, fld, None, "connecting pair", None),
+                      (_meet(pair, pf), fld, subset, "meet pair", None),
+                      (pf, fld, subset, "pushforward pair", None),
+                      (start, fld, subset, "canonical pair", None)]
+        pairs, tags = _checked(field, known, links, p, _CONTINUED, index)
+        return TrackingStep(index, case, current, result, move, pairs, tags,
+                            connecting_pair=pair, hull_set=hull_set)
 
     # No continuation exists past this point; fall back to persistence.
     ambient = _Closed(known.P | closing.P)
     if isolates(field, ambient, current) and isolates(nxt, ambient, result):
-        pairs, tags = _adjacency_chunk(field, nxt, current, result, ambient, p, index,
-                                       known, closing)
-        return TrackingStep(index, "f", current, result, move, hull_set=hull_set,
-                            adjacency_set=ambient, appended_pairs=pairs, appended_tags=tags,
-                            notes=("continuation broken",))
+        pf = _push_forward_pair(field, known, ambient)
+        pf_next = _push_forward_pair(nxt, closing, ambient)
+        in_n = "push-forward pair in the common isolating set"
+        links = [(pf, field, current, in_n, ambient), (pf_next, nxt, result, in_n, ambient),
+                 (_meet(pf, pf_next), field, None,
+                  "intersected pair under the common refinement", ambient),
+                 (closing, nxt, result, "canonical pair", None)]
+        pairs, tags = _checked(field, known, links, p, _ADJACENT, index)
+        return TrackingStep(index, "f", current, result, move, pairs, tags, hull_set=hull_set,
+                            adjacency_set=ambient, notes=("continuation broken",))
 
     notes = ("continuation broken", "no common isolating set")
     if not heuristic_g:
         return TrackingStep(index, "g", current, None, move, [], [], hull_set=hull_set,
                             notes=notes, resolved=False)
-    pairs, tags = _naive_chunk(cx, current, result, index + 1)
-    pairs[-1] = _check(nxt, pairs[-1], result, p, "canonical pair")
-    middle = validate_index_pair_in_n(nxt, pairs[0].P, pairs[0].E, pairs[0].P, None)
+    [closing], tags = _checked(field, known, [(closing, nxt, result, "canonical pair", None)],
+                               p, ((0, 1, "canonical"),), index)
+    meet = _meet(known, closing)
+    middle = validate_index_pair_in_n(nxt, meet.P, meet.E, meet.P, None)
     notes += ("heuristic intersection emitted"
               + ("" if middle else "; middle pair is not an index pair"),)
-    return TrackingStep(index, "g", current, result, move, hull_set=hull_set,
-                        appended_pairs=pairs, appended_tags=tags, notes=notes)
+    return TrackingStep(index, "g", current, result, move, [meet, closing],
+                        [PairTag(index + 1, "naive-meet")] + tags, hull_set=hull_set, notes=notes)
 
 
 def track_step(field: MultivectorField, nxt: MultivectorField, current: SimplexSet,

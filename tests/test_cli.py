@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import mvtrack as mv
 from mvtrack import cli, fields as mvfields, tracking
 from mvtrack.algebra import MAX_PRIME
+from mvtrack.complexes import MAX_FACES
 from mvtrack.cli import main
 from mvtrack.io import (Scene, SchemaError, load_scene, load_zigzag, save_scene,
                         scene_from_dict, scene_to_dict, zigzag_from_dict)
@@ -315,6 +317,25 @@ def test_field_char_beyond_int64_is_a_usage_error(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"below {MAX_PRIME}" in err and "Traceback" not in err
+
+
+def test_a_simplex_with_too_many_faces_is_refused(tmp_path, capsys):
+    """A k-vertex simplex has 2^k - 1 faces.  `from_maximal` refuses one of 21
+    vertices, past MAX_FACES, before it builds a face, so one of 30 vertices
+    is refused at once, and every verb exits 2 with the bound named."""
+    refused = f"the listed simplices have more than MAX_FACES = {MAX_FACES} faces"
+    for k in (21, 30):
+        with pytest.raises(ValueError, match=refused):
+            mv.Complex.from_maximal([range(k)])
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"maximal_simplices": [list(range(30))], "fields": [[]],
+                                "seed": [], "pairs": []}))
+    for argv in (["validate"], ["conley"], ["track"], ["barcode"],
+                 ["rearrange-path", "--out", str(tmp_path / "path.json")]):
+        start = time.perf_counter()
+        assert run(capsys, argv[0], str(path), *argv[1:]) == (
+            2, f"FAIL: 'maximal_simplices': {refused}\n")
+        assert time.perf_counter() - start < 1, argv
 
 
 def test_track_at_a_large_prime_matches_p3(capsys):

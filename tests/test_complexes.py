@@ -14,8 +14,8 @@ from mvtrack.complexes import Complex, facets, proper_faces, simplex
 from mvtrack.io import load_scene
 from mvtrack.zigzag import pair_zigzag_barcode
 
-from helpers import (EagerComplex, all_faces, cone_pair, mouth_is_convex, random_complex,
-                     random_subset, vertices)
+from helpers import (EagerComplex, all_faces, cone_pair, grid_complex, mouth_is_convex,
+                     random_complex, random_subset, vertices)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -359,3 +359,11 @@ def test_loading_builds_the_complex_once(name, face_calls):
     assert face_calls["simplex"] <= maximal
     assert face_calls["proper_faces"] <= maximal + len(scene.cx)
     assert face_calls["facets"] <= len(scene.cx)
+
+
+def test_the_face_bound_admits_a_large_grid():
+    """MAX_FACES bounds the faces of the listed simplices, 7 per triangle:
+    the 128 x 128 grid of the grid-index scene lists 32,768 triangles and
+    loads whole, 98,817 simplices."""
+    assert 2 * 128 * 128 * 7 <= complexes.MAX_FACES
+    assert len(grid_complex(128)) == 98_817

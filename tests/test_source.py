@@ -79,3 +79,52 @@ def test_no_verb_renders_its_own_output():
     path = SRC / "cli.py"
     faults = render_faults(path.read_text(encoding="utf-8"), str(path))
     assert not faults, faults
+
+
+def unreferenced_private(sources):
+    """(file, name) for each private function, class or module constant that
+    a module of `sources` ({filename: text}) defines and that no module reads
+    outside the definition itself: an import alone keeps nothing alive."""
+    trees = {name: ast.parse(text, name) for name, text in sources.items()}
+
+    def reads(node):
+        return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                or isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    defined = []
+    for filename, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((filename, node.name, node))
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            defined += [(filename, t.id, node) for t in targets if isinstance(t, ast.Name)]
+    everywhere = [name for tree in trees.values() for name in reads(tree)]
+    return sorted((filename, name) for filename, name, node in defined if private(name)
+                  and everywhere.count(name) == reads(node).count(name))
+
+
+def test_the_check_finds_private_code_nothing_reads():
+    sources = {
+        "a.py": "_USED = 1\n_UNUSED: int = 2\n__all__ = []\n"
+                "def _recursive(n):\n    return _recursive(n - 1)\n"
+                "def f():\n    return _USED + _Kept().go()\n"
+                "class _Kept:\n    def go(self):\n        return self._inner()\n"
+                "    def _inner(self):\n        return 0\n"
+                "    def _dead(self):\n        return self._dead()\n"
+                "    def __len__(self):\n        return 0\n",
+        "b.py": "from .a import _imported\ndef _imported():\n    pass\n"
+                "def g():\n    return _from_b()\ndef _from_b():\n    pass\n"}
+    assert unreferenced_private(sources) == [("a.py", "_UNUSED"), ("a.py", "_dead"),
+                                             ("a.py", "_recursive"), ("b.py", "_imported")]
+
+
+def test_no_private_code_in_the_library_is_kept_alive_by_tests_alone():
+    found = unreferenced_private({path.name: path.read_text(encoding="utf-8")
+                                  for path in sorted(SRC.glob("*.py"))})
+    assert not found, found

@@ -9,10 +9,10 @@ import pytest
 import mvtrack as mv
 from mvtrack import complexes, dynamics, tracking
 from mvtrack.complexes import Complex, proper_faces, simplex
-from mvtrack.dynamics import IndexPair, canonical_index_pair, invariant_part, isolates
+from mvtrack.dynamics import (IndexPair, canonical_index_pair, invariant_part, isolates,
+                              push_forward)
 from mvtrack.fields import MultivectorField, classify_rearrangement, intersect_fields
-from mvtrack.tracking import (ZigzagAssemblyError, _adjacency_chunk, _chain, _naive_chunk, hull,
-                              run_protocol, track_step)
+from mvtrack.tracking import ZigzagAssemblyError, hull, run_protocol, track_step
 from mvtrack.zigzag import BACKWARD, FORWARD, PairTag, PairZigzag
 
 from helpers import (all_faces, alternating_hull, bars_in_dim, brute_hull, dense_relative_betti,
@@ -151,8 +151,6 @@ def test_adjacency_zigzag(merging_saddles, monkeypatch):
     v1, v2, v3 = merging_saddles.fields
     seed = merging_saddles.seed
     step1 = track_step(v1, v2, seed)
-    step2 = track_step(v2, v3, step1.result, step_index=2)
-    assert step2.case == "f"
     # every check is under v2 or v3, the meet's under v2: the common
     # refinement of v2 and its merge v3
     assert intersect_fields(v2, v3) == v2
@@ -160,21 +158,26 @@ def test_adjacency_zigzag(merging_saddles, monkeypatch):
     validate = tracking.validate_index_pair_in_n
     monkeypatch.setattr(tracking, "validate_index_pair_in_n",
                         lambda field, *rest: checked.append(field) or validate(field, *rest))
+    step2 = track_step(v2, v3, step1.result, step_index=2)
+    assert step2.case == "f"
+    assert checked and all(field is v2 or field is v3 for field in checked)
+    # canonical(S) <= pf >= meet <= pf' >= canonical(S'), pushed inside cl S | cl S'
     cx = merging_saddles.cx
     ambient = cx.closure(step1.result) | cx.closure(step2.result)
-    pairs, _ = _adjacency_chunk(v2, v3, step1.result, step2.result, ambient, 2, 2)
-    assert pairs == step2.appended_pairs
-    assert checked and all(field is v2 or field is v3 for field in checked)
+    assert step2.adjacency_set == ambient
+    pf, pf_next = (IndexPair(push_forward(fld, cx.closure(s), ambient),
+                             push_forward(fld, cx.mouth(s), ambient))
+                   for fld, s in ((v2, step1.result), (v3, step2.result)))
+    closing = IndexPair(cx.closure(step2.result), cx.mouth(step2.result))
+    assert step2.appended_pairs == [pf, IndexPair(pf.P & pf_next.P, pf.E & pf_next.E),
+                                    pf_next, closing]
+    assert [(tag.field_index, tag.role) for tag in step2.appended_tags] == [
+        (2, "pushforward"), (3, "meet"), (3, "pushforward"), (3, "canonical")]
     zz = _step_zigzag(v2, step1.result, step2)
     assert len(zz) == 5
     barcode = mv.pair_zigzag_barcode(zz)
     dim1 = sorted((b.birth, b.death) for b in bars_in_dim(barcode, 1))
     assert dim1[0] == (1, 5) and dim1[1][1] == 5 and len(dim1) == 2
-
-    # identical sets and fields: everything constant, full barcode
-    pairs, _ = _adjacency_chunk(v1, v1, seed, seed, cx.closure(seed), 2, 1)
-    same = PairZigzag(cx, [canonical_index_pair(v1, seed)] + pairs)
-    assert is_full(mv.pair_zigzag_barcode(same))
 
     # case g: the union of closures does not isolate both sets
     cx, fld, nxt, gseed = _case_g_instance()
@@ -195,23 +198,30 @@ def test_connect_pair_to_canonical(merging_saddles):
     bigger = IndexPair(cx.simplices, frozenset(cx.simplices
                                                - invariant_part(v1, cx.simplices)))
     assert not mv.validate_index_pair(v1, bigger.P, bigger.E, seed)
-    # the meet's body is not the seed, so its fourth condition is computed
+    # a body that is not the seed has its fourth condition computed, and the
+    # failed check names the pair's role
     with pytest.raises(ZigzagAssemblyError, match="meet pair: invariant part of P"):
-        _chain(v1, seed, bigger, 2, 1)
+        tracking._checked(v1, canonical, [(bigger, v1, seed, "meet pair", None)], 2, (), 1)
 
 
-def test_connect_push_forward_pair(repeller_disk):
-    fld = repeller_disk.fields[0]
-    cx = repeller_disk.cx
-    center = repeller_disk.seed
-    pair = IndexPair(cx.simplices, frozenset(cx.simplices - center))
-    chain, tags = _chain(fld, center, pair, 2, 1)
-    assert chain[0] == canonical_index_pair(fld, center) and chain[-1] == pair
-    zz = PairZigzag(cx, chain[::-1], tags[::-1])
-    assert is_full(mv.pair_zigzag_barcode(zz))
+def test_connect_push_forward_pair(nine_fields):
+    """In case d the connecting pair is canonical(hull), not canonical(S): the
+    chain pushes canonical(S) forward inside its P, and the step's zigzag,
+    being continuation, has every bar full."""
+    fld, nxt = nine_fields.fields[:2]
+    cx = nine_fields.cx
+    seed = nine_fields.seed
+    step = track_step(fld, nxt, seed)
+    assert step.case == "d"
+    pair = step.connecting_pair
+    canonical = canonical_index_pair(fld, seed)
+    assert pair == IndexPair(cx.closure(step.hull_set), cx.mouth(step.hull_set)) != canonical
+    pf = IndexPair(push_forward(fld, canonical.P, pair.P), push_forward(fld, canonical.E, pair.P))
+    assert step.appended_pairs[:3] == [pf, IndexPair(pf.P & pair.P, pf.E & pair.E), pair]
+    assert is_full(mv.pair_zigzag_barcode(_step_zigzag(fld, seed, step)))
 
 
-def test_naive_intersection_zigzag(merging_saddles):
+def test_naive_intersection_zigzag():
     cx, fld, nxt, seed = _case_g_instance()
     step = track_step(fld, nxt, seed, heuristic_g=True)
     zz = _step_zigzag(fld, seed, step)
@@ -221,18 +231,16 @@ def test_naive_intersection_zigzag(merging_saddles):
     assert not mv.validate_index_pair(nxt, middle.P, middle.E,
                                       invariant_part(nxt, middle.body))
     assert not is_full(mv.pair_zigzag_barcode(zz))
-
-    cx = merging_saddles.cx
-    seed = merging_saddles.seed
-    pairs, _ = _naive_chunk(cx, seed, seed, 2)
-    constant = PairZigzag(cx, [IndexPair(cx.closure(seed), cx.mouth(seed))] + pairs)
-    assert is_full(mv.pair_zigzag_barcode(constant))
+    # the raw meet is the meet of the two canonical pairs, whose sets are closed
+    first, second = (IndexPair(cx.closure(s), cx.mouth(s)) for s in (seed, step.result))
+    assert middle == IndexPair(first.P & second.P, first.E & second.E)
+    assert all(isinstance(part, complexes._Closed) for part in middle)
 
     # disjoint closures: the middle pair is empty and every bar dies
     strip = mv.Complex.from_maximal([[0, 1], [2, 3]])
-    left, right = frozenset({(0, 1)}), frozenset({(2, 3)})
-    pairs, _ = _naive_chunk(strip, left, right, 2)
-    zz = PairZigzag(strip, [IndexPair(strip.closure(left), strip.mouth(left))] + pairs)
+    first, second = (IndexPair(strip.closure(s), strip.mouth(s))
+                     for s in (frozenset({(0, 1)}), frozenset({(2, 3)})))
+    zz = PairZigzag(strip, [first, IndexPair(first.P & second.P, first.E & second.E), second])
     barcode = mv.pair_zigzag_barcode(zz)
     assert barcode.betti_per_position[1] == (0, 0)
     assert all(b.birth == b.death for b in barcode.bars)
@@ -306,17 +314,16 @@ def test_run_protocol_checks_the_seed_once(name, invariant_parts, monkeypatch):
     assert calls["invariant_part"] == 1
 
 
-@pytest.mark.parametrize("name", ["merging_saddles", "saddle_collision_nine", "unresolved_step"])
-def test_each_step_validates_its_closing_pair_once(name, monkeypatch):
-    """Within a step, the pair the zigzag ended on is not checked again in
-    its own P under the step's first field; the closing pair canonical(result) is
+def _each_pair_checked_once(monkeypatch, runs, p=2):
+    """Tracks each run (fields, seed) with heuristic g and counts its checks
+    per step: the pair the zigzag ended on is not checked again in its own P
+    under the step's first field; the closing pair canonical(result) is
     checked under the next field exactly once; the connecting pair is checked
     under the next field, and under the first only in case d; no pair is
     checked twice under one field; the set the fourth condition is checked
     for is None unless the pair's body differs from it; and every appended
     pair is checked under the field of its tag, or the common refinement for
-    the meet of case f."""
-    scene = mv.load_scene(FIXTURES / f"{name}.json")
+    the meet of case f.  Returns the count of each case."""
     log = []
     validate = tracking.validate_index_pair_in_n
 
@@ -332,66 +339,93 @@ def test_each_step_validates_its_closing_pair_once(name, monkeypatch):
         return step_fn(*args)
 
     monkeypatch.setattr(tracking, "_step", marked)
-    trace = run_protocol(scene.fields, scene.seed, heuristic_g=True)
-    assert trace.stopped != "unresolved" and log[0] is None
-    cx = scene.cx
-    chunks = []
-    for entry in log:
-        if entry is None:
-            chunks.append([])
-        else:
-            chunks[-1].append(entry)
-    assert len(chunks) == len(trace.steps)
-    for step, checks in zip(trace.steps, chunks):
-        fld, nxt = scene.fields[step.index - 1], scene.fields[step.index]
-        start = IndexPair(cx.closure(step.current), cx.mouth(step.current))
-        closing = IndexPair(cx.closure(step.result), cx.mouth(step.result))
-        assert step.appended_pairs[-1] == closing
+    cases = Counter()
+    for fields, seed in runs:
+        log.clear()
+        trace = run_protocol(fields, seed, p, heuristic_g=True)
+        assert trace.stopped != "unresolved" and log[0] is None
+        cx = fields[0].cx
+        chunks = []
+        for entry in log:
+            if entry is None:
+                chunks.append([])
+            else:
+                chunks[-1].append(entry)
+        assert len(chunks) == len(trace.steps)
+        for step, checks in zip(trace.steps, chunks):
+            cases[step.case] += 1
+            fld, nxt = fields[step.index - 1], fields[step.index]
+            start = IndexPair(cx.closure(step.current), cx.mouth(step.current))
+            closing = IndexPair(cx.closure(step.result), cx.mouth(step.result))
+            assert step.appended_pairs[-1] == closing
 
-        def checked(field, pair, in_p=False):
-            return sum(f is field and q == pair and not (in_p and args[0] != q.P)
-                       for f, q, args in checks)
+            def checked(field, pair, in_p=False):
+                return sum(f is field and q == pair and not (in_p and args[0] != q.P)
+                           for f, q, args in checks)
 
-        assert checked(fld, start, in_p=True) == 0
-        assert checked(nxt, closing) == 1
-        if step.connecting_pair is not None:
-            assert checked(nxt, step.connecting_pair) == 1
-            assert checked(fld, step.connecting_pair) == (step.case == "d")
-        assert len({(id(f), q) for f, q, _ in checks}) == len(checks)
-        for _, pair, args in checks:
-            assert args[1] is None or pair.body != args[1]
-        for pair, tag in zip(step.appended_pairs, step.appended_tags):
-            field = scene.fields[tag.field_index - 1]
-            if step.case == "f" and tag.role == "meet":
-                field = intersect_fields(fld, nxt)
-            assert (field is fld and pair == start) or any(
-                f == field and q == pair for f, q, _ in checks), (step.index, tag)
+            assert checked(fld, start, in_p=True) == 0
+            assert checked(nxt, closing) == 1
+            if step.connecting_pair is not None:
+                assert checked(nxt, step.connecting_pair) == 1
+                assert checked(fld, step.connecting_pair) == (step.case == "d")
+            assert len({(id(f), q) for f, q, _ in checks}) == len(checks)
+            for _, pair, args in checks:
+                assert args[1] is None or pair.body != args[1]
+            for pair, tag in zip(step.appended_pairs, step.appended_tags):
+                field = fields[tag.field_index - 1]
+                if step.case == "f" and tag.role == "meet":
+                    # the common refinement of a field and a merge of two of its parts
+                    assert intersect_fields(fld, nxt) == fld
+                    field = fld
+                assert (field is fld and pair == start) or any(
+                    f == field and q == pair for f, q, _ in checks), (step.index, tag)
+    return cases
+
+
+@pytest.mark.parametrize("name", ["merging_saddles", "saddle_collision_nine", "unresolved_step"])
+def test_each_step_validates_its_closing_pair_once(name, monkeypatch):
+    scene = mv.load_scene(FIXTURES / f"{name}.json")
+    assert _each_pair_checked_once(monkeypatch, [(scene.fields, scene.seed)])
+
+
+def test_each_small_step_validates_each_pair_once(monkeypatch):
+    """The accounting above on a stride of the exhaustive two-field runs on
+    one triangle, where every case fires a floor of times."""
+    cases = _each_pair_checked_once(monkeypatch, small_runs(Complex.from_maximal([(0, 1, 2)]),
+                                                            stride=13))
+    assert cases["d"] >= 20 and cases["f"] >= 10 and cases["g"] >= 2, cases
 
 
 def test_chains_collapse_without_push_forwards(monkeypatch):
     """No push-forward in a run has its seed equal to its ambient set.  A
     chain from canonical(S) to a connecting pair equal to it is that pair four
     times, since there a push-forward returns P and E unchanged; every other
-    chain starts from canonical(S)."""
+    chain starts from canonical(S).  The chains are read off each
+    continuation step's pairs: canonical(S) <= pf >= meet <= (P,E) under the
+    first field, then back from canonical(S') under the next."""
     pushes, collapsed = [], []
-    push_forward, chain = tracking.push_forward, tracking._chain
+    push_forward, step_fn = tracking.push_forward, tracking._step
 
     def pushed(field, subset, nbhd):
         pushes.append(subset == nbhd)
         return push_forward(field, subset, nbhd)
 
-    def chained(field, subset, pair, *rest):
-        out = chain(field, subset, pair, *rest)
-        canonical = IndexPair(field.cx.closure(subset), field.cx.mouth(subset))
-        if canonical == pair:
-            assert out[0] == [pair] * 4
-            collapsed.append((field, pair))
-        else:
-            assert out[0][0] == canonical and out[0][-1] == pair
-        return out
+    def stepped(field, nxt, current, known, *rest):
+        step = step_fn(field, nxt, current, known, *rest)
+        pair, appended = step.connecting_pair, step.appended_pairs
+        if pair is not None:
+            for fld, subset, chain in ((field, current, [known] + appended[:3]),
+                                       (nxt, step.result, appended[:1:-1])):
+                canonical = IndexPair(fld.cx.closure(subset), fld.cx.mouth(subset))
+                if canonical == pair:
+                    assert chain == [pair] * 4
+                    collapsed.append((fld, pair))
+                else:
+                    assert chain[0] == canonical and chain[-1] == pair
+        return step
 
     monkeypatch.setattr(tracking, "push_forward", pushed)
-    monkeypatch.setattr(tracking, "_chain", chained)
+    monkeypatch.setattr(tracking, "_step", stepped)
     for name in SCENES:
         scene = mv.load_scene(FIXTURES / f"{name}.json")
         run_protocol(scene.fields, scene.seed, heuristic_g=True)
@@ -708,9 +742,9 @@ def test_every_set_tagged_closed_is_closed(p, monkeypatch):
 def test_a_step_builds_one_closure_and_scans_no_set_it_built(name, monkeypatch):
     """Counts work: outside the criticality of multivectors, a run takes the
     closure of the seed and of S' in each step where S' differs from S, and
-    no other but case g's two canonical pairs.  It scans for closedness only
-    sets no step tagged: the mouth of a new S', at most once, and the raw
-    meet of case g."""
+    no other.  It scans for closedness only sets no step tagged: the mouth of
+    a new S', at most once.  Case g's raw meet is a meet of checked pairs, so
+    it is tagged closed and never scanned."""
     scene = mv.load_scene(FIXTURES / f"{name}.json")
     closures, scans, deciding = [], Counter(), []
     closure, is_closed = Complex.closure, Complex.is_closed
@@ -740,9 +774,7 @@ def test_a_step_builds_one_closure_and_scans_no_set_it_built(name, monkeypatch):
     expected = [scene.seed]
     for step in trace.steps:
         expected += [step.result] if step.result != step.current else []
-        expected += [step.current, step.result] if step.case == "g" else []
     assert closures == expected
     mouths = {scene.cx.mouth(step.result) for step in trace.steps if step.result != step.current}
-    naive = {part for step in trace.steps if step.case == "g" for part in step.appended_pairs[0]}
-    assert scans.keys() <= mouths | naive
-    assert all(scans[mouth] <= 1 for mouth in mouths - naive)
+    assert scans.keys() <= mouths
+    assert all(scans[mouth] <= 1 for mouth in mouths)
