@@ -11,9 +11,10 @@ facets and reads no table.
 
 `from_maximal` normalizes each simplex, then completes the closure and hands
 the set over unchecked; the scene loader, whose parser normalizes, takes the
-second step alone, and both refuse more than MAX_FACES faces before building
-one.  `Complex(simplices)` checks both steps.  The simplex set is immutable,
-and every table fill computes a value from it alone and stores it once, so a
+second step alone.  Both refuse a simplex of more than MAX_FACES faces before
+building one, and a complex once it passes MAX_FACES simplices.
+`Complex(simplices)` checks both steps.  The simplex set is immutable, and
+every table fill computes a value from it alone and stores it once, so a
 repeated or concurrent fill stores an equal value and readers are safe.
 A set closed by construction (`closure`, a push-forward, a convex set's
 mouth, a meet or union of such sets, a set a check found closed) is a private
@@ -27,7 +28,7 @@ from typing import Collection, FrozenSet, Iterable, Tuple
 
 Simplex = Tuple[int, ...]
 SimplexSet = FrozenSet[Simplex]
-MAX_FACES = 10 ** 6  # 2^k - 1 faces for each listed k-vertex simplex, summed
+MAX_FACES = 10 ** 6  # distinct simplices of a complex; a k-vertex simplex has 2^k - 1 faces
 
 
 class _Closed(frozenset):
@@ -95,14 +96,14 @@ class Complex:
     @classmethod
     def _from_normalized(cls, maximal: Iterable[Simplex]) -> "Complex":
         """from_maximal for simplices that are normalized already."""
-        maximal = list(maximal)
-        if sum(2 ** len(s) - 1 for s in maximal) > MAX_FACES:
-            raise ValueError(f"the listed simplices have more than MAX_FACES = {MAX_FACES} faces")
         sset: set[Simplex] = set()
         for s in maximal:
             if s not in sset:  # a member's faces are members already
-                sset.add(s)
-                sset.update(proper_faces(s))
+                if 2 ** len(s) - 1 <= MAX_FACES:  # else refused before one face is built
+                    sset.update([s], proper_faces(s))
+                if s not in sset or len(sset) > MAX_FACES:
+                    raise ValueError(
+                        f"the listed simplices have more than MAX_FACES = {MAX_FACES} faces")
         cx = cls.__new__(cls)
         cx._adopt(frozenset(sset))
         return cx
@@ -188,14 +189,17 @@ class Complex:
 
     def is_convex(self, subset: Collection[Simplex]) -> bool:
         """True iff no simplex outside the set lies between two members.
-        Two are convex unless one is a face of the other of codimension >= 2
-        (the complex holds the faces between).  Any set is, iff no member tau
-        has a facet f outside it with a proper face in it.  Such an f lies
-        between; conversely, for g < rho < tau with rho outside, the last
-        simplex outside along a facet chain from rho up to tau is such an f.
-        Members with at most two vertices have no such f.  No table is read.
+        One simplex or none is convex by shape, and two are unless one is a
+        face of the other of codimension >= 2 (the complex holds the faces
+        between).  Any set is, iff no member tau has a facet f outside it with
+        a proper face in it.  Such an f lies between; conversely, for g < rho
+        < tau with rho outside, the last simplex outside along a facet chain
+        from rho up to tau is such an f.  Members with at most two vertices
+        have no such f.  No table is read.
         """
         subset = self.check_subset(subset)
+        if len(subset) < 2:
+            return True
         if len(subset) == 2:
             a, b = subset
             return abs(len(a) - len(b)) < 2 or _face_codim(a, b) < 2

@@ -9,13 +9,15 @@ A scene is a single JSON document:
       "seed": [ <simplex>, ... ]
     }
 
-A simplex is an array of vertex ids or labels.  A field is an array of
-multivectors (arrays of simplices); any simplex not listed belongs to its
-own singleton multivector.  Alternatively the fields member may hold an
-initial partition plus a list of operation records, each yielding the next
-field: {"op": "split", "off": [<simplex>, ...]} splits the multivector
-containing the listed simplices, {"op": "merge", "mvs": [<simplex>,
-<simplex>]} merges the two containing multivectors.
+A simplex is an array of vertex ids or labels.  Past "maximal_simplices", an
+array whose every simplex names a member of the complex is taken as listed;
+any other is normalized, each simplex sorted and checked for a repeated
+vertex.  A field is an array of multivectors (arrays of simplices); a simplex
+not listed is its own singleton multivector.  Alternatively the fields member
+may hold an initial partition plus a list of operation records, each yielding
+the next field: {"op": "split", "off": [<simplex>, ...]} splits the
+multivector containing the listed simplices, {"op": "merge", "mvs":
+[<simplex>, <simplex>]} merges the two containing multivectors.
 
 A list-form field is parsed in one pass over all its multivectors, falling
 back to one multivector at a time for the message when that pass fails.
@@ -90,27 +92,31 @@ def _parse_simplex(raw, labels) -> Simplex:
         raise SchemaError(str(exc)) from exc
 
 
-def _parse_simplex_set(raw, labels, what: str) -> list[Simplex]:
+def _parse_simplex_set(raw, labels, what: str, members: frozenset = frozenset()) -> list[Simplex]:
     if not isinstance(raw, list):
         raise SchemaError(f"{what} must be an array of simplices")
-    return _parse_plain(raw, labels) or [_parse_simplex(s, labels) for s in raw]
+    return _parse_plain(raw, labels, members) or [_parse_simplex(s, labels) for s in raw]
 
 
-def _parse_plain(raw: list, labels) -> Optional[list[Simplex]]:
+def _parse_plain(raw: list, labels, members: frozenset = frozenset()) -> Optional[list[Simplex]]:
     """The simplices in one pass if every one is a non-empty array of ids, or
     of labels in the table, with no vertex repeated; otherwise None, and the
-    caller parses simplex by simplex for the message."""
+    caller parses simplex by simplex for the message.  A simplex that names a
+    member is in normal form, so if all do they are taken as listed."""
     if not set(map(type, raw)) <= {list} or not all(raw):
         return None
     tokens = list(itertools.chain.from_iterable(raw))
     kinds = set(map(type, tokens))
     if kinds == {int}:
-        out = list(map(tuple, map(sorted, raw)))
+        out = list(map(tuple, raw))
     elif kinds == {str} and labels and labels.keys() >= set(tokens):
         get = labels.__getitem__
-        out = [tuple(sorted(map(get, s))) for s in raw]
+        out = [tuple([*map(get, s)]) for s in raw]  # sized from a list, not resized
     else:
         return None
+    if members.issuperset(out):
+        return out
+    out = list(map(tuple, map(sorted, out)))
     return out if sum(map(len, map(set, out))) == len(tokens) else None
 
 
@@ -119,13 +125,13 @@ def _parse_partition(raw, cx: Complex, labels, what: str,
     """The field `raw` lists, built from `prev` when one split or merge apart."""
     if not isinstance(raw, list):
         raise SchemaError(f"{what} must be an array of multivectors")
-    flat = (_parse_plain(list(itertools.chain.from_iterable(raw)), labels)
+    flat = (_parse_plain(list(itertools.chain.from_iterable(raw)), labels, cx.simplices)
             if set(map(type, raw)) <= {list} else None)
     if flat is None:
         parts = [frozenset(_parse_simplex_set(mv, labels, f"{what} multivector")) for mv in raw]
     else:
-        simplices = iter(flat)
-        parts = [frozenset(itertools.islice(simplices, len(mv))) for mv in raw]
+        simplices = itertools.repeat(iter(flat))
+        parts = list(map(frozenset, map(itertools.islice, simplices, map(len, raw))))
     try:
         return ((prev and prev.successor(parts))
                 or MultivectorField.from_parts(cx, parts, complete_singletons=True))
@@ -137,10 +143,10 @@ def _apply_op(field: MultivectorField, op, labels, what: str) -> MultivectorFiel
     """The field the op makes from `field`."""
     if not isinstance(op, dict) or "op" not in op:
         raise SchemaError(f"{what} must be an object with an 'op' member")
-    kind = op["op"]
+    kind, known = op["op"], field.cx.simplices
     try:
         if kind == "split":
-            off = frozenset(_parse_simplex_set(op.get("off"), labels, f"{what} 'off'"))
+            off = frozenset(_parse_simplex_set(op.get("off"), labels, f"{what} 'off'", known))
             if not off:
                 raise SchemaError(f"{what}: split needs at least one simplex in 'off'")
             idents = {field.mv_id(s) for s in off}
@@ -148,7 +154,7 @@ def _apply_op(field: MultivectorField, op, labels, what: str) -> MultivectorFiel
                 raise SchemaError(f"{what}: split pieces span several multivectors")
             return field.split(idents.pop(), off)
         if kind == "merge":
-            members = _parse_simplex_set(op.get("mvs"), labels, f"{what} 'mvs'")
+            members = _parse_simplex_set(op.get("mvs"), labels, f"{what} 'mvs'", known)
             if len(members) != 2:
                 raise SchemaError(f"{what}: merge needs exactly two member simplices")
             return field.merge(field.mv_id(members[0]), field.mv_id(members[1]))
@@ -217,7 +223,7 @@ def scene_from_dict(doc: dict, check_atomic: bool = True) -> Scene:
         raise SchemaError(f"fields {k} -> {k + 1} are not an atomic "
                           f"rearrangement: {exc}") from exc
     seed_raw = doc.get("seed", [])
-    seed = frozenset(_parse_simplex_set(seed_raw, labels, "'seed'"))
+    seed = frozenset(_parse_simplex_set(seed_raw, labels, "'seed'", cx.simplices))
     try:
         cx.check_subset(seed)
     except ValueError as exc:
@@ -282,39 +288,41 @@ def _plain_key(raw) -> Optional[tuple]:
 
 def zigzag_from_dict(doc: dict) -> tuple[PairZigzag, Optional[dict[str, int]]]:
     """Load a zigzag file.  Each distinct `p` or `e` array is parsed once, and
-    each distinct set checked once for membership and closedness, and tagged."""
+    each distinct set checked once for membership and closedness, then kept tagged."""
     if not isinstance(doc, dict):
         raise SchemaError("zigzag file must be a JSON object")
     cx, labels = _parse_complex(doc)
     raw_pairs = doc.get("pairs")
     if not isinstance(raw_pairs, list) or not raw_pairs:
         raise SchemaError("'pairs' must be a non-empty array")
-    parsed: dict[tuple, list[tuple[list, frozenset]]] = {}
-    closed: dict[frozenset, frozenset] = {}
+    parsed: dict[tuple, list[list]] = {}  # key -> [array, its set] entries
+    closed: dict[frozenset, frozenset] = {}  # each tagged set, keyed by itself
 
-    def simplex_set(raw, what: str) -> frozenset:
+    def simplex_set(raw, what: str) -> list:
         key = _plain_key(raw)
-        for earlier, out in parsed.get(key, ()):
-            if earlier == raw:
-                return out
-        out = frozenset(_parse_simplex_set(raw, labels, what))
+        for entry in parsed.get(key, ()):
+            if entry[0] == raw:
+                return entry
+        entry = [raw, frozenset(_parse_simplex_set(raw, labels, what, cx.simplices))]
         if key is not None:
-            parsed.setdefault(key, []).append((raw, out))
-        return out
+            parsed.setdefault(key, []).append(entry)
+        return entry
 
     pairs = []
     for k, raw in enumerate(raw_pairs):
         if not isinstance(raw, dict) or "p" not in raw or "e" not in raw:
             raise SchemaError(f"pair {k + 1} must be an object with 'p' and 'e'")
-        pset = simplex_set(raw["p"], f"pair {k + 1} 'p'")
-        eset = simplex_set(raw["e"], f"pair {k + 1} 'e'")
+        parts = (simplex_set(raw["p"], f"pair {k + 1} 'p'"),
+                 simplex_set(raw["e"], f"pair {k + 1} 'e'"))
         try:
-            for part in (pset, eset):
-                if part not in closed:
-                    if not cx.is_closed(part):
+            for entry in parts:
+                if entry[1] not in closed:
+                    if not cx.is_closed(entry[1]):
                         raise SchemaError("components must be closed")  # prefixed below
-                    closed[part] = _Closed(part)
-            pairs.append(IndexPair(closed[pset], closed[eset]))
+                    tagged = _Closed(entry[1])
+                    closed[tagged] = tagged
+                entry[1] = closed[entry[1]]
+            pairs.append(IndexPair(parts[0][1], parts[1][1]))
         except ValueError as exc:
             raise SchemaError(f"pair {k + 1}: {exc}") from exc
     try:

@@ -186,7 +186,7 @@ def _step(field: MultivectorField, nxt: MultivectorField, current: SimplexSet,
         for fld, subset, start in ((field, current, known), (nxt, result, closing)):
             pf = pair if start == pair else _push_forward_pair(fld, start, pair.P)
             links += [(pair, fld, None, "connecting pair", None),
-                      (_meet(pair, pf), fld, subset, "meet pair", None),
+                      (pair if pf is pair else _meet(pair, pf), fld, subset, "meet pair", None),
                       (pf, fld, subset, "pushforward pair", None),
                       (start, fld, subset, "canonical pair", None)]
         pairs, tags = _checked(field, known, links, p, _CONTINUED, index)

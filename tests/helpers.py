@@ -31,6 +31,9 @@ index-pair conditions.  `scan_refinement_path` is the former
 `small_runs` enumerates every two-field run on a small complex (each convex
 field, each nonempty isolated invariant set, each atomic split or merge)
 for the exhaustive reference-protocol test.
+`normalizing_parse_plain` is the former `io._parse_plain`, which sorted and
+checked every listed simplex where the loader now takes a simplex that names
+a member of the complex as listed.
 `singleton_field`, `is_full`, `bars_in_dim` and
 `reduced_betti` were library wrappers that only the tests called; the last
 now reads the library's relative homology of the complex and one vertex.
@@ -531,6 +534,26 @@ def brute_invariant_part(fld, subset, p=2):
         if found:
             result.add(sigma)
     return frozenset(result)
+
+
+# ------------------------------------------------ loader oracle
+
+def normalizing_parse_plain(raw, labels, *_members):
+    """The former `io._parse_plain`: every simplex sorted, and checked for a
+    repeated vertex, whatever the complex holds.  It takes and ignores the
+    member set the library's parser reads, so it can stand in for it."""
+    if not set(map(type, raw)) <= {list} or not all(raw):
+        return None
+    tokens = list(itertools.chain.from_iterable(raw))
+    kinds = set(map(type, tokens))
+    if kinds == {int}:
+        out = list(map(tuple, map(sorted, raw)))
+    elif kinds == {str} and labels and labels.keys() >= set(tokens):
+        get = labels.__getitem__
+        out = [tuple(sorted(map(get, s))) for s in raw]
+    else:
+        return None
+    return out if sum(map(len, map(set, out))) == len(tokens) else None
 
 
 # ------------------------------------------------ eager complex oracle

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import mvtrack as mv
 from mvtrack import complexes
 from mvtrack.complexes import Complex, facets, proper_faces, simplex
-from mvtrack.io import load_scene
+from mvtrack.io import SchemaError, load_scene, scene_from_dict
 from mvtrack.zigzag import pair_zigzag_barcode
 
 from helpers import (EagerComplex, all_faces, cone_pair, grid_complex, mouth_is_convex,
@@ -362,8 +362,25 @@ def test_loading_builds_the_complex_once(name, face_calls):
 
 
 def test_the_face_bound_admits_a_large_grid():
-    """MAX_FACES bounds the faces of the listed simplices, 7 per triangle:
-    the 128 x 128 grid of the grid-index scene lists 32,768 triangles and
-    loads whole, 98,817 simplices."""
+    """MAX_FACES bounds the distinct simplices built: the 128 x 128 grid of
+    the grid-index scene lists 32,768 triangles, 7 faces each with repeats,
+    and loads whole, 98,817 simplices."""
     assert 2 * 128 * 128 * 7 <= complexes.MAX_FACES
     assert len(grid_complex(128)) == 98_817
+
+
+def test_the_face_bound_counts_each_simplex_once(monkeypatch):
+    """Every simplex of a 3 x 3 grid listed, 241 faces counted with repeats
+    but 67 distinct, loads under a bound of 100, by `from_maximal` and by
+    the scene loader; every simplex of a 4 x 4 grid, 113 distinct, is
+    refused by both with the bound named."""
+    small, big = ([list(s) for s in sorted(grid_complex(n).simplices)] for n in (3, 4))
+    monkeypatch.setattr(complexes, "MAX_FACES", 100)
+    assert sum(2 ** len(s) - 1 for s in small) == 241 and len(small) == 67 and len(big) == 113
+    assert Complex.from_maximal(small).simplices == set(map(tuple, small))
+    assert len(scene_from_dict({"maximal_simplices": small, "fields": [[]]}).cx) == 67
+    refused = "the listed simplices have more than MAX_FACES = 100 faces"
+    with pytest.raises(ValueError, match=refused):
+        Complex.from_maximal(big)
+    with pytest.raises(SchemaError, match=f"^'maximal_simplices': {refused}$"):
+        scene_from_dict({"maximal_simplices": big, "fields": [[]]})

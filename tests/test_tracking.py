@@ -721,14 +721,16 @@ def _non_convex_repair(scene):
 @pytest.mark.parametrize("p", [2, 3])
 def test_every_set_tagged_closed_is_closed(p, monkeypatch):
     """Each set a run tags closed passes a closedness scan blind to the tag:
-    on every fixture and on the random reference-protocol scenes, and in a
-    step whose S' is not convex.  There the mouth of S' is not closed, so it
-    is not tagged, and the closing pair's one check of E raises."""
+    on every fixture, on the random reference-protocol scenes and on every
+    100th two-field run on one triangle, and in a step whose S' is not
+    convex.  There the mouth of S' is not closed, so it is not tagged, and
+    the closing pair's one check of E raises."""
     with _tagged_sets() as made:
         for name in SCENES:
             scene = mv.load_scene(FIXTURES / f"{name}.json")
             run_protocol(scene.fields, scene.seed, p, heuristic_g=True)
-        for fields, start in _reference_scenes(p):
+        for fields, start in itertools.chain(_reference_scenes(p), small_runs(
+                Complex.from_maximal([(0, 1, 2)]), p, stride=100)):
             run_protocol(fields, start, p, heuristic_g=True)
         scene = mv.load_scene(FIXTURES / "merging_saddles.json")
         monkeypatch.setattr(tracking, "_repair", _non_convex_repair(scene))

@@ -260,9 +260,9 @@ def test_barcode_parses_and_checks_each_distinct_set_once(nine_fields, tmp_path,
         closed_calls[phase[0]].append(frozenset(subset))
         return original_is_closed(cx, subset)
 
-    def parse_plain(raw, labels):
+    def parse_plain(raw, *rest):
         parses.append(raw)
-        return original_parse_plain(raw, labels)
+        return original_parse_plain(raw, *rest)
 
     original_is_closed, original_parse_plain = mv.Complex.is_closed, io._parse_plain
     monkeypatch.setattr(mv.Complex, "is_closed", is_closed)
