@@ -6,18 +6,23 @@ face relation, and at the scales this package targets every algorithm
 touches every simplex anyway.  The face tables are built on demand: the
 closure of a simplex on its first lookup, the cofacet table on its first
 use.  Homology reads only a pair's simplex sets and the complex's
-dimension, so it never builds them, and `is_convex` works from shape or
-facets and reads no table.
+dimension, so it never builds them, and `is_convex` and `is_closed` work
+from shape or facets and read no table.
 
 `from_maximal` normalizes each simplex, then completes the closure and hands
 the set over unchecked; the scene loader, whose parser normalizes, takes the
-second step alone.  Both refuse a simplex of more than MAX_FACES faces before
-building one, and a complex once it passes MAX_FACES simplices.
+second step alone.  It builds faces a level at a time, one `combinations`
+pass per dimension, over runs of listed simplices whose faces, counted with
+repeats, fit under MAX_FACES; a run ends with the simplex that overflows it,
+and the count is made exact.  So a simplex of more than MAX_FACES faces is
+refused before one is built, a complex at the listed simplex that takes it
+past MAX_FACES simplices, and no more than one simplex's faces past the bound
+are held.
 `Complex(simplices)` checks both steps.  The simplex set is immutable, and
 every table fill computes a value from it alone and stores it once, so a
-repeated or concurrent fill stores an equal value and readers are safe.
-A set closed by construction (`closure`, a push-forward, a convex set's
-mouth, a meet or union of such sets, a set a check found closed) is a private
+repeated or concurrent fill stores an equal value and readers are safe.  A
+set closed by construction (`closure`, a push-forward, a convex set's mouth,
+a meet or union of such sets, a set a check found closed) is a private
 `frozenset` subclass, which `is_closed` answers and `check_subset` keeps.
 """
 
@@ -53,6 +58,12 @@ def proper_faces(sigma: Simplex) -> list[Simplex]:
     for k in range(1, len(sigma)):
         out.extend(itertools.combinations(sigma, k))
     return out
+
+
+def _facets_of(members: Iterable[Simplex]) -> Iterable[Simplex]:
+    """The facets of every member, with repeats, in one combinations pass."""
+    return itertools.chain.from_iterable(
+        itertools.combinations(s, len(s) - 1) for s in members if len(s) > 1)
 
 
 def _face_codim(a: Simplex, b: Simplex) -> int:
@@ -97,13 +108,24 @@ class Complex:
     def _from_normalized(cls, maximal: Iterable[Simplex]) -> "Complex":
         """from_maximal for simplices that are normalized already."""
         sset: set[Simplex] = set()
+        run: dict[int, set[Simplex]] = {}  # the listed simplices not yet built, by size
+        room = MAX_FACES  # faces the run may count, with repeats
+
+        def build() -> int:  # the run's faces, a level at a time; the room left after
+            level: Iterable[Simplex] = ()  # the k-simplices: the run's, and facets of those above
+            for k in range(max(run, default=0), 0, -1):
+                level = run.pop(k, set()).union(
+                    *map(itertools.combinations, level, itertools.repeat(k)))
+                sset.update(level)
+            return MAX_FACES - len(sset)
         for s in maximal:
-            if s not in sset:  # a member's faces are members already
-                if 2 ** len(s) - 1 <= MAX_FACES:  # else refused before one face is built
-                    sset.update([s], proper_faces(s))
-                if s not in sset or len(sset) > MAX_FACES:
-                    raise ValueError(
-                        f"the listed simplices have more than MAX_FACES = {MAX_FACES} faces")
+            faces = 2 ** len(s) - 1
+            run.setdefault(len(s), set()).add(s)
+            room -= faces  # below 0: the run ends at s, and is built unless s alone is too big
+            if room < 0 and (faces > MAX_FACES or (room := build()) < 0):
+                raise ValueError(
+                    f"the listed simplices have more than MAX_FACES = {MAX_FACES} faces")
+        build()
         cx = cls.__new__(cls)
         cx._adopt(frozenset(sset))
         return cx
@@ -154,17 +176,12 @@ class Complex:
         out = self._closure_of[sigma] = frozenset(proper_faces(sigma)) | {sigma}
         return out
 
-    def _closures(self, members: SimplexSet) -> list[SimplexSet]:
-        """closure_of of every member (all in the complex), in iteration order."""
-        table = self._closure_of
-        for s in members.difference(table):
-            self.closure_of(s)
-        return list(map(table.__getitem__, members))
-
     def closure(self, subset: Collection[Simplex]) -> SimplexSet:
         """Union of the closures of the members."""
-        subset = self.check_subset(subset)
-        return _Closed(frozenset().union(*self._closures(subset)))
+        subset, table = self.check_subset(subset), self._closure_of
+        for s in subset.difference(table):
+            self.closure_of(s)
+        return _Closed(frozenset().union(*map(table.__getitem__, subset)))
 
     def star(self, subset: Collection[Simplex]) -> SimplexSet:
         """Every simplex having a member as a face, the members included."""
@@ -183,9 +200,10 @@ class Complex:
         return self.closure(subset) - subset
 
     def is_closed(self, subset: Collection[Simplex]) -> bool:
+        """True iff every face of a member is a member; a set tagged closed is
+        answered unscanned, any other by its facets (induction on codimension)."""
         subset = self.check_subset(subset)
-        return isinstance(subset, _Closed) or subset.issuperset(
-            itertools.chain.from_iterable(self._closures(subset)))
+        return isinstance(subset, _Closed) or subset.issuperset(_facets_of(subset))
 
     def is_convex(self, subset: Collection[Simplex]) -> bool:
         """True iff no simplex outside the set lies between two members.

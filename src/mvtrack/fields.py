@@ -226,8 +226,8 @@ class CheckReport(NamedTuple):
 
 def validate_field(field: MultivectorField) -> CheckReport:
     """Check that every part is convex, naming offenders in part-id order
-    (partition is enforced at construction).  Disconnected parts are
-    deliberately accepted.  The report is stored on the field.
+    (partition is enforced at construction; a singleton is convex unchecked).
+    Disconnected parts are deliberately accepted.  The report is stored on the field.
 
     A field that records the step that made it from a parent which is alive
     and whose stored report is ok is checked only by the parts the step
@@ -236,7 +236,7 @@ def validate_field(field: MultivectorField) -> CheckReport:
         record = _record(field)
         checked = field.parts() if record is None or not record[0]._report else record[1].added
         problems = tuple(f"multivector {sorted(part)} is not convex"
-                         for part in checked if not field.cx.is_convex(part))
+                         for part in checked if len(part) > 1 and not field.cx.is_convex(part))
         field._report = CheckReport(not problems, problems)
     return field._report
 

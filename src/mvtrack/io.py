@@ -27,13 +27,15 @@ that field by the step (`MultivectorField.successor`).  Fields after the
 first are then checked only by the multivectors their step adds.
 
 A zigzag file replaces "fields"/"seed" with "pairs":
-[{"p": [...], "e": [...]}, ...]; inclusion directions are inferred.
+[{"p": [...], "e": [...]}, ...]; inclusion directions are inferred.  An
+array repeated at several positions is parsed once, found by an exact key.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import marshal
 from typing import Optional
 
 from .complexes import Complex, Simplex, _Closed, simplex
@@ -275,38 +277,28 @@ def save_scene(scene: Scene, path):
         handle.write("\n")
 
 
-def _plain_key(raw) -> Optional[tuple]:
-    """For an array of simplices whose every token is an int or a str, its
-    length, first and last simplex, else None.  Two such arrays hold the same
-    tokens exactly when they are ==; a bool or a float may equal an int, so an
-    array holding one gets no key."""
-    if (isinstance(raw, list) and set(map(type, raw)) <= {list}
-            and set(map(type, itertools.chain.from_iterable(raw))) <= {int, str}):
-        return len(raw), *map(tuple, raw[:1] + raw[-1:])
-    return None
-
-
 def zigzag_from_dict(doc: dict) -> tuple[PairZigzag, Optional[dict[str, int]]]:
-    """Load a zigzag file.  Each distinct `p` or `e` array is parsed once, and
-    each distinct set checked once for membership and closedness, then kept tagged."""
+    """Load a zigzag file.  Each distinct `p` or `e` array is parsed once, keyed
+    by its `marshal` version 2 bytes, in which `true`, `1.0` and `1` differ (an
+    array marshal refuses is parsed at each occurrence), and each distinct set
+    checked once for membership and closedness, then kept tagged."""
     if not isinstance(doc, dict):
         raise SchemaError("zigzag file must be a JSON object")
     cx, labels = _parse_complex(doc)
     raw_pairs = doc.get("pairs")
     if not isinstance(raw_pairs, list) or not raw_pairs:
         raise SchemaError("'pairs' must be a non-empty array")
-    parsed: dict[tuple, list[list]] = {}  # key -> [array, its set] entries
-    closed: dict[frozenset, frozenset] = {}  # each tagged set, keyed by itself
+    parsed: dict[object, frozenset] = {}  # serialized array -> its set
+    closed: dict[frozenset, frozenset] = {}  # each distinct set -> itself tagged
 
-    def simplex_set(raw, what: str) -> list:
-        key = _plain_key(raw)
-        for entry in parsed.get(key, ()):
-            if entry[0] == raw:
-                return entry
-        entry = [raw, frozenset(_parse_simplex_set(raw, labels, what, cx.simplices))]
-        if key is not None:
-            parsed.setdefault(key, []).append(entry)
-        return entry
+    def simplex_set(raw, what: str) -> frozenset:
+        try:
+            key: object = marshal.dumps(raw, 2)
+        except ValueError:
+            key = object()
+        if key not in parsed:
+            parsed[key] = frozenset(_parse_simplex_set(raw, labels, what, cx.simplices))
+        return parsed[key]
 
     pairs = []
     for k, raw in enumerate(raw_pairs):
@@ -315,14 +307,12 @@ def zigzag_from_dict(doc: dict) -> tuple[PairZigzag, Optional[dict[str, int]]]:
         parts = (simplex_set(raw["p"], f"pair {k + 1} 'p'"),
                  simplex_set(raw["e"], f"pair {k + 1} 'e'"))
         try:
-            for entry in parts:
-                if entry[1] not in closed:
-                    if not cx.is_closed(entry[1]):
+            for part in parts:
+                if part not in closed:
+                    if not cx.is_closed(part):
                         raise SchemaError("components must be closed")  # prefixed below
-                    tagged = _Closed(entry[1])
-                    closed[tagged] = tagged
-                entry[1] = closed[entry[1]]
-            pairs.append(IndexPair(parts[0][1], parts[1][1]))
+                    closed[part] = _Closed(part)
+            pairs.append(IndexPair(closed[parts[0]], closed[parts[1]]))
         except ValueError as exc:
             raise SchemaError(f"pair {k + 1}: {exc}") from exc
     try:

@@ -34,6 +34,9 @@ for the exhaustive reference-protocol test.
 `normalizing_parse_plain` is the former `io._parse_plain`, which sorted and
 checked every listed simplex where the loader now takes a simplex that names
 a member of the complex as listed.
+`per_simplex_closure` is the former `Complex._from_normalized` loop, which
+added each listed simplex's faces one simplex at a time where the library
+now builds them a level at a time over runs that fit under the face bound.
 `singleton_field`, `is_full`, `bars_in_dim` and
 `reduced_betti` were library wrappers that only the tests called; the last
 now reads the library's relative homology of the complex and one vertex.
@@ -579,6 +582,22 @@ class EagerComplex:
             for f in facets(s):
                 cof[f].append(s)
         self.cofacets = {s: tuple(sorted(v)) for s, v in cof.items()}
+
+
+def per_simplex_closure(maximal):
+    """The former `Complex._from_normalized` after `from_maximal`'s
+    normalization: each listed simplex not yet a member adds itself and its
+    proper faces, refused before one face is built if it alone has more than
+    MAX_FACES, and the listing is refused once it passes MAX_FACES simplices."""
+    bound = mv.complexes.MAX_FACES
+    sset = set()
+    for s in map(mv.simplex, maximal):
+        if s not in sset:
+            if 2 ** len(s) - 1 <= bound:
+                sset.update([s], proper_faces(s))
+            if s not in sset or len(sset) > bound:
+                raise ValueError(f"the listed simplices have more than MAX_FACES = {bound} faces")
+    return frozenset(sset)
 
 
 def all_faces(maximal):

@@ -4,6 +4,7 @@ import random
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from mvtrack.io import SchemaError, load_scene, scene_from_dict
 from mvtrack.zigzag import pair_zigzag_barcode
 
 from helpers import (EagerComplex, all_faces, cone_pair, grid_complex, mouth_is_convex,
-                     random_complex, random_subset, vertices)
+                     per_simplex_closure, random_complex, random_subset, vertices)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -74,7 +75,7 @@ def test_is_closed(triangle):
 def test_a_closure_is_tagged_closed_and_not_scanned_again(monkeypatch):
     """`closure` returns a set tagged closed, `check_subset` keeps it as it
     is, and `is_closed` answers it after the membership check without a
-    scan.  Set operations return plain frozensets, and a caller's plain set,
+    facet scan.  Set operations return plain frozensets, and a caller's plain set,
     closed or not, is scanned as before."""
     cx = Complex.from_maximal([[0, 1, 2], [2, 3]])
     closed = cx.closure({(0, 1, 2)})
@@ -83,9 +84,9 @@ def test_a_closure_is_tagged_closed_and_not_scanned_again(monkeypatch):
     for derived in (closed - {(0, 1, 2)}, closed | {(3,)}, closed & closed, frozenset(closed)):
         assert type(derived) is frozenset
     scans = []
-    closures = Complex._closures
-    monkeypatch.setattr(Complex, "_closures", lambda self, members: scans.append(members)
-                        or closures(self, members))
+    facets_of = complexes._facets_of
+    monkeypatch.setattr(complexes, "_facets_of", lambda members: scans.append(members)
+                        or facets_of(members))
     assert cx.is_closed(closed) and not scans
     assert cx.is_closed(frozenset(closed)) and len(scans) == 1
     assert not cx.is_closed(closed - {(0, 1)}) and len(scans) == 2
@@ -384,3 +385,34 @@ def test_the_face_bound_counts_each_simplex_once(monkeypatch):
         Complex.from_maximal(big)
     with pytest.raises(SchemaError, match=f"^'maximal_simplices': {refused}$"):
         scene_from_dict({"maximal_simplices": big, "fields": [[]]})
+
+
+@st.composite
+def listings_with_faces(draw):
+    """Simplices on up to 7 vertices, each listed once or more, with faces
+    of listed simplices listed among them (before or after)."""
+    top = draw(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=7, unique=True),
+                        min_size=1, max_size=6))
+    listing = []
+    for s in top:
+        listing += [s] * draw(st.integers(1, 2))
+        faces = [list(f) for k in range(1, len(s)) for f in itertools.combinations(s, k)]
+        listing += draw(st.lists(st.sampled_from(faces), max_size=3)) if faces else []
+    return draw(st.permutations(listing))
+
+
+@settings(max_examples=300, deadline=None)
+@given(listings_with_faces(), st.integers(1, 140))
+def test_the_level_build_matches_the_per_simplex_build(listing, bound):
+    """Under any bound, the level build gives the per-simplex oracle's simplex
+    set, or refuses with its message after taking as many listed simplices."""
+    outcomes = []
+    for build in (Complex.from_maximal, per_simplex_closure):
+        taken = []
+        with mock.patch.object(complexes, "MAX_FACES", bound):
+            try:
+                got = build(taken.append(s) or s for s in listing)
+            except ValueError as exc:
+                got = str(exc)
+        outcomes.append((getattr(got, "simplices", got), len(taken)))
+    assert outcomes[0] == outcomes[1]

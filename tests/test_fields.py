@@ -440,8 +440,8 @@ def test_a_non_convex_field_fails_the_protocol_precondition(triangle):
 def test_a_child_is_checked_in_full_unless_its_parent_passed(triangle, monkeypatch,
                                                              parent_state):
     """A child is checked by the parts its step added only when its parent is
-    alive and passed; otherwise every part is checked, so a fault the step
-    did not touch is still found."""
+    alive and passed; otherwise every part of two or more simplices is
+    checked, so a fault the step did not touch is still found."""
     checked = []
     original = mv.Complex.is_convex
 
@@ -467,7 +467,8 @@ def test_a_child_is_checked_in_full_unless_its_parent_passed(triangle, monkeypat
     checked.clear()
     report = validate_field(child)
     assert not report and report == full_convexity_report(child)
-    assert sorted(checked, key=sorted) == sorted(child.parts(), key=sorted)
+    assert sorted(checked, key=sorted) == sorted(
+        (part for part in child.parts() if len(part) > 1), key=sorted)
     assert (child._step is None) == (parent_state == "collected")
 
 

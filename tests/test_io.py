@@ -211,3 +211,25 @@ def test_a_file_in_normal_form_sorts_only_its_maximal_simplices(name, tmp_path, 
         normalized.clear()
         assert _outcome(load, perturbed) == loaded, path
         assert normalized == maximal + normalizing_parse_plain(own, labels), path
+
+
+@pytest.mark.parametrize("vertex, alias", [(1, True), (0, False), (1, 1.0)])
+def test_a_repeated_array_with_an_aliased_token_is_parsed_again(vertex, alias, monkeypatch):
+    """A later pair's `p` that equals an earlier one under `==` but writes a
+    vertex id as a bool or a float is parsed for itself, and fails with the
+    normalizing parser's message; an exact repeat is parsed once."""
+    p = [[0], [1], [0, 1]]
+    doc = {"maximal_simplices": [[0, 1, 2]], "pairs": [{"p": p, "e": []}, {"p": p, "e": [[0]]}]}
+    exact, aliased = _copy(doc), _copy(doc)
+    aliased["pairs"][1]["p"] = [[alias if v == vertex else v for v in s] for s in p]
+    assert aliased["pairs"][1]["p"] == p
+    parses = []
+    original = io._parse_plain
+    monkeypatch.setattr(io, "_parse_plain", lambda raw, *rest: parses.append(raw)
+                        or original(raw, *rest))
+    assert not isinstance(_outcome(zigzag_from_dict, exact), str)
+    assert parses.count(p) == 1
+    refused = _outcome(zigzag_from_dict, aliased)
+    assert refused == f"bad vertex {alias!r}"
+    monkeypatch.setattr(io, "_parse_plain", normalizing_parse_plain)
+    assert _outcome(zigzag_from_dict, aliased) == refused

@@ -472,23 +472,24 @@ def test_one_homology_basis_per_distinct_body(p, tmp_path, monkeypatch):
 
 
 def test_a_loaded_zigzag_scans_each_distinct_set_once(tmp_path, monkeypatch):
-    """Counts work on the grid-index zigzag file: the loader scans each
-    distinct P and E for closedness once and tags it closed, so `PairZigzag`
-    and the barcode scan none again."""
+    """Counts work on the grid-index zigzag file: the loader scans the facets
+    of each distinct P and E once, fills no closure, and tags the set closed,
+    so `PairZigzag` and the barcode scan none again."""
     tracked = _grid_index_zigzag(tmp_path)
     path = tmp_path / "zz.json"
     path.write_text(json.dumps(_zigzag_doc(tracked)))
     sets = {part for pr in tracked.pairs for part in (pr.P, pr.E)}
     scanned = []
-    closures = mv.Complex._closures
+    facets_of = complexes._facets_of
 
-    def counted(cx, members):
+    def counted(members):
         scanned.append(members)
-        return closures(cx, members)
+        return facets_of(members)
 
-    monkeypatch.setattr(mv.Complex, "_closures", counted)
+    monkeypatch.setattr(complexes, "_facets_of", counted)
     zz, _ = io.load_zigzag(path)
     assert sorted(map(sorted, scanned)) == sorted(map(sorted, sets))
+    assert not zz.cx._closure_of
     assert all(isinstance(part, complexes._Closed) for pair in zz.pairs for part in pair)
     scanned.clear()
     PairZigzag(zz.cx, list(zz.pairs))
