@@ -28,13 +28,16 @@ import sys
 from pathlib import Path
 
 from .algebra import check_prime
-from .dynamics import PreconditionError, conley_index, is_invariant
+from .dynamics import PreconditionError, conley_index, isolation_faults
 from .fields import NotAtomicError, rearrangement_path
 from .io import Scene, SchemaError, load_scene, load_zigzag, save_scene
 from .tracking import run_protocol
 from .zigzag import Barcode, pair_zigzag_barcode
 
 OK, FAIL, UNRESOLVED = 0, 2, 3
+_SEED_FAULTS = {"convex": "seed is not convex",
+                "compatible": "seed is not a union of multivectors of field 1",
+                "invariant": "seed is not invariant under field 1"}
 
 
 def _emit(text: str, out: Path | None):
@@ -117,21 +120,14 @@ def _parse_selector(scene: Scene, selector: str):
 
 def cmd_validate(args):
     scene = load_scene(args.scene)
-    p = args.field_char
     # load_scene raises SchemaError for a field that fails validate_field
     entries = [{"field": i, "multivectors": len(fld), "ok": True, "problems": []}
                for i, fld in enumerate(scene.fields, 1)]
-    problems = []
     if not scene.seed:
-        problems.append("seed is empty; tracking needs a nonempty isolated invariant set")
+        problems = ["seed is empty; tracking needs a nonempty isolated invariant set"]
     else:
-        fld = scene.fields[0]
-        if not fld.cx.is_convex(scene.seed):
-            problems.append("seed is not convex")
-        if not fld.is_compatible(scene.seed):
-            problems.append("seed is not a union of multivectors of field 1")
-        if not problems and not is_invariant(fld, scene.seed, p):
-            problems.append("seed is not invariant under field 1")
+        faults = isolation_faults(scene.fields[0], scene.seed, args.field_char)
+        problems = [_SEED_FAULTS[f] for f in faults]
     ok = not problems
     seed_entry = {"size": len(scene.seed), "ok": ok, "problems": problems}
     doc = {"ok": ok, "fields": entries, "seed": seed_entry}
@@ -157,7 +153,7 @@ def cmd_conley(args):
     except PreconditionError:
         raise PreconditionError("selected set is not convex and compatible, its "
                                 "closure/mouth pair is not an index pair") from None
-    isolated = bool(subset) and is_invariant(fld, subset, args.field_char)
+    isolated = bool(subset) and not isolation_faults(fld, subset, args.field_char)
     doc = {"field": idx, "size": len(subset), "betti": list(betti),
            "isolated_invariant": isolated}
     lines = [f"set of {len(subset)} simplices under field {idx}"
@@ -226,9 +222,8 @@ def cmd_rearrange_path(args):
     if len(scene.fields) < 2:
         raise SchemaError("need a scene with at least two fields")
     path = rearrangement_path(scene.fields[0], scene.fields[-1])
-    path_scene = Scene(scene.cx, path, scene.seed, scene.labels)
-    save_scene(path_scene, args.out)
-    return OK, None, [f"wrote {len(path_scene.fields)} fields to {args.out}"]
+    save_scene(scene._replace(fields=path), args.out)
+    return OK, None, [f"wrote {len(path)} fields to {args.out}"]
 
 
 def _prime(text: str) -> int:

@@ -154,18 +154,20 @@ def _repair(field: MultivectorField, subset: SimplexSet, move: AtomicRearrangeme
     return _peel(field, subset, [min(a) for a in move.added if not a.isdisjoint(subset)], p)
 
 
-def is_invariant(field: MultivectorField, subset: Collection[Simplex], p: int = 2) -> bool:
+def isolation_faults(field: MultivectorField, subset: Collection[Simplex],
+                     p: int = 2) -> list[str]:
+    """The conditions of isolation the set fails: "convex", "compatible", and
+    "invariant", which is asked only of a convex, compatible set."""
     subset = field.cx.check_subset(subset)
-    return invariant_part(field, subset, p) == subset
+    faults = [name for name, ok in (("convex", field.cx.is_convex(subset)),
+                                    ("compatible", field.is_compatible(subset))) if not ok]
+    return faults or ["invariant"] * (invariant_part(field, subset, p) != subset)
 
 
 def is_isolated_invariant_set(field: MultivectorField, subset: Collection[Simplex],
                               p: int = 2) -> bool:
-    """Invariant, convex and compatible (the three are equivalent to isolation)."""
-    subset = field.cx.check_subset(subset)
-    return (is_invariant(field, subset, p)
-            and field.cx.is_convex(subset)
-            and field.is_compatible(subset))
+    """Convex, compatible and invariant (the three are equivalent to isolation)."""
+    return not isolation_faults(field, subset, p)
 
 
 def isolates(field: MultivectorField, nbhd: Collection[Simplex],

@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import json
 import marshal
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .complexes import Complex, Simplex, _Closed, simplex
 from .dynamics import IndexPair
@@ -48,26 +48,22 @@ class SchemaError(ValueError):
     """The input file cannot be read or does not match the documented schema."""
 
 
-class Scene:
+class Scene(NamedTuple("Scene", [("cx", Complex), ("fields", list), ("seed", frozenset),
+                                 ("labels", Optional[dict]), ("names", dict)])):
     """A complex, its field sequence, the seed, and an optional label table
-    (label -> vertex id), all read-only; the reverse table is derived once."""
-    __slots__ = ("cx", "fields", "seed", "labels", "_names")
+    (label -> vertex id); `names`, the reverse table, is derived, not pickled."""
+    __slots__ = ()
 
-    def __init__(self, cx: Complex, fields: list[MultivectorField], seed: frozenset,
-                 labels: Optional[dict[str, int]] = None):
-        names = {i: name for name, i in (labels or {}).items()}
-        for slot, value in zip(self.__slots__, (cx, fields, seed, labels, names)):
-            object.__setattr__(self, slot, value)
+    def __new__(cls, cx: Complex, fields: list[MultivectorField], seed: frozenset,
+                labels: Optional[dict[str, int]] = None) -> "Scene":
+        return super().__new__(cls, cx, fields, seed, labels,
+                               {i: name for name, i in (labels or {}).items()})
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to Scene.{name}")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Scene) and all(
-            getattr(self, slot) == getattr(other, slot) for slot in self.__slots__[:-1])
+    def __getnewargs__(self):
+        return self[:4]
 
     def label_of(self, vid: int) -> str:
-        return self._names.get(vid, str(vid))
+        return self.names.get(vid, str(vid))
 
     def format_simplex(self, s: Simplex) -> str:
         return ",".join(self.label_of(v) for v in s)
@@ -256,7 +252,7 @@ def _simplex_out(s: Simplex, names: dict[int, str]):
 
 
 def scene_to_dict(scene: Scene) -> dict:
-    names = scene._names
+    names = scene.names
     maximal = [s for s in scene.cx.sorted_simplices()
                if not scene.cx.cofacets(s)]
     doc: dict = {}

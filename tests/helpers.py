@@ -53,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 import mvtrack as mv
-from mvtrack import algebra
+from mvtrack import algebra, dynamics
 from mvtrack.complexes import facets, proper_faces
 from mvtrack.dynamics import IndexPair
 from mvtrack.zigzag import (BACKWARD, FORWARD, Bar, Barcode, PairTag, PairZigzag,
@@ -278,6 +278,50 @@ def grid_scene(rng, n=4, steps=4, p=2):
             fields.append(nxt)
     seed = random_isolated_set(rng, fields[0], p)
     return None if seed is None else (fields, seed)
+
+
+def set_changing_steps(rng, fld, current, p=2, steps=3):
+    """Up to `steps` fields, each one atomic step from the one before (`fld`
+    first), that continue the isolated invariant set `current` and change
+    it: a merge of two adjacent multivectors inside it (case b) or a split
+    of one of its critical multivectors (case a) that makes a block regular
+    with no face or no coface in the rest of the set.  A peel starts only at
+    such a block, since every other block keeps its neighbours, so this is
+    exactly when S', the invariant part of the set under the new field,
+    differs from it.  The steps stop early at an empty set or when no such
+    step exists."""
+    out = []
+    while current and len(out) < steps:
+        cx, ident = fld.cx, fld.mv_id
+
+        def loose(block):  # no neighbour in the rest of the convex set on one side
+            return not (any(f in current and f not in block for s in block for f in facets(s))
+                        and any(c in current and c not in block
+                                for s in block for c in cx.cofacets(s)))
+
+        adjacent = {tuple(sorted((ident(f), ident(s)))) for s in current
+                    for f in facets(s) if f in current and ident(f) != ident(s)}
+        moves = [(fld.merge, (a, b), [fld.part(a) | fld.part(b)]) for a, b in sorted(adjacent)]
+        for i in sorted({ident(s) for s in current}):
+            part = fld.part(i)
+            if len(part) > 1 and fld.is_critical(i, p):
+                moves += [(fld.split, (i, frozenset(off)), [frozenset(off), part - set(off)])
+                          for k in range(1, len(part))
+                          for off in itertools.combinations(sorted(part), k)
+                          if min(part) in off]
+        rng.shuffle(moves)
+        for make, args, blocks in moves:
+            if any(map(loose, blocks)) and all(map(cx.is_convex, blocks)):
+                nxt = make(*args)
+                if any(loose(b) and not nxt.is_critical(min(b), p) for b in blocks):
+                    break
+        else:
+            break
+        result = mv.invariant_part(nxt, current, p)
+        assert result != current
+        out.append(nxt)
+        fld, current = nxt, result
+    return out
 
 
 # ------------------------------------------------------ convexity oracles
@@ -651,7 +695,7 @@ def enumerate_index_pairs(fld, subset, p=2, closed=None):
             continue
         for eset in closed:
             if eset <= pset and not (subset & eset):
-                if mv.validate_index_pair(fld, pset, eset, subset, p):
+                if dynamics.validate_index_pair(fld, pset, eset, subset, p):
                     out.append((pset, eset))
     return out
 
@@ -664,7 +708,7 @@ def isolated_invariant_sets(fld, p=2):
     for count in range(len(ids) + 1):
         for combo in itertools.combinations(ids, count):
             union = frozenset().union(*(fld.part(i) for i in combo)) if combo else frozenset()
-            if fld.cx.is_convex(union) and mv.is_invariant(fld, union, p):
+            if fld.cx.is_convex(union) and mv.invariant_part(fld, union, p) == union:
                 out.append(union)
     return out
 

@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mvtrack as mv
 from mvtrack import cli, fields as mvfields, tracking
@@ -746,6 +747,106 @@ def test_every_verb_survives_mutated_fixtures(tmp_path, capsys):
             elif code == 2 and call[0] != "validate":
                 lines = out.splitlines()
                 assert len(lines) == 1 and lines[0].startswith("FAIL: "), (argv, out)
+
+
+# Refusals a file reaches that no other test does: (verb, document, message),
+# the message as the loader or the protocol raises it.
+FILE_REFUSALS = {
+    "scene not an object": ("validate", [[0, 1]], "scene must be a JSON object"),
+    "no maximal simplices": ("validate", {"fields": [[]], "seed": []},
+                             "missing 'maximal_simplices'"),
+    "no simplex listed": ("validate", {"maximal_simplices": [], "fields": [[]], "seed": []},
+                          "'maximal_simplices' must not be empty"),
+    "zigzag not an object": ("barcode", [{"p": [], "e": []}], "zigzag file must be a JSON object"),
+    "pair not an object": ("barcode", {"maximal_simplices": [[0, 1]],
+                                       "pairs": [{"p": [[0]], "e": []}, [[0]]]},
+                           "pair 2 must be an object with 'p' and 'e'"),
+    "pair without e": ("barcode", {"maximal_simplices": [[0, 1]], "pairs": [{"p": [[0]]}]},
+                       "pair 1 must be an object with 'p' and 'e'"),
+    "empty seed": ("track", {"maximal_simplices": [[0, 1, 2]], "fields": [[]], "seed": []},
+                   "tracking needs a nonempty seed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_REFUSALS))
+def test_a_file_refusal_is_one_fail_line(tmp_path, capsys, case):
+    """The loader refuses the document, or the protocol the scene it loads,
+    with the message that the verb prints as its one line."""
+    verb, doc, message = FILE_REFUSALS[case]
+    load = zigzag_from_dict if verb == "barcode" else scene_from_dict
+    with pytest.raises((SchemaError, mv.PreconditionError)) as exc:
+        scene = load(doc)
+        mv.run_protocol(scene.fields, scene.seed)
+    assert str(exc.value) == message
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, verb, str(path)) == (2, f"FAIL: {message}\n")
+
+
+@pytest.mark.parametrize("verb", ["validate", "track"])
+def test_the_cli_module_runs_as_a_script(capsys, verb):
+    """`python -m mvtrack.cli` prints what `cli.main` prints and exits with
+    its code, 0 for a fixture and 2 for a file that is not there."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for path, code in ((FIXTURES / "merging_saddles.json", 0), (FIXTURES / "absent.json", 2)):
+        proc = subprocess.run([sys.executable, "-m", "mvtrack.cli", verb, str(path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        expected = run(capsys, verb, str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (*expected, "")
+
+
+# Malformed values for the property test below: JSON's kinds, ids in and out
+# of range, labels, and the shapes of simplices, sets and records.
+MALFORMED = [None, True, False, 0, 1, -1, 7, 1.0, 0.5, 1e300, "", "A", "x", "seed", [], [0],
+             [[]], [[0]], [[0, 0]], [[0, 1]], [[0], [1]], {}, {"op": "split"},
+             {"p": [], "e": []}]
+VERBS = [("validate",), ("validate", "--format", "json"), ("conley", "seed"), ("track",),
+         ("track", "--heuristic-g"), ("rearrange-path",)]
+
+
+def _replace_at(doc, index: int, value):
+    """`doc` with the node at `index`, in the order `_fuzz_nodes` lists the
+    nodes below the root, replaced by `value`."""
+    nodes = list(_fuzz_nodes(doc))[1:]
+    *path, key = nodes[index % len(nodes)]
+    parent = doc
+    for step in path:
+        parent = parent[step]
+    parent[key] = json.loads(json.dumps(value))
+    return doc
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(SCENES + ZIGZAGS),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.sampled_from(MALFORMED)),
+                min_size=1, max_size=2),
+       st.sampled_from(VERBS), st.sampled_from(["2", "3"]))
+def test_malformed_input_never_gives_a_traceback(tmp_path, capsys, name, edits, verb, p):
+    """A fixture with one or two values replaced, at any path, by a malformed
+    value: every verb, `barcode` on a zigzag, exits 0, 2 or 3 and raises
+    nothing; an exit 2 prints one `FAIL: ` line, or for `validate` the seed
+    line or, under `--format json`, a document with "ok" false."""
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    for index, value in edits:
+        doc = _replace_at(doc, index, value)
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    argv = ["barcode", str(path)] if name in ZIGZAGS else [verb[0], str(path), *verb[1:]]
+    if argv[0] == "rearrange-path":
+        argv += ["--out", str(tmp_path / "path.json")]
+    else:
+        argv += ["--field-char", p]
+    code = main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert code in (0, 2, 3), (argv, doc)
+    if code == 2 and "json" in verb and argv[0] == "validate":
+        assert json.loads("\n".join(lines))["ok"] is False
+    elif code == 2 and argv[0] == "validate":
+        assert len(lines) == 1 and lines[0].startswith("FAIL: ") or lines[-1].startswith("seed: ")
+    elif code == 2:
+        assert len(lines) == 1 and lines[0].startswith("FAIL: "), (argv, lines)
 
 
 # Multi-multivector fields with a fault, and what the loader made of them

@@ -8,11 +8,12 @@ import mvtrack as mv
 from mvtrack import dynamics, fields as mvfields
 from mvtrack.complexes import _Closed
 from mvtrack.dynamics import (IndexPair, _image, _peel, _repair, canonical_index_pair, invariant_part,
-                              is_invariant, is_isolated_invariant_set, isolates, push_forward, validate_index_pair,
+                              is_isolated_invariant_set, isolates, push_forward, validate_index_pair,
                               validate_index_pair_in_n)
 from mvtrack.fields import MultivectorField, classify_rearrangement, intersect_fields
 
 from helpers import (all_faces, brute_invariant_part, closed_subsets, grid_complex, grid_scene,
+                     mouth_is_convex,
                      oracle_isolates, oracle_pair_problems, random_coarsening, random_complex,
                      random_convex_compatible, random_field, random_gradient_field,
                      random_isolated_set, random_refinement, random_subset, scc_invariant_part,
@@ -243,11 +244,11 @@ def test_dynamics_on_a_long_path():
 
 def test_is_invariant(triangle):
     singles = singleton_field(triangle)
-    assert is_invariant(singles, frozenset())
-    assert is_invariant(singles, frozenset({(0, 1, 2)}))
+    assert invariant_part(singles, frozenset()) == frozenset()
+    assert invariant_part(singles, frozenset({(0, 1, 2)})) == frozenset({(0, 1, 2)})
     arrow = MultivectorField.from_parts(triangle, [[(0,), (0, 1)]],
                                         complete_singletons=True)
-    assert not is_invariant(arrow, frozenset({(0,), (0, 1)}))
+    assert invariant_part(arrow, frozenset({(0,), (0, 1)})) != frozenset({(0,), (0, 1)})
 
 
 def test_is_v_compatible(triangle):
@@ -266,7 +267,7 @@ def test_isolated_invariant_set(merging_saddles):
     two_edges = MultivectorField.from_parts(cx, [[(0, 1), (2, 3)]],
                                             complete_singletons=True)
     half = frozenset({(0, 1)})
-    assert is_invariant(two_edges, half) and cx.is_convex(half)
+    assert invariant_part(two_edges, half) == half and cx.is_convex(half)
     assert not is_isolated_invariant_set(two_edges, half)
 
 
@@ -303,8 +304,10 @@ def test_push_forward(triangle):
     assert push_forward(singles, frozenset(), every) == frozenset()
     assert push_forward(singles, frozenset({(0, 1)}), triangle.closure({(0, 1)})) \
         == triangle.closure({(0, 1)})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^push-forward seed must lie inside the ambient set$"):
         push_forward(singles, frozenset({(0, 1)}), frozenset({(0,)}))
+    with pytest.raises(ValueError, match="^push-forward ambient set must be closed$"):
+        push_forward(singles, frozenset({(0, 1)}), frozenset({(0, 1)}))
 
 
 def test_push_forward_monotone_idempotent():
@@ -452,9 +455,12 @@ def test_canonical_index_pair_random():
 def test_isolated_exactly_when_the_canonical_pair_is_an_index_pair(p):
     """S is an isolated invariant set exactly when (cl S, mouth S) passes the
     index-pair conditions for S: tracking checks the seed once and then only
-    validates each step's closing pair."""
+    validates each step's closing pair.  `isolation_faults` names exactly
+    the conditions that independent checks find failed: convexity by the
+    mouth, compatibility by the multivectors met, and, for a convex and
+    compatible set only, invariance by the former SCC reduction."""
     rng = random.Random(60 + p)
-    isolated = non_convex = non_compatible = non_invariant = 0
+    isolated, failed_checks, faults_seen = 0, Counter(), Counter()
     for _ in range(300):
         cx = random_complex(rng, max_size=14)
         fld = random_field(rng, cx)
@@ -465,12 +471,18 @@ def test_isolated_exactly_when_the_canonical_pair_is_an_index_pair(p):
             report = validate_index_pair(fld, cx.closure(subset), cx.mouth(subset), subset, p)
             assert bool(report) == expected
             isolated += expected and bool(subset)
-            non_convex += not cx.is_convex(subset)
-            non_compatible += not fld.is_compatible(subset)
-            non_invariant += not is_invariant(fld, subset, p)
+            failed = [name for name, ok in (
+                ("convex", mouth_is_convex(cx, subset)),
+                ("compatible", frozenset().union(*map(fld.part_of, subset)) == subset),
+                ("invariant", scc_invariant_part(fld, subset, p) == subset)) if not ok]
+            failed_checks.update(failed)
+            faults = dynamics.isolation_faults(fld, subset, p)
+            assert faults == [f for f in failed if f != "invariant" or failed == ["invariant"]]
+            assert expected == (not faults)
+            faults_seen.update(faults)
     assert isolated >= 600
-    assert min(non_convex, non_compatible, non_invariant) >= 50, \
-        (non_convex, non_compatible, non_invariant)
+    assert min(failed_checks.values()) >= 50 and len(failed_checks) == 3, failed_checks
+    assert faults_seen["invariant"] >= 40, faults_seen
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -508,6 +520,9 @@ def test_index_pair_in_n(merging_saddles):
     pair = canonical_index_pair(fld, seed)
     # any index pair is an index pair inside its own first component
     assert validate_index_pair_in_n(fld, pair.P, pair.E, pair.P, seed)
+    # a pair whose E leaves P fails that condition, named once
+    report = validate_index_pair_in_n(fld, pair.E, pair.P, cx.simplices, None)
+    assert not report and report.problems.count("E is not a subset of P") == 1
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -204,6 +204,9 @@ def test_classify_rearrangement(triangle):
                                     complete_singletons=True)
     with pytest.raises(NotAtomicError):
         classify_rearrangement(a, b)
+    elsewhere = singleton_field(mv.Complex.from_maximal([[0, 1]]))
+    with pytest.raises(NotAtomicError, match="^fields live on different complexes$"):
+        classify_rearrangement(fld, elsewhere)
 
 
 def test_refinement_path_basics(triangle):
@@ -252,12 +255,16 @@ def test_rearrangement_path_trivial(triangle):
     fld = singles.merge((0,), (0, 1))
     path = rearrangement_path(fld, fld)
     assert path[0] == fld and path[-1] == fld and len(path) == 3
+    with pytest.raises(ValueError, match="^fields live on different complexes$"):
+        rearrangement_path(fld, singleton_field(mv.Complex.from_maximal([[0, 1]])))
 
 
 def test_intersect_fields(triangle):
     singles = singleton_field(triangle)
     fld = singles.merge((0,), (0, 1)).merge((1,), (1, 2))
     assert intersect_fields(fld, fld) == fld
+    with pytest.raises(ValueError, match="^fields live on different complexes$"):
+        intersect_fields(fld, singleton_field(mv.Complex.from_maximal([[0, 1]])))
     assert intersect_fields(fld, singles) == singles
     refined = fld.split(fld.mv_id((0,)), frozenset({(0, 1)}))
     assert intersect_fields(fld, refined) == refined

@@ -5,8 +5,10 @@ did for every array.  The tests compare the two parsers on perturbed scenes
 and zigzags, and count the simplices the loader sorts."""
 
 import builtins
+import enum
 import itertools
 import json
+import marshal
 from pathlib import Path
 
 import pytest
@@ -233,3 +235,25 @@ def test_a_repeated_array_with_an_aliased_token_is_parsed_again(vertex, alias, m
     assert refused == f"bad vertex {alias!r}"
     monkeypatch.setattr(io, "_parse_plain", normalizing_parse_plain)
     assert _outcome(zigzag_from_dict, aliased) == refused
+
+
+def test_an_array_marshal_refuses_is_parsed_at_each_occurrence(monkeypatch):
+    """A dict built in Python can hold what JSON cannot, such as an `IntEnum`
+    vertex id, which `marshal` refuses to key: each occurrence of such an
+    array is parsed for itself, and the zigzag loads as with plain ids."""
+    zero = enum.IntEnum("Vertex", [("ZERO", 0)]).ZERO
+    p = [[0], [1], [0, 1]]
+    doc = {"maximal_simplices": [[0, 1, 2]], "pairs": [{"p": p, "e": []}, {"p": p, "e": [[0]]}]}
+    odd = _copy(doc)
+    odd["pairs"][0]["p"] = odd["pairs"][1]["p"] = [[zero if v == 0 else v for v in s] for s in p]
+    with pytest.raises(ValueError):
+        marshal.dumps(odd["pairs"][0]["p"], 2)
+    parses = []
+    original = io._parse_simplex_set
+    monkeypatch.setattr(io, "_parse_simplex_set", lambda raw, *rest: parses.append(raw)
+                        or original(raw, *rest))
+    loaded = _outcome(zigzag_from_dict, odd)
+    assert sum(raw is odd["pairs"][0]["p"] for raw in parses) == 2
+    parses.clear()
+    assert loaded == _outcome(zigzag_from_dict, doc)
+    assert sum(raw is p for raw in parses) == 1

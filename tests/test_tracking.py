@@ -19,7 +19,8 @@ from helpers import (all_faces, alternating_hull, bars_in_dim, brute_hull, dense
                      fixpoint_hull, grid_complex, grid_scene, is_full, random_coarsening,
                      random_complex, random_convex_compatible, random_field, random_gradient_field,
                      random_isolated_set, random_refinement, random_subset, reference_protocol,
-                     scc_invariant_part, singleton_field, small_runs, vertices)
+                     scc_invariant_part, set_changing_steps, singleton_field, small_runs,
+                     vertices)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 SCENES = ("merging_saddles", "repeller_disk", "saddle_collision_nine", "unresolved_step")
@@ -82,10 +83,13 @@ def test_track_step_case_b(triangle):
 def test_track_step_preconditions(triangle):
     singles = singleton_field(triangle)
     merged = singles.merge((0,), (0, 1))
-    with pytest.raises(mv.PreconditionError):
+    with pytest.raises(mv.PreconditionError, match="^tracking needs a nonempty seed$"):
         track_step(singles, merged, frozenset())
-    with pytest.raises(mv.PreconditionError):
+    with pytest.raises(mv.PreconditionError,
+                       match="^tracked set is not an isolated invariant set$"):
         track_step(singles, merged, frozenset({(0,), (0, 1, 2)}))
+    with pytest.raises(mv.PreconditionError, match="^need at least one field$"):
+        run_protocol([], frozenset({(0, 1, 2)}))
     with pytest.raises(mv.NotAtomicError):
         track_step(singles, singles, frozenset({(0, 1, 2)}))
 
@@ -197,7 +201,7 @@ def test_connect_pair_to_canonical(merging_saddles):
     assert step.appended_pairs[:3] == [canonical] * 3
     bigger = IndexPair(cx.simplices, frozenset(cx.simplices
                                                - invariant_part(v1, cx.simplices)))
-    assert not mv.validate_index_pair(v1, bigger.P, bigger.E, seed)
+    assert not dynamics.validate_index_pair(v1, bigger.P, bigger.E, seed)
     # a body that is not the seed has its fourth condition computed, and the
     # failed check names the pair's role
     with pytest.raises(ZigzagAssemblyError, match="meet pair: invariant part of P"):
@@ -228,8 +232,8 @@ def test_naive_intersection_zigzag():
     assert len(zz) == 3
     assert zz.tags[1].role == "naive-meet"
     middle = zz.pairs[1]
-    assert not mv.validate_index_pair(nxt, middle.P, middle.E,
-                                      invariant_part(nxt, middle.body))
+    assert not dynamics.validate_index_pair(nxt, middle.P, middle.E,
+                                            invariant_part(nxt, middle.body))
     assert not is_full(mv.pair_zigzag_barcode(zz))
     # the raw meet is the meet of the two canonical pairs, whose sets are closed
     first, second = (IndexPair(cx.closure(s), cx.mouth(s)) for s in (seed, step.result))
@@ -618,8 +622,9 @@ def test_reference_protocol_agrees_on_the_fixtures(name, p, heuristic_g):
 def _reference_scenes(p):
     """The scenes of the random reference-protocol test: 30 random grid
     scenes, each yielded as (fields, start) from a small isolated set and
-    from the invariant part of the whole grid."""
-    rng = random.Random(100 + p)
+    from the invariant part of the whole grid, and each run extended by up
+    to three steps that change the set it ends on (`set_changing_steps`)."""
+    rng, extend = random.Random(100 + p), random.Random(200 + p)
     scenes = tries = 0
     while scenes < 30:
         tries += 1
@@ -629,7 +634,9 @@ def _reference_scenes(p):
             continue
         fields, seed = scene
         for start in (seed, scc_invariant_part(fields[0], fields[0].cx.simplices, p)):
-            yield fields, start
+            trace = run_protocol(fields, start, p, True)
+            end = trace.steps[-1].result if trace.steps else start
+            yield fields + set_changing_steps(extend, fields[-1], end, p), start
         scenes += 1
 
 
@@ -638,11 +645,20 @@ def test_reference_protocol_agrees_on_random_grid_scenes(p):
     """30 random grid scenes, tracked from a small isolated set and from the
     invariant part of the whole grid, with heuristic g on.  Case d, whose S'
     is the invariant part of the hull as in case f, fires 34 times at p = 2
-    and 27 at p = 3; the floor of 12 keeps that path under test."""
-    cases = [case for fields, start in _reference_scenes(p)
-             for case, *_ in _agrees_with_reference(fields, start, p, True)]
-    counts = {case: cases.count(case) for case in "abcd"}
-    assert min(counts.values()) >= 1 and counts["d"] >= 12, counts
+    and 27 at p = 3; the floor of 12 keeps that path under test.  The steps
+    appended to each run make continuation change the set, S' != S, 20 times
+    at p = 2 (13 in case b, 7 in case a) and 25 at p = 3 (14 and 11); the
+    floor of 10 keeps the repair of S' from the blocks a step touches under
+    test, which the scenes alone never reach."""
+    counts = Counter()
+    for fields, start in _reference_scenes(p):
+        current = start
+        for case, result, *_ in _agrees_with_reference(fields, start, p, True):
+            counts[case] += 1
+            counts["S' != S"] += case in "abc" and result != current
+            current = result
+    assert min(counts[case] for case in "abcd") >= 1 and counts["d"] >= 12, counts
+    assert counts["S' != S"] >= 10, counts
 
 
 @pytest.mark.parametrize("p", [2, 3])

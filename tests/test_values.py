@@ -2,10 +2,13 @@
 defaults, equality and hashing, read-only attributes, and pickling."""
 
 import pickle
+from pathlib import Path
 
 import pytest
 
 import mvtrack as mv
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 # Each type's constructor parameters, in positional order.
 FIELDS = {
@@ -22,7 +25,7 @@ FIELDS = {
     mv.Scene: ("cx", "fields", "seed", "labels"),
 }
 HASHABLE = (mv.IndexPair, mv.Bar, mv.PairTag, mv.CheckReport, mv.AtomicRearrangement)
-PICKLED = (mv.IndexPair, mv.Bar, mv.CheckReport)
+PICKLED = (mv.IndexPair, mv.Bar, mv.CheckReport, mv.Scene)
 
 
 @pytest.fixture(scope="module")
@@ -78,3 +81,17 @@ def test_value_type_defaults_and_checks(instances):
         mv.Bar(dim=1, birth=3, death=2)
     with pytest.raises(ValueError, match=r"^bad bar interval \[0, 0\]$"):
         mv.Bar(0, 0, 0)
+
+
+@pytest.mark.parametrize("name", ["merging_saddles", "repeller_disk", "saddle_collision_nine",
+                                  "unresolved_step"])
+def test_a_scene_derives_its_names_and_pickles(name):
+    """`names` reverses the label table; a pickled scene is rebuilt from its
+    four given items, and `_replace` keeps the derived table."""
+    scene = mv.load_scene(FIXTURES / f"{name}.json")
+    assert scene.names == {i: label for label, i in (scene.labels or {}).items()}
+    copy = pickle.loads(pickle.dumps(scene))
+    assert type(copy) is mv.Scene and copy == scene and copy.names == scene.names
+    shorter = scene._replace(fields=scene.fields[:1])
+    assert type(shorter) is mv.Scene and shorter.names == scene.names
+    assert shorter[:4] == (scene.cx, scene.fields[:1], scene.seed, scene.labels)

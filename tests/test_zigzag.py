@@ -7,7 +7,7 @@ import pytest
 import mvtrack as mv
 from mvtrack import algebra, cli, complexes, io, zigzag
 from mvtrack.cli import main
-from mvtrack.dynamics import IndexPair
+from mvtrack.dynamics import IndexPair, validate_index_pair
 from mvtrack.zigzag import (BACKWARD, FORWARD, Bar, PairTag, PairZigzag, homology_module,
                             interval_multiplicities, pair_zigzag_barcode)
 
@@ -31,6 +31,10 @@ def test_pair_zigzag_checks_inclusions(triangle):
     c = IndexPair(triangle.closure({(1, 2)}), frozenset())
     with pytest.raises(ValueError):
         PairZigzag(triangle, [a, c])
+    with pytest.raises(ValueError, match="^a zigzag needs at least one pair$"):
+        PairZigzag(triangle, [])
+    with pytest.raises(ValueError, match="^need one tag per pair$"):
+        PairZigzag(triangle, [a, b], [PairTag()])
 
 
 def test_interval_multiplicities_hand_cases():
@@ -208,10 +212,10 @@ def test_naive_intersection_barcode_is_erratic(repeller_disk):
     right = IndexPair(right_p, right_p - {center, (1, 3), (1, 3, 6)})
     meet = IndexPair(left.P & right.P, left.E & right.E)
     fld = repeller_disk.fields[0]
-    assert mv.validate_index_pair(fld, left.P, left.E, repeller_disk.seed)
-    assert mv.validate_index_pair(fld, right.P, right.E, repeller_disk.seed)
-    assert not mv.validate_index_pair(fld, meet.P, meet.E,
-                                      mv.invariant_part(fld, meet.body))
+    assert validate_index_pair(fld, left.P, left.E, repeller_disk.seed)
+    assert validate_index_pair(fld, right.P, right.E, repeller_disk.seed)
+    assert not validate_index_pair(fld, meet.P, meet.E,
+                                   mv.invariant_part(fld, meet.body))
     barcode = pair_zigzag_barcode(PairZigzag(cx, [left, meet, right]))
     assert not is_full(barcode)
     assert [(b.birth, b.death) for b in bars_in_dim(barcode, 2)] == [(1, 1), (3, 3)]
@@ -531,6 +535,9 @@ def test_barcode_counts_match_betti(merging_saddles):
             covering = sum(1 for b in barcode.bars
                            if b.dim == dim and b.birth <= pos <= b.death)
             assert covering == expected
+    unmapped = barcode._replace(step_of_position=None)
+    with pytest.raises(ValueError, match="^barcode has no step map$"):
+        unmapped.step_bars()
 
 
 def test_induced_map_rank(merging_saddles):
@@ -541,7 +548,7 @@ def test_induced_map_rank(merging_saddles):
     assert induced_map_rank(cx, canonical, canonical, FORWARD) == (0, 1, 0)
     bigger = IndexPair(mv.push_forward(v1, canonical.P, cx.simplices),
                        mv.push_forward(v1, canonical.E, cx.simplices))
-    assert mv.validate_index_pair(v1, bigger.P, bigger.E, seed)
+    assert validate_index_pair(v1, bigger.P, bigger.E, seed)
     # nested pairs for one invariant set: inclusion induces an isomorphism
     assert induced_map_rank(cx, canonical, bigger, FORWARD) == (0, 1, 0)
     with pytest.raises(ValueError):
@@ -567,14 +574,14 @@ def test_semi_equal_inclusions_induce_isomorphisms():
         pf_p = mv.push_forward(fld, canonical.P, cx.simplices)
         pf_e = mv.push_forward(fld, canonical.E, cx.simplices)
         grown = IndexPair(pf_p, pf_e)
-        if not mv.validate_index_pair(fld, grown.P, grown.E, subset):
+        if not validate_index_pair(fld, grown.P, grown.E, subset):
             continue
         betti = mv.relative_homology(cx, canonical.P, canonical.E)
         same_p = IndexPair(canonical.P, grown.E & canonical.P)
-        if mv.validate_index_pair(fld, same_p.P, same_p.E, subset):
+        if validate_index_pair(fld, same_p.P, same_p.E, subset):
             assert induced_map_rank(cx, canonical, same_p, FORWARD) == betti
         same_e = IndexPair(canonical.P | grown.E, grown.E)
-        if mv.validate_index_pair(fld, same_e.P, same_e.E, subset):
+        if validate_index_pair(fld, same_e.P, same_e.E, subset):
             assert induced_map_rank(cx, same_e, grown, FORWARD) == betti
         done += 1
 
