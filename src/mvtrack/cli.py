@@ -27,8 +27,8 @@ import json
 import sys
 from pathlib import Path
 
-from .algebra import check_prime
-from .dynamics import PreconditionError, conley_index, isolation_faults
+from .algebra import check_prime, relative_homology
+from .dynamics import PreconditionError, _canonical, isolation_faults
 from .fields import NotAtomicError, rearrangement_path
 from .io import Scene, SchemaError, load_scene, load_zigzag, save_scene
 from .tracking import run_protocol
@@ -148,12 +148,12 @@ def cmd_conley(args):
     scene = load_scene(args.scene)
     idx, subset = _parse_selector(scene, args.selector)
     fld = scene.fields[idx - 1]
-    try:
-        betti = conley_index(fld, subset, args.field_char)
-    except PreconditionError:
+    faults = isolation_faults(fld, subset, args.field_char)
+    if "convex" in faults or "compatible" in faults:
         raise PreconditionError("selected set is not convex and compatible, its "
-                                "closure/mouth pair is not an index pair") from None
-    isolated = bool(subset) and not isolation_faults(fld, subset, args.field_char)
+                                "closure/mouth pair is not an index pair")
+    betti = relative_homology(fld.cx, *_canonical(fld.cx, subset, convex=True), args.field_char)
+    isolated = bool(subset) and not faults
     doc = {"field": idx, "size": len(subset), "betti": list(betti),
            "isolated_invariant": isolated}
     lines = [f"set of {len(subset)} simplices under field {idx}"

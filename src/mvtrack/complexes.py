@@ -183,17 +183,6 @@ class Complex:
             self.closure_of(s)
         return _Closed(frozenset().union(*map(table.__getitem__, subset)))
 
-    def star(self, subset: Collection[Simplex]) -> SimplexSet:
-        """Every simplex having a member as a face, the members included."""
-        out = set(self.check_subset(subset))
-        stack = list(out)
-        while stack:
-            for c in self.cofacets(stack.pop()):
-                if c not in out:
-                    out.add(c)
-                    stack.append(c)
-        return frozenset(out)
-
     def mouth(self, subset: Collection[Simplex]) -> SimplexSet:
         """closure(A) minus A."""
         subset = self.check_subset(subset)
@@ -216,14 +205,8 @@ class Complex:
         have no such f.  No table is read.
         """
         subset = self.check_subset(subset)
-        if len(subset) < 2:
-            return True
         if len(subset) == 2:
             a, b = subset
             return abs(len(a) - len(b)) < 2 or _face_codim(a, b) < 2
-        for tau in subset:
-            if len(tau) > 2:
-                for f in facets(tau):
-                    if f not in subset and not subset.isdisjoint(proper_faces(f)):
-                        return False
-        return True
+        return all(f in subset or subset.isdisjoint(proper_faces(f))
+                   for tau in subset if len(tau) > 2 for f in facets(tau))

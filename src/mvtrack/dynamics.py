@@ -7,12 +7,18 @@ the simplices of A in one multivector, and is found by peeling blocks that
 cannot lie on an essential solution.  One loop, `_peel`, does every peel:
 `invariant_part` starts it from each block without a neighbour on one side,
 with every block's neighbours tabled, and the tracking protocol from the
-blocks a step touched.  The peel is validated against a direct
-essential-solution search and against the former strongly connected
-component reduction in the test suite.  Index pairs have one validator,
-`validate_index_pair_in_n`, and one scan, which names the least offender.
-It, `isolates` and `push_forward` scan every set for closedness but one
-closed by construction (see `complexes`), as a push-forward is.
+blocks a step touched.  The peel keeps the largest set of blocks in which
+each regular block keeps a successor (a face) and a predecessor (a coface).
+In a convex set, facets keep the same blocks: a facet link is a face link,
+and a face of a member is reached by a chain of facets in the set, on which
+each block has a link each way, so the blocks kept along faces, with those
+chains, keep the rule along facets.  So one pass over the members' facets,
+`_facet_pass`, finds convexity, compatibility and the links at once.  Tests
+check the peel against the definition, the SCC reduction and face links.
+Index pairs have one validator, `validate_index_pair_in_n`, and one scan,
+which names the least offender.  It, `isolates` and `push_forward` scan
+every set for closedness but one closed by construction (see `complexes`),
+as a push-forward is.
 
 All functions are pure; scratch state is private per call.
 """
@@ -20,10 +26,11 @@ All functions are pure; scratch state is private per call.
 from __future__ import annotations
 
 from functools import cache
+from itertools import combinations
 from typing import Collection, NamedTuple, Optional
 
 from .algebra import relative_homology
-from .complexes import Complex, Simplex, SimplexSet, _Closed
+from .complexes import Complex, Simplex, SimplexSet, _Closed, facets, proper_faces
 from .fields import AtomicRearrangement, CheckReport, MultivectorField
 
 
@@ -84,26 +91,38 @@ def _least_leaving(field: MultivectorField, members: SimplexSet, target: Simplex
                                           and leaving.isdisjoint(field.part_of(s))))
 
 
+def _facet_pass(field: MultivectorField, subset: SimplexSet) -> tuple[list[str], dict, dict]:
+    """The faults "convex" and "compatible" of `subset`, and its blocks' links
+    along facets.  A facet outside with a face inside lies between members."""
+    ids = dict(zip(subset, map(field.mv_id, subset)))
+    succ: dict[Simplex, set[Simplex]] = {b: set() for b in ids.values()}
+    pred: dict[Simplex, set[Simplex]] = {b: set() for b in succ}
+    convex = True
+    for s, b in ids.items():
+        for f in combinations(s, len(s) - 1):
+            c = ids.get(f)
+            if c is None:
+                convex = convex and (len(f) < 2 or subset.isdisjoint(proper_faces(f)))
+            elif c != b:
+                succ[b].add(c)
+                pred[c].add(b)
+    compatible = all(field.part(b) <= subset for b in succ)
+    return [n for n, ok in (("convex", convex), ("compatible", compatible)) if not ok], succ, pred
+
+
 def invariant_part(field: MultivectorField, subset: Collection[Simplex],
                    p: int = 2) -> SimplexSet:
     """Simplices of the subset lying on an essential solution inside it: the
-    peel of every block, each block's neighbours tabled once for the set."""
-    cx = field.cx
+    peel of every block, linked along facets, or along faces if not convex."""
+    cx, mv_id = field.cx, field.mv_id
     subset = cx.check_subset(subset)
-    blocks: dict[Simplex, list[Simplex]] = {}
-    for s in subset:
-        blocks.setdefault(field.mv_id(s), []).append(s)
-    succ: dict[Simplex, set[Simplex]] = {b: set() for b in blocks}
-    pred: dict[Simplex, set[Simplex]] = {b: set() for b in blocks}
-    for b, members in blocks.items():
-        for s in members:
-            for t in cx.closure_of(s):
-                if t in subset:
-                    c = field.mv_id(t)
-                    if c != b:
-                        succ[b].add(c)
-                        pred[c].add(b)
-    return _peel(field, subset, [b for b in blocks if not succ[b] or not pred[b]], p, (succ, pred))
+    faults, succ, pred = _facet_pass(field, subset)
+    for s in subset if "convex" in faults else ():
+        b = mv_id(s)
+        for c in {mv_id(t) for t in cx.closure_of(s) & subset} - {b}:
+            succ[b].add(c)
+            pred[c].add(b)
+    return _peel(field, subset, [b for b in succ if not succ[b] or not pred[b]], p, (succ, pred))
 
 
 def _peel(field: MultivectorField, subset: SimplexSet, seeds: Collection[Simplex],
@@ -128,7 +147,8 @@ def _peel(field: MultivectorField, subset: SimplexSet, seeds: Collection[Simplex
     `_repair` is X = S, f the field before a move; in `tracking`, the hull
     test is f = `field`, and S' f the field before the merge.  Neighbours
     come from `links`, every block's successors and predecessors, else from
-    the popped block's members.  A block popped again is not decided again."""
+    the popped block's members' facets and cofacets, X and S being convex.
+    A block popped again is not decided again."""
     cx, mv_id, peeled = field.cx, field.mv_id, set()
     critical = cache(lambda b: field.is_critical(b, p))
     stack = list(seeds)
@@ -137,8 +157,8 @@ def _peel(field: MultivectorField, subset: SimplexSet, seeds: Collection[Simplex
         if b not in peeled and not critical(b):
             if links is None:
                 part = field.part(b) & subset
-                succ = {mv_id(t) for s in part for t in cx.closure_of(s) if t in subset} - {b}
-                pred = {mv_id(t) for s in part for t in cx.star((s,)) if t in subset} - {b}
+                succ = {mv_id(t) for s in part for t in facets(s) if t in subset} - {b}
+                pred = {mv_id(t) for s in part for t in cx.cofacets(s) if t in subset} - {b}
             else:
                 succ, pred = links[0][b], links[1][b]
             if succ <= peeled or pred <= peeled:
@@ -159,9 +179,9 @@ def isolation_faults(field: MultivectorField, subset: Collection[Simplex],
     """The conditions of isolation the set fails: "convex", "compatible", and
     "invariant", which is asked only of a convex, compatible set."""
     subset = field.cx.check_subset(subset)
-    faults = [name for name, ok in (("convex", field.cx.is_convex(subset)),
-                                    ("compatible", field.is_compatible(subset))) if not ok]
-    return faults or ["invariant"] * (invariant_part(field, subset, p) != subset)
+    faults, succ, pred = _facet_pass(field, subset)
+    seeds = [b for b in succ if not succ[b] or not pred[b]]
+    return faults or ["invariant"] * (_peel(field, subset, seeds, p, (succ, pred)) != subset)
 
 
 def is_isolated_invariant_set(field: MultivectorField, subset: Collection[Simplex],
@@ -208,13 +228,11 @@ def _canonical(cx: Complex, subset: SimplexSet, convex: bool = False) -> IndexPa
 def canonical_index_pair(field: MultivectorField, subset: Collection[Simplex]) -> IndexPair:
     """(closure, mouth) of a convex compatible set: the minimal index pair
     for its invariant part."""
-    cx = field.cx
-    subset = cx.check_subset(subset)
-    if not cx.is_convex(subset):
-        raise PreconditionError("canonical index pair needs a convex set")
-    if not field.is_compatible(subset):
-        raise PreconditionError("canonical index pair needs a compatible set")
-    return _canonical(cx, subset, convex=True)
+    subset = field.cx.check_subset(subset)
+    faults = _facet_pass(field, subset)[0]
+    if faults:
+        raise PreconditionError(f"canonical index pair needs a {faults[0]} set")
+    return _canonical(field.cx, subset, convex=True)
 
 
 def validate_index_pair_in_n(field: MultivectorField, pset: Collection[Simplex],
@@ -254,5 +272,4 @@ def validate_index_pair(field: MultivectorField, pset: Collection[Simplex],
 def conley_index(field: MultivectorField, subset: Collection[Simplex],
                  p: int = 2) -> tuple:
     """Betti vector of the canonical index pair of an isolated invariant set."""
-    pair = canonical_index_pair(field, subset)
-    return relative_homology(field.cx, pair.P, pair.E, p)
+    return relative_homology(field.cx, *canonical_index_pair(field, subset), p)

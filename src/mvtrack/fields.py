@@ -163,11 +163,6 @@ class MultivectorField:
         closure = self.cx.closure(part)
         return any(relative_homology(self.cx, closure, closure - part, p))
 
-    def is_compatible(self, subset: Collection[Simplex]) -> bool:
-        """True iff the set is a union of whole multivectors."""
-        subset = self.cx.check_subset(subset)
-        return all(self.part_of(s) <= subset for s in subset)
-
     def split(self, ident: Simplex, off: Collection[Simplex]) -> "MultivectorField":
         """Atomic refinement splitting one multivector into `off` and the rest."""
         part = self.part(ident)

@@ -62,6 +62,10 @@ class Scene(NamedTuple("Scene", [("cx", Complex), ("fields", list), ("seed", fro
     def __getnewargs__(self):
         return self[:4]
 
+    def _replace(self, /, **changes) -> "Scene":
+        """This scene with `changes`, `names` derived again from the labels."""
+        return Scene(*super()._replace(**changes)[:4])
+
     def label_of(self, vid: int) -> str:
         return self.names.get(vid, str(vid))
 

@@ -27,6 +27,11 @@ the paper's definitions, with every emitted pair checked against all four
 index-pair conditions.  `scan_refinement_path` is the former
 `refinement_path`, which rescanned every multivector id at each step.
 `alternating_hull` is the former `hull`, which grew the whole set each round.
+`star` is the former `Complex.star`, and `is_compatible` the former
+`MultivectorField.is_compatible`, which only the tests read.
+`closure_invariant_part` is the former `invariant_part`, which linked each
+block to the blocks of every face of its members, where the library links
+along facets in a convex set.
 `bench_scenes` executes the benchmark's scene generators from source.
 `small_runs` enumerates every two-field run on a small complex (each convex
 field, each nonempty isolated invariant set, each atomic split or merge)
@@ -489,6 +494,23 @@ def scc_invariant_part(fld, subset, p=2):
     return frozenset(_reachable(adj, core) & _reachable(_reverse(adj), core))
 
 
+def closure_invariant_part(fld, subset, p=2):
+    """The former `invariant_part`: the peel of every block, each block
+    linked to the blocks of every face of its members in the set."""
+    cx = fld.cx
+    subset = cx.check_subset(subset)
+    succ = {fld.mv_id(s): set() for s in subset}
+    pred = {b: set() for b in succ}
+    for s in subset:
+        b = fld.mv_id(s)
+        for t in cx.closure_of(s) & subset:
+            if fld.mv_id(t) != b:
+                succ[b].add(fld.mv_id(t))
+                pred[fld.mv_id(t)].add(b)
+    seeds = [b for b in succ if not succ[b] or not pred[b]]
+    return dynamics._peel(fld, subset, seeds, p, (succ, pred))
+
+
 def _simple_cycles(adj):
     """All simple directed cycles (as node tuples), each rooted at its least node."""
     nodes = sorted(adj)
@@ -658,6 +680,24 @@ def all_subsets(cx):
         yield frozenset(s for i, s in enumerate(simplices) if mask >> i & 1)
 
 
+def star(cx, subset):
+    """Every simplex having a member as a face, the members included."""
+    out = set(cx.check_subset(subset))
+    stack = list(out)
+    while stack:
+        for c in cx.cofacets(stack.pop()):
+            if c not in out:
+                out.add(c)
+                stack.append(c)
+    return frozenset(out)
+
+
+def is_compatible(fld, subset):
+    """True iff the set is a union of whole multivectors."""
+    subset = fld.cx.check_subset(subset)
+    return all(fld.part_of(s) <= subset for s in subset)
+
+
 def closed_subsets(cx):
     return [sub for sub in all_subsets(cx) if cx.is_closed(sub)]
 
@@ -667,7 +707,7 @@ def brute_hull(fld, seed):
     seed = frozenset(seed)
     out = frozenset(fld.cx.simplices)
     for sub in all_subsets(fld.cx):
-        if seed <= sub and fld.is_compatible(sub) and fld.cx.is_convex(sub):
+        if seed <= sub and is_compatible(fld, sub) and fld.cx.is_convex(sub):
             out &= sub
     return out
 
@@ -680,7 +720,7 @@ def alternating_hull(fld, seed):
     out = frozenset(seed)
     while True:
         grown = out.union(*(fld.part_of(s) for s in out))
-        grown = cx.closure(grown) & cx.star(grown)
+        grown = cx.closure(grown) & star(cx, grown)
         if grown == out:
             return out
         out = grown

@@ -14,8 +14,8 @@ from mvtrack.io import load_scene, load_zigzag
 from mvtrack.tracking import hull, run_protocol, track_step
 from mvtrack.zigzag import pair_zigzag_barcode
 
-from helpers import (bars_in_dim, brute_hull, brute_invariant_part, closed_subsets, is_full,
-                     isolated_invariant_sets, random_coarsening, random_complex,
+from helpers import (bars_in_dim, brute_hull, brute_invariant_part, closed_subsets,
+                     is_compatible, is_full, isolated_invariant_sets, random_coarsening, random_complex,
                      random_field, random_isolated_set, random_refinement,
                      random_subset, singleton_field)
 
@@ -173,7 +173,7 @@ def test_criterion_07_index_pair_theorems():
 
         # isolation is equivalent to convex + compatible, for invariant sets
         subset = invariant_part(fld, random_subset(rng, cx.simplices))
-        nice = cx.is_convex(subset) and fld.is_compatible(subset)
+        nice = cx.is_convex(subset) and is_compatible(fld, subset)
         witnesses = [n for n in closed
                      if isolates(fld, n, subset)]
         assert bool(witnesses) == nice
@@ -194,7 +194,7 @@ def test_criterion_07_index_pair_theorems():
         for pair in pairs:
             # the first component isolates, the body is convex and compatible
             assert isolates(fld, pair.P, inv)
-            assert cx.is_convex(pair.body) and fld.is_compatible(pair.body)
+            assert cx.is_convex(pair.body) and is_compatible(fld, pair.body)
             assert validate_index_pair_in_n(fld, pair.P, pair.E, pair.P, inv)
             bettis.add(mv.relative_homology(cx, pair.P, pair.E))
         assert len(bettis) == 1

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mvtrack as mv
-from mvtrack import cli, fields as mvfields, tracking
+from mvtrack import cli, dynamics, fields as mvfields, tracking
 from mvtrack.algebra import MAX_PRIME
 from mvtrack.complexes import MAX_FACES
 from mvtrack.cli import main
@@ -992,11 +992,12 @@ def test_one_parser_serves_every_call(monkeypatch, capsys):
 @pytest.mark.parametrize("name", SCENES)
 def test_loading_and_validating_fill_no_closure_table(name):
     """Convexity is decided from facets, so loading a scene, validating its
-    fields and checking its seed's convexity read no closure table."""
+    fields and checking its seed's convexity and compatibility read no
+    closure table."""
     scene = load_scene(FIXTURES / f"{name}.json")
     assert all(mv.validate_field(fld) for fld in scene.fields)
     scene.cx.is_convex(scene.seed)
-    scene.fields[0].is_compatible(scene.seed)
+    dynamics._facet_pass(scene.fields[0], scene.seed)
     assert scene.cx._closure_of == {}
 
 

@@ -16,7 +16,7 @@ from mvtrack.io import SchemaError, load_scene, scene_from_dict
 from mvtrack.zigzag import pair_zigzag_barcode
 
 from helpers import (EagerComplex, all_faces, cone_pair, grid_complex, mouth_is_convex,
-                     per_simplex_closure, random_complex, random_subset, vertices)
+                     per_simplex_closure, random_complex, random_subset, star, vertices)
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -110,7 +110,7 @@ def test_star_is_the_set_of_cofaces():
         subset = random_subset(rng, cx.simplices, max_size=4)
         by_definition = {tau for tau in cx.simplices
                          if any(set(a) <= set(tau) for a in subset)}
-        assert cx.star(subset) == by_definition
+        assert star(cx, subset) == by_definition
 
 
 def test_membership_enforced(triangle):

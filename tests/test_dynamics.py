@@ -12,12 +12,13 @@ from mvtrack.dynamics import (IndexPair, _image, _peel, _repair, canonical_index
                               validate_index_pair_in_n)
 from mvtrack.fields import MultivectorField, classify_rearrangement, intersect_fields
 
-from helpers import (all_faces, brute_invariant_part, closed_subsets, grid_complex, grid_scene,
+from helpers import (all_faces, bench_scenes, brute_invariant_part, closed_subsets,
+                     closure_invariant_part, grid_complex, grid_scene, is_compatible,
                      mouth_is_convex,
                      oracle_isolates, oracle_pair_problems, random_coarsening, random_complex,
                      random_convex_compatible, random_field, random_gradient_field,
                      random_isolated_set, random_refinement, random_subset, scc_invariant_part,
-                     singleton_field, step_graph, strongly_connected_components)
+                     singleton_field, small_runs, star, step_graph, strongly_connected_components)
 
 
 def test_index_pair_type():
@@ -83,7 +84,7 @@ def test_invariant_part_against_both_oracles(p):
         assert inv == brute_invariant_part(fld, subset, p)
         cycles += _has_cycle_of_blocks(fld, subset)
         non_convex += not cx.is_convex(subset)
-        non_compatible += not fld.is_compatible(subset)
+        non_compatible += not is_compatible(fld, subset)
     assert cycles >= 3 and non_convex >= 30 and non_compatible >= 100
 
 
@@ -137,16 +138,23 @@ def _moves(rng, fld, subset, p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_repair_matches_the_full_peel(p):
     """After one split or merge, the peel repaired from the touched blocks
-    gives the invariant part of a set S = Inv(X) for random X, as the full
-    peel and the former reduction do, and on small complexes as the
-    definition does; with moves inside, straddling and disjoint from S, and
-    repairs that peel one block and ten."""
+    gives the invariant part of a convex set S = Inv(X), as the full peel
+    and the former reduction do, and on small complexes as the definition
+    does; with moves inside, straddling and disjoint from S, and repairs
+    that peel one block and ten.  S is convex, as the protocol's sets are.
+    On small complexes X is random, and where Inv(X) is not convex, S is
+    the invariant part of its vertices and edges, which no simplex lies
+    between.  On grids X is the vertices and edges but a random half of the
+    critical edges, so S is a union of descending paths, and a merge of a
+    sink with a removed edge peels every path into it."""
     rng = random.Random(60 + p)
     where, peeled, by_definition = Counter(), [], 0
 
-    def check(fld, brute):
+    def check(fld, subset, brute):
         nonlocal by_definition
-        subset = invariant_part(fld, random_subset(rng, fld.cx.simplices), p)
+        subset = invariant_part(fld, subset, p)
+        if not fld.cx.is_convex(subset):
+            subset = invariant_part(fld, {s for s in subset if len(s) <= 2}, p)
         for nxt in _moves(rng, fld, subset, p):
             move = classify_rearrangement(fld, nxt)
             repaired = _repair(nxt, subset, move, p)
@@ -160,13 +168,16 @@ def test_repair_matches_the_full_peel(p):
 
     for _ in range(150):
         cx = random_complex(rng, n_vertices=5, n_maximal=3, max_dim=2, max_size=12)
-        check(random_field(rng, cx, merges=rng.randint(0, 4)), True)
+        check(random_field(rng, cx, merges=rng.randint(0, 4)), random_subset(rng, cx.simplices), True)
     assert max(peeled) >= 1
     tries = 0
     while max(peeled) < 10:
         tries += 1
         assert tries <= 60, f"no repair peeled ten blocks in {tries - 1} grid fields"
-        check(random_gradient_field(rng, grid_complex(8)), False)
+        fld = random_gradient_field(rng, grid_complex(8))
+        saddles = [s for s in sorted(fld.cx.simplices) if len(s) == 2 and len(fld.part_of(s)) == 1]
+        skeleton = {s for s in fld.cx.simplices if len(s) <= 2}
+        check(fld, skeleton.difference(rng.sample(saddles, len(saddles) // 2)), False)
     assert len(where) == 3 and min(where.values()) >= 20 and by_definition >= 200, where
     assert sum(count >= 1 for count in peeled) >= 10
 
@@ -252,11 +263,13 @@ def test_is_invariant(triangle):
 
 
 def test_is_v_compatible(triangle):
+    """The facet pass finds a set compatible iff it is a union of whole
+    multivectors, as the oracle does."""
     fld = MultivectorField.from_parts(triangle, [[(0,), (0, 1)]],
                                       complete_singletons=True)
-    assert fld.is_compatible(frozenset())
-    assert fld.is_compatible(frozenset({(0,), (0, 1)}))
-    assert not fld.is_compatible(frozenset({(0,)}))
+    for subset, compatible in ((frozenset(), True), ({(0,), (0, 1)}, True), ({(0,)}, False)):
+        assert is_compatible(fld, subset) == compatible
+        assert ("compatible" not in dynamics._facet_pass(fld, frozenset(subset))[0]) == compatible
 
 
 def test_isolated_invariant_set(merging_saddles):
@@ -349,21 +362,23 @@ def _cascades(fld, subset, kept):
     `subset`: of the two, the one removed first had the other alive."""
     cx = fld.cx
     return any(t in subset and fld.mv_id(t) != fld.mv_id(s)
-               for s in subset - kept for t in cx.closure_of(s) | cx.star((s,)))
+               for s in subset - kept for t in cx.closure_of(s) | star(cx, (s,)))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_the_anchored_peel_decides_the_hull_test(p):
-    """For an isolated invariant set S inside a set X, the peel seeded by the
-    blocks of X \\ S gives Inv(X), as the full peel, the former reduction and,
-    on small sets, the definition do.  So it decides Inv(X) == S, the hull
-    test of cases d and f.  X is S plus a few random simplices, or the hull
-    of that.  The same holds under a merge of a multivector of S with one
-    outside it, for X the hull of that X and the merged multivector under
-    the merged field, seeded by its blocks of X \\ S: S' of cases d, f and g.
-    Each outcome of the hull test reaches a floor, as do the brute-force
-    oracle, the merges whose S' differs from S, and the peels that remove a
-    block with a live neighbour, within an attempt cap."""
+    """For an isolated invariant set S inside a convex set X, the peel seeded
+    by the blocks of X \\ S gives Inv(X), as the full peel, the former
+    reduction and, on small sets, the definition do.  So it decides
+    Inv(X) == S, the hull test of cases d and f.  X is S plus a few random
+    simplices, or the hull of that at random and where that is not convex,
+    as the peel links blocks along facets.  The same holds under a merge of
+    a multivector of S with one outside it, for X the hull of that X and the
+    merged multivector under the merged field, seeded by its blocks of
+    X \\ S: S' of cases d, f and g.  Each outcome of the hull test reaches
+    a floor, as do the brute-force oracle, the merges whose S' differs from
+    S, and the peels that remove a block with a live neighbour, within an
+    attempt cap."""
     rng = random.Random(70 + p)
     outcomes, by_definition, changed, cascades = Counter(), Counter(), 0, 0
     small = {"hull test": 6, "S'": 5}  # the search grows with the cycles in a block
@@ -398,7 +413,7 @@ def test_the_anchored_peel_decides_the_hull_test(p):
             continue
         cx = fld.cx
         big = current | random_subset(rng, cx.simplices - current, max_size=4)
-        if rng.random() < 0.5:
+        if rng.random() < 0.5 or not cx.is_convex(big):
             big = mv.hull(fld, big)
         outcomes[peeled(fld, big, {fld.mv_id(s) for s in big - current}, "hull test") == current] += 1
         # S is compatible, so a multivector lies outside it iff its id does
@@ -451,7 +466,7 @@ def test_canonical_index_pair_random():
         assert validate_index_pair(fld, pair.P, pair.E, subset)
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_isolated_exactly_when_the_canonical_pair_is_an_index_pair(p):
     """S is an isolated invariant set exactly when (cl S, mouth S) passes the
     index-pair conditions for S: tracking checks the seed once and then only
@@ -483,6 +498,113 @@ def test_isolated_exactly_when_the_canonical_pair_is_an_index_pair(p):
     assert isolated >= 600
     assert min(failed_checks.values()) >= 50 and len(failed_checks) == 3, failed_checks
     assert faults_seen["invariant"] >= 40, faults_seen
+
+
+def _oracle_faults(fld, subset, p):
+    """The conditions of isolation that independent checks find failed:
+    convexity by the mouth, compatibility by the multivectors met, and, of a
+    convex and compatible set only, invariance by the former reduction."""
+    failed = [name for name, ok in (
+        ("convex", mouth_is_convex(fld.cx, subset)),
+        ("compatible", frozenset().union(*map(fld.part_of, subset)) == subset)) if not ok]
+    return failed or ["invariant"] * (scc_invariant_part(fld, subset, p) != subset)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_facet_pass_agrees_with_the_oracles(p):
+    """`invariant_part`, which peels along facets in a convex set, gives the
+    peel along every face (`closure_invariant_part`), the former reduction
+    and, on small sets, the definition; `isolation_faults`, which decides
+    all three conditions from one facet pass, names what `_oracle_faults`
+    finds, and the pass's convexity is `Complex.is_convex`.  The sets are
+    hulls (convex and compatible), locally closed sets, which are convex and
+    mostly not compatible, and random sets, mostly not convex, on random
+    complexes with tetrahedra and on grid fields.  Each kind, the
+    tetrahedra and the definition reach a floor within an attempt cap."""
+    rng = random.Random(80 + p)
+    kinds, by_definition = Counter(), 0
+    for tries in itertools.count(1):
+        if len(kinds) == 5 and min(kinds.values()) >= 60 and by_definition >= 100:
+            break
+        assert tries <= 400, f"{kinds}, {by_definition} by definition in {tries - 1} fields"
+        if tries % 3:
+            cx = random_complex(rng, n_vertices=6, n_maximal=3, max_dim=3, max_size=30)
+            fld = random_field(rng, cx, merges=rng.randint(0, 6))
+        else:
+            fld = random_gradient_field(rng, grid_complex(4))
+            fld = rng.choice([random_refinement, random_coarsening])(rng, fld) or fld
+            cx = fld.cx
+        locally_closed = (cx.closure(random_subset(rng, cx.simplices, max_size=4))
+                          - cx.closure(random_subset(rng, cx.simplices, max_size=4)))
+        for subset in (random_convex_compatible(rng, fld), locally_closed,
+                       random_subset(rng, cx.simplices, max_size=10)):
+            inv = closure_invariant_part(fld, subset, p)
+            assert invariant_part(fld, subset, p) == inv == scc_invariant_part(fld, subset, p)
+            if len(subset) <= 6:  # the search grows with the cycles in a block
+                assert inv == brute_invariant_part(fld, subset, p)
+                by_definition += 1
+            faults = dynamics.isolation_faults(fld, subset, p)
+            assert faults == _oracle_faults(fld, subset, p)
+            assert ("convex" not in dynamics._facet_pass(fld, subset)[0]) == cx.is_convex(subset)
+            kinds[faults[0] if faults else "isolated"] += 1
+            kinds["tetrahedra"] += any(len(s) == 4 for s in subset)
+
+
+def test_a_set_that_is_not_convex_is_peeled_along_every_face():
+    """In {vertex 0, edge 12, triangle 012, tetrahedron 0123}, with the
+    triangle paired with the edge, the pair reaches vertex 0 only through
+    the edges 01 and 02, which the set lacks.  Along facets the pair has no
+    successor and is peeled; along every face it lies between the critical
+    tetrahedron and the critical vertex, so the set is its own invariant
+    part, as `invariant_part` and the oracles find."""
+    fld = MultivectorField.from_parts(mv.Complex.from_maximal([(0, 1, 2, 3)]),
+                                      [[(1, 2), (0, 1, 2)]], complete_singletons=True)
+    subset = frozenset({(0,), (1, 2), (0, 1, 2), (0, 1, 2, 3)})
+    faults, succ, pred = dynamics._facet_pass(fld, subset)
+    assert faults == ["convex"] and not succ[(0, 1, 2)] and pred[(0, 1, 2)] == {(0, 1, 2, 3)}
+    seeds = [b for b in succ if not succ[b] or not pred[b]]
+    assert _peel(fld, subset, seeds, 2, (succ, pred)) == {(0,), (0, 1, 2, 3)}
+    assert (invariant_part(fld, subset) == closure_invariant_part(fld, subset)
+            == scc_invariant_part(fld, subset) == brute_invariant_part(fld, subset) == subset)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_isolation_faults_on_every_tenth_small_run(p):
+    """Over every 10th two-field run on the closure of one triangle, the
+    seed is isolated under the first field, and under the next
+    `isolation_faults` names what `_oracle_faults` finds: a merge across
+    the seed breaks compatibility, and a split or merge inside it can break
+    invariance.  Each outcome reaches a floor."""
+    seen = Counter()
+    for fields, seed in small_runs(mv.Complex.from_maximal([(0, 1, 2)]), p, stride=10):
+        assert dynamics.isolation_faults(fields[0], seed, p) == _oracle_faults(fields[0], seed, p) == []
+        faults = dynamics.isolation_faults(fields[1], seed, p)
+        assert faults == _oracle_faults(fields[1], seed, p)
+        seen[tuple(faults)] += 1
+    assert len(seen) == 3 and min(seen.values()) >= 100, seen
+
+
+def test_the_seed_check_fills_no_face_table(tmp_path, monkeypatch):
+    """Counts work, which machine speed cannot move: on the grid-index
+    benchmark scene (seed 1), a fresh `isolation_faults` of the seed fills
+    no closure, builds no cofacet table, and decides each block's
+    criticality at most once."""
+    scenes = bench_scenes()
+    scenes.write_scene(scenes.grid_index(tmp_path), 1, tmp_path / "scene.json")
+    scene = mv.load_scene(tmp_path / "scene.json")
+    cx, decided = scene.cx, Counter()
+    filled = len(cx._closure_of)
+    assert cx._cofacets is None
+    is_critical = MultivectorField.is_critical
+
+    def counted(fld, ident, p=2):
+        decided[ident] += 1
+        return is_critical(fld, ident, p)
+
+    monkeypatch.setattr(MultivectorField, "is_critical", counted)
+    assert dynamics.isolation_faults(scene.fields[0], scene.seed) == []
+    assert len(cx._closure_of) == filled and cx._cofacets is None
+    assert decided and max(decided.values()) == 1
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -296,16 +296,15 @@ def test_run_protocol_unresolved():
     assert any(tag.role == "naive-meet" for tag in resolved.zigzag.tags)
 
 
-@pytest.mark.parametrize("name, invariant_parts",
-                         [("merging_saddles", 3), ("saddle_collision_nine", 5)])
-def test_run_protocol_checks_the_seed_once(name, invariant_parts, monkeypatch):
-    """Counts work, not time: the seed is checked once, and no step re-checks
-    the set it starts from or computes an invariant part only to compare it
-    with itself.  On these scenes no step peels a whole set either: the one
-    call of `invariant_part` is the seed check's."""
+@pytest.mark.parametrize("name", ["merging_saddles", "saddle_collision_nine"])
+def test_run_protocol_checks_the_seed_once(name, monkeypatch):
+    """Counts work, not time: the seed is checked once, in one facet pass,
+    and no step re-checks the set it starts from, computes an invariant part
+    only to compare it with itself, or peels a whole set: `invariant_part`
+    is never called."""
     scene = mv.load_scene(FIXTURES / f"{name}.json")
-    calls = {"invariant_part": 0, "is_isolated_invariant_set": 0}
-    for fn in (dynamics.invariant_part, dynamics.is_isolated_invariant_set):
+    calls = Counter()
+    for fn in (dynamics.invariant_part, dynamics.is_isolated_invariant_set, dynamics._facet_pass):
         def counted(*args, fn=fn, **kwargs):
             calls[fn.__name__] += 1
             return fn(*args, **kwargs)
@@ -313,9 +312,8 @@ def test_run_protocol_checks_the_seed_once(name, invariant_parts, monkeypatch):
             if vars(module).get(fn.__name__) is fn:
                 monkeypatch.setattr(module, fn.__name__, counted)
     run_protocol(scene.fields, scene.seed)
-    assert calls["is_isolated_invariant_set"] == 1
-    assert calls["invariant_part"] <= invariant_parts
-    assert calls["invariant_part"] == 1
+    assert calls["is_isolated_invariant_set"] == 1 and calls["_facet_pass"] == 1
+    assert calls["invariant_part"] == 0
 
 
 def _each_pair_checked_once(monkeypatch, runs, p=2):

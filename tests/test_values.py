@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import mvtrack as mv
+from mvtrack.io import scene_to_dict
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -95,3 +96,17 @@ def test_a_scene_derives_its_names_and_pickles(name):
     shorter = scene._replace(fields=scene.fields[:1])
     assert type(shorter) is mv.Scene and shorter.names == scene.names
     assert shorter[:4] == (scene.cx, scene.fields[:1], scene.seed, scene.labels)
+
+
+def test_replacing_the_labels_derives_the_names_again(merging_saddles):
+    """`_replace(labels=...)` names each vertex by the new table, as a scene
+    built with it does: `label_of` and `scene_to_dict` print the new label,
+    and a vertex the table leaves out by its id."""
+    scene = merging_saddles
+    replaced = scene._replace(labels={"Z": 0})
+    assert scene.label_of(0) == "A" and replaced.label_of(0) == "Z" and replaced.label_of(1) == "1"
+    assert replaced.names == mv.Scene(*replaced[:4]).names == {0: "Z"}
+    doc, before = scene_to_dict(replaced), scene_to_dict(scene)
+    renamed = {label: "Z" if i == 0 else i for label, i in scene.labels.items()}
+    assert doc["vertices"] == {"Z": 0}
+    assert doc["maximal_simplices"] == [[renamed[v] for v in s] for s in before["maximal_simplices"]]
