@@ -30,7 +30,7 @@ from pathlib import Path
 from .algebra import check_prime, relative_homology
 from .dynamics import PreconditionError, _canonical, isolation_faults
 from .fields import NotAtomicError, rearrangement_path
-from .io import Scene, SchemaError, load_scene, load_zigzag, save_scene
+from .io import Scene, SchemaError, _parse_simplex_set, load_scene, load_zigzag, save_scene
 from .tracking import run_protocol
 from .zigzag import Barcode, pair_zigzag_barcode
 
@@ -52,15 +52,11 @@ def _dump(doc) -> str:
 
 
 def barcode_doc(barcode: Barcode) -> dict:
-    bars = []
-    for bar in barcode.bars:
-        entry = {"dim": bar.dim, "birth": bar.birth, "death": bar.death}
-        if barcode.step_of_position is not None:
-            entry["birth_step"] = barcode.step_of_position[bar.birth - 1]
-            entry["death_step"] = barcode.step_of_position[bar.death - 1]
-        bars.append(entry)
+    bars = [{"dim": b.dim, "birth": b.birth, "death": b.death} for b in barcode.bars]
     doc = {"positions": barcode.length, "bars": bars}
     if barcode.step_of_position is not None:
+        for entry, (_dim, birth, death) in zip(bars, barcode.step_bars()):
+            entry.update(birth_step=birth, death_step=death)
         doc["step_of_position"] = list(barcode.step_of_position)
     return doc
 
@@ -87,35 +83,33 @@ def barcode_text(barcode: Barcode) -> str:
 
 def _parse_selector(scene: Scene, selector: str):
     """seed | mv:<field>:<v,v,...> | set:<field>:<v,v,..;v,v,..>"""
-    def vertex(tok: str) -> int:
-        if scene.labels and tok in scene.labels:
-            return scene.labels[tok]
+    def decimal(text: str):  # ASCII decimal text as an int, else the text for the reader to refuse
         try:
-            return int(tok)
-        except ValueError:
-            raise SchemaError(f"unknown vertex {tok!r} in selector")
-
-    def parse_simplex(text: str):
-        s = tuple(sorted(vertex(t) for t in text.split(",") if t))
-        if s not in scene.cx.simplices:
-            raise SchemaError(f"selector simplex {text!r} not in complex")
-        return s
+            return int(text) if text.isascii() and text.isdigit() else text
+        except ValueError:  # more digits than `int` converts
+            return text
 
     if selector in ("", "seed"):
         return 1, scene.seed
     kind, _, rest = selector.partition(":")
     idx_text, _, body = rest.partition(":")
-    try:
-        idx = int(idx_text)
-    except ValueError:
+    if isinstance(idx := decimal(idx_text), str):
         raise SchemaError(f"bad field index in selector {selector!r}")
     if not 1 <= idx <= len(scene.fields):
         raise SchemaError(f"field index {idx} out of range 1..{len(scene.fields)}")
-    if kind == "mv":
-        return idx, scene.fields[idx - 1].part_of(parse_simplex(body))
-    if kind == "set":
-        return idx, frozenset(parse_simplex(part) for part in body.split(";") if part)
-    raise SchemaError(f"unknown selector kind {kind!r}")
+    if kind not in ("mv", "set"):
+        raise SchemaError(f"unknown selector kind {kind!r}")
+    texts = [part for part in body.split(";") if part]
+    if kind == "mv" and len(texts) != 1:
+        raise SchemaError(f"an mv selector names one simplex, got {len(texts)}")
+    labels = scene.labels or {}
+    raw = [[labels.get(t, decimal(t)) for t in text.split(",") if t] for text in texts]
+    simplices = _parse_simplex_set(raw, scene.labels, "selector", scene.cx.simplices)
+    for text, s in zip(texts, simplices):
+        if s not in scene.cx.simplices:
+            raise SchemaError(f"selector simplex {text!r} not in complex")
+    return idx, (frozenset(simplices) if kind == "set"
+                 else scene.fields[idx - 1].part_of(simplices[0]))
 
 
 def cmd_validate(args):

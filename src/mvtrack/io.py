@@ -20,7 +20,8 @@ multivector containing the listed simplices, {"op": "merge", "mvs":
 [<simplex>, <simplex>]} merges the two containing multivectors.
 
 A list-form field is parsed in one pass over all its multivectors, falling
-back to one multivector at a time for the message when that pass fails.
+back to one simplex at a time for the message when that pass fails; `conley`
+selectors are read by the same simplex reader (`_parse_simplex_set`).
 Each field records the step that made it: an op records itself, and a
 list-form field one split or merge away from the field before is built from
 that field by the step (`MultivectorField.successor`).  Fields after the
@@ -74,9 +75,7 @@ class Scene(NamedTuple("Scene", [("cx", Complex), ("fields", list), ("seed", fro
 
 
 def _resolve_vertex(token, labels: Optional[dict[str, int]]):
-    if isinstance(token, bool):
-        raise SchemaError(f"bad vertex {token!r}")
-    if isinstance(token, int):
+    if isinstance(token, int) and not isinstance(token, bool):
         return token
     if isinstance(token, str):
         if labels and token in labels:
@@ -127,13 +126,12 @@ def _parse_partition(raw, cx: Complex, labels, what: str,
     """The field `raw` lists, built from `prev` when one split or merge apart."""
     if not isinstance(raw, list):
         raise SchemaError(f"{what} must be an array of multivectors")
-    flat = (_parse_plain(list(itertools.chain.from_iterable(raw)), labels, cx.simplices)
-            if set(map(type, raw)) <= {list} else None)
-    if flat is None:
-        parts = [frozenset(_parse_simplex_set(mv, labels, f"{what} multivector")) for mv in raw]
-    else:
-        simplices = itertools.repeat(iter(flat))
-        parts = list(map(frozenset, map(itertools.islice, simplices, map(len, raw))))
+    arrays = raw[:[*map(isinstance, raw, itertools.repeat(list)), False].index(False)]
+    flat = _parse_simplex_set([*itertools.chain.from_iterable(arrays)], labels, what, cx.simplices)
+    if len(arrays) < len(raw):  # named after the faults of the multivectors before it
+        raise SchemaError(f"{what} multivector must be an array of simplices")
+    simplices = itertools.repeat(iter(flat))
+    parts = list(map(frozenset, map(itertools.islice, simplices, map(len, raw))))
     try:
         return ((prev and prev.successor(parts))
                 or MultivectorField.from_parts(cx, parts, complete_singletons=True))

@@ -17,7 +17,7 @@ from mvtrack.cli import main
 from mvtrack.io import (Scene, SchemaError, load_scene, load_zigzag, save_scene,
                         scene_from_dict, scene_to_dict, zigzag_from_dict)
 
-from helpers import vertices
+from helpers import bench_scenes, vertices
 
 ROOT = Path(__file__).parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -153,6 +153,47 @@ def test_conley_empty_set(tmp_path, capsys):
     code, out = run(capsys, "conley", str(path), "--format", "json")
     assert code == 0
     assert json.loads(out)["betti"] == [0, 0, 0]
+
+
+# Every way `conley` refuses a selector on merging_saddles (three fields,
+# labels A..N for ids 0..13), with its message.  A vertex token is read as a
+# label of the scene or an ASCII decimal id and nothing else, so the last
+# three spellings, which `int` reads as 0, are refused as in a scene file.
+SELECTOR_REFUSALS = {
+    "bad field index": ("mv:x:A", "bad field index in selector 'mv:x:A'"),
+    "signed field index": ("mv:+1:A", "bad field index in selector 'mv:+1:A'"),
+    "non-ASCII field index": ("mv:\u0661:A", "bad field index in selector 'mv:\u0661:A'"),
+    "field index out of range": ("mv:4:A", "field index 4 out of range 1..3"),
+    "field index zero": ("set:0:A", "field index 0 out of range 1..3"),
+    "unknown kind": ("warp:1:A", "unknown selector kind 'warp'"),
+    "unknown label": ("set:1:A;A,Z", "unknown vertex label 'Z'"),
+    "not in complex": ("mv:2:A,N", "selector simplex 'A,N' not in complex"),
+    "repeated vertex": ("mv:1:B,1", "repeated vertex 1 in simplex (1, 1)"),
+    "empty mv body": ("mv:1:", "an mv selector names one simplex, got 0"),
+    "two simplices in mv": ("mv:1:A,B;B,C", "an mv selector names one simplex, got 2"),
+    "plus sign": ("mv:1:+0,1", "unknown vertex label '+0'"),
+    "underscore": ("mv:1:0_0,1", "unknown vertex label '0_0'"),
+    "leading space": ("mv:1: 0,1", "unknown vertex label ' 0'"),
+    "non-ASCII digit": ("set:1:\u0660,1", "unknown vertex label '\u0660'"),
+    "id past int's digit limit": ("mv:1:" + "9" * 4301, f"unknown vertex label '{'9' * 4301}'"),
+    "index past int's digit limit": ("mv:" + "9" * 4301 + ":A",
+                                     f"bad field index in selector 'mv:{'9' * 4301}:A'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SELECTOR_REFUSALS))
+def test_conley_refuses_a_selector_with_its_message(capsys, case):
+    selector, message = SELECTOR_REFUSALS[case]
+    code, out = run(capsys, "conley", str(FIXTURES / "merging_saddles.json"), selector)
+    assert (code, out) == (2, f"FAIL: {message}\n")
+
+
+def test_conley_reads_a_vertex_by_label_or_decimal_id(capsys):
+    """A label and its id, in any order, select the same multivector."""
+    scene = load_scene(FIXTURES / "merging_saddles.json")
+    chosen = {cli._parse_selector(scene, f"mv:3:{spelling}")
+              for spelling in ("C,D,G", "2,3,6", "G,3,C", "6,D,2")}
+    assert chosen == {(3, scene.fields[2].part_of((2, 3, 6)))}
 
 
 def test_track_text_and_files(tmp_path, capsys):
@@ -849,6 +890,53 @@ def test_malformed_input_never_gives_a_traceback(tmp_path, capsys, name, edits, 
         assert len(lines) == 1 and lines[0].startswith("FAIL: "), (argv, lines)
 
 
+@pytest.fixture(scope="module")
+def selector_scenes(tmp_path_factory):
+    """The scene fixtures and the three benchmark scenes (seed 1): name ->
+    (document, loaded scene)."""
+    scenes, out = bench_scenes(), {}
+    for name, make in sorted(scenes.WORKLOADS.items()):
+        path = tmp_path_factory.mktemp("bench") / f"{name}.json"
+        scenes.write_scene(make(ROOT), 1, path)
+        out[name] = path
+    out.update((name, FIXTURES / f"{name}.json") for name in SCENES)
+    return {name: (json.loads(path.read_text()), load_scene(path))
+            for name, path in out.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_set_selector_selects_what_a_seed_listing_reads(selector_scenes, data):
+    """One reader: member simplices named by label or id, vertices in any
+    order, select under `set:` the set that a scene's seed listing the same
+    tokens loads as."""
+    doc, scene = selector_scenes[data.draw(st.sampled_from(sorted(selector_scenes)))]
+    members = data.draw(st.lists(st.sampled_from(sorted(scene.cx.simplices)), max_size=8))
+    listing = [data.draw(st.permutations([
+        data.draw(st.sampled_from([v, scene.names[v]] if v in scene.names else [v]))
+        for v in s])) for s in members]
+    field = data.draw(st.integers(1, len(scene.fields)))
+    selector = f"set:{field}:" + ";".join(",".join(map(str, s)) for s in listing)
+    expected = scene_from_dict(dict(doc, seed=listing)).seed
+    assert cli._parse_selector(scene, selector) == (field, expected) == (field, frozenset(members))
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(SCENES), st.sampled_from(["mv:", "set:", ""]), st.data())
+def test_a_malformed_selector_never_gives_a_traceback(capsys, name, kind, data):
+    """Selectors spelled from digits, the scene's labels, the separators and
+    characters that `int` reads or skips: `conley` exits 0, or 2 with one
+    `FAIL: ` line."""
+    labels = list(json.loads((FIXTURES / f"{name}.json").read_text()).get("vertices", {}))
+    pieces = list("0123456789:,;+_ \u0663") + labels
+    selector = kind + "".join(data.draw(st.lists(st.sampled_from(pieces), max_size=12)))
+    code, out = run(capsys, "conley", str(FIXTURES / f"{name}.json"), selector)
+    lines = out.splitlines()
+    assert code == 0 or (code, len(lines)) == (2, 1) and lines[0].startswith("FAIL: "), \
+        (selector, out)
+
+
 # Multi-multivector fields with a fault, and what the loader made of them
 # before it parsed each field in one pass and checked membership once.
 FIELD_FAULTS = {
@@ -867,6 +955,8 @@ FIELD_FAULTS = {
         False, [[[0]], 5, [[1, 1]]], "field 1 multivector must be an array of simplices"),
     "repeated vertex, then a bad vertex": (
         False, [[[0], [0, 1]], [[2, 2]], [[0, None]]], "repeated vertex 2 in simplex (2, 2)"),
+    "repeated vertex, then a multivector not an array": (
+        False, [[[0], [0, 0]], 5], "repeated vertex 0 in simplex (0, 0)"),
     "unknown label in a later multivector": (
         True, [[["A"], ["A", "B"]], [["C"], ["C", "Z"]]], "unknown vertex label 'Z'"),
     "empty simplex in a later multivector": (
